@@ -10,13 +10,12 @@ governed by the curvature constant of the matching straight cone.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curvature import CurvatureResult, QuadratureConfig, two_leaf_curvature
-from .errors import HomogeneityViolationError, InvalidCutoffError
+from .errors import FracsurfError, HomogeneityViolationError, InvalidCutoffError
 from .geometry import Cone, SampleSpec, TwoLeaf, boundary_sample
 from .oracle import direct_curvature
 from .profiles import BarrierProfile
@@ -44,11 +43,6 @@ class BarrierBody:
     alpha: float
     grad_sup: float
     curve_sup: float
-
-    @property
-    def smoothness_constant(self) -> float:
-        # measured sup|grad| + sup|D2|, normalized by eps
-        return (self.grad_sup + self.curve_sup) / self.epsilon
 
 
 def build_barrier(epsilon: float, n: int, alpha: float) -> BarrierBody:
@@ -186,32 +180,28 @@ def _sample_radii(count: int) -> SampleSpec:
                       refine_near=(1.0, 2.0), ray_radii=ray)
 
 
-def _evaluate_boundary(epsilon, n, alpha, config, count, threads=1):
+def _evaluate_boundary(epsilon, n, alpha, config, count):
     barrier = build_barrier(epsilon, n, alpha)
     spec = _sample_radii(count)
     samples = boundary_sample(barrier.body, n, spec)
     cfg = config if config is not None else QuadratureConfig.for_profile(barrier.profile)
-
-    def one(bs):
+    pts = []
+    failed = False
+    for bs in samples:
         res = two_leaf_curvature(barrier.profile, bs.radius, n, alpha, cfg)
-        return BarrierSamplePoint(point=tuple(float(c) for c in bs.point),
-                                  radius=bs.radius, value=res.value,
-                                  error=res.total_error), res.warnings
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, samples))
-    else:
-        rows = [one(bs) for bs in samples]
-    pts = [r[0] for r in rows]
-    failed = any(r[1] for r in rows)
+        pts.append(BarrierSamplePoint(point=tuple(float(c) for c in bs.point),
+                                      radius=bs.radius, value=res.value,
+                                      error=res.total_error))
+        failed = failed or bool(res.warnings)
     return pts, failed
 
 
-def _positivity_probe(epsilon, n, alpha, config, count, threads=1):
+def _positivity_probe(epsilon, n, alpha, config, count):
     try:
-        pts, failed = _evaluate_boundary(epsilon, n, alpha, config, count, threads)
-    except Exception:
+        pts, failed = _evaluate_boundary(epsilon, n, alpha, config, count)
+    except FracsurfError:
+        # an invalid barrier at this height reads as "not positive"; any
+        # other exception is a fault and propagates
         return None, True
     margin = min(p.value - p.error for p in pts)
     return margin, failed
@@ -219,7 +209,7 @@ def _positivity_probe(epsilon, n, alpha, config, count, threads=1):
 
 def verify_barrier(epsilon: float, n: int, alpha: float,
                    config: QuadratureConfig | None = None, seed: int = 0,
-                   min_samples: int = 200, threads: int = 1,
+                   min_samples: int = 200,
                    bisect_eps0: bool = True,
                    check_shrink: bool = True) -> BarrierReport:
     """Audit curvature positivity on the barrier boundary.
@@ -232,7 +222,7 @@ def verify_barrier(epsilon: float, n: int, alpha: float,
     """
     notes = []
     try:
-        pts, failed = _evaluate_boundary(epsilon, n, alpha, config, min_samples, threads)
+        pts, failed = _evaluate_boundary(epsilon, n, alpha, config, min_samples)
     except Exception as exc:  # noqa: BLE001 - the report carries the reason
         return BarrierReport(epsilon=epsilon, n=n, alpha=alpha, samples=(),
                              min_margin=float("nan"),
@@ -249,7 +239,7 @@ def verify_barrier(epsilon: float, n: int, alpha: float,
     norm = far.radius * math.sqrt(1.0 + epsilon * epsilon)
     far_scaled = norm ** alpha * far.value
     cone = cone_constant(epsilon, n, alpha, config, seed=seed)
-    far_agrees = abs(far_scaled - cone.value) <= 0.05 * abs(cone.value)
+    far_agrees = bool(abs(far_scaled - cone.value) <= 0.05 * abs(cone.value))
     if not far_agrees:
         notes.append("far-field scaled curvature disagrees with the cone constant by more than 5%")
 
@@ -259,7 +249,7 @@ def verify_barrier(epsilon: float, n: int, alpha: float,
         probe_count = max(64, min_samples // 2)
         for _ in range(EPS0_STEPS):
             mid = 0.5 * (lo + hi)
-            margin, bad = _positivity_probe(mid, n, alpha, config, probe_count, threads)
+            margin, bad = _positivity_probe(mid, n, alpha, config, probe_count)
             if margin is not None and not bad and margin > 0.0:
                 lo = mid
             else:
@@ -269,8 +259,8 @@ def verify_barrier(epsilon: float, n: int, alpha: float,
     shrink_ok = None
     if check_shrink:
         margin, bad = _positivity_probe(0.5 * epsilon, n, alpha, config,
-                                        max(64, min_samples // 2), threads)
-        shrink_ok = margin is not None and not bad and margin > 0.0
+                                        max(64, min_samples // 2))
+        shrink_ok = bool(margin is not None and not bad and margin > 0.0)
         if verdict == VERDICT_POSITIVE and not shrink_ok:
             notes.append("positivity did not persist at half the height scale")
 

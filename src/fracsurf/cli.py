@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -79,7 +78,7 @@ def _csv_line(*vals) -> str:
     return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in vals)
 
 
-def cmd_curvature(sections, out_dir, n, alpha, seed, threads) -> int:
+def cmd_curvature(sections, out_dir, n, alpha, seed) -> int:
     sec = sections["curvature"]
     geometry = sec.get("geometry", "twoleaf").strip().lower()
     method = sec.get("method", "formula").strip().lower()
@@ -92,8 +91,7 @@ def cmd_curvature(sections, out_dir, n, alpha, seed, threads) -> int:
     _record_quadrature(sec, cfg)
     digest = cfgmod.config_hash(sections)
 
-    def eval_one(i_r):
-        i, r = i_r
+    def eval_one(i, r):
         if geometry in ("twoleaf", "subgraph"):
             height = profile.value(r)
             point = [r] + [0.0] * (n - 1) + [height]
@@ -115,12 +113,7 @@ def cmd_curvature(sections, out_dir, n, alpha, seed, threads) -> int:
             height = point[-1]
         return point, height, res
 
-    tasks = list(enumerate(points))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(eval_one, tasks))
-    else:
-        results = [eval_one(t) for t in tasks]
+    results = [eval_one(i, r) for i, r in enumerate(points)]
 
     records = []
     csv_lines = ["r,height,H,err_total"]
@@ -168,14 +161,14 @@ def _direct_body_point(sec, geometry, r, n):
     return body, point
 
 
-def cmd_barrier_verify(sections, out_dir, n, alpha, seed, threads) -> int:
+def cmd_barrier_verify(sections, out_dir, n, alpha, seed) -> int:
     sec = sections["barrier-verify"]
     eps = float(sec["epsilon"])
     samples = int(float(sec.get("samples", 200)))
     cfg = _quadrature_from(sec, BarrierProfile(eps))
     _record_quadrature(sec, cfg)
     report = verify_barrier(eps, n, alpha, config=cfg, seed=seed,
-                            min_samples=samples, threads=threads,
+                            min_samples=samples,
                             bisect_eps0=cfgmod.parse_bool(sec.get("bisect", "true")),
                             check_shrink=cfgmod.parse_bool(sec.get("check_shrink", "true")))
     payload = {
@@ -199,7 +192,7 @@ def cmd_barrier_verify(sections, out_dir, n, alpha, seed, threads) -> int:
     return 0 if report.verdict == "POSITIVE" else 2
 
 
-def cmd_cone_sweep(sections, out_dir, n, alpha, seed, threads) -> int:
+def cmd_cone_sweep(sections, out_dir, n, alpha, seed) -> int:
     sec = sections["cone-sweep"]
     epsilons = cfgmod.parse_floats(sec["epsilons"])
     report = sweep_cone_constant(epsilons, n, alpha, seed=seed)
@@ -218,7 +211,7 @@ def cmd_cone_sweep(sections, out_dir, n, alpha, seed, threads) -> int:
     return 0
 
 
-def cmd_slide(sections, out_dir, n, alpha, seed, threads) -> int:
+def cmd_slide(sections, out_dir, n, alpha, seed) -> int:
     sec = sections["slide"]
     eps0 = float(sec["eps0"])
     r_max = float(sec.get("r_max", 100.0))
@@ -243,7 +236,7 @@ def cmd_slide(sections, out_dir, n, alpha, seed, threads) -> int:
     return 2 if outcome.verdict == VERDICT_UNBOUNDED else 0
 
 
-def cmd_blowdown(sections, out_dir, n, alpha, seed, threads) -> int:
+def cmd_blowdown(sections, out_dir, n, alpha, seed) -> int:
     sec = sections["blowdown"]
     profile = profile_from_config(sec)
     envelope = _envelope_from(sec, "envelope")
@@ -268,7 +261,7 @@ def cmd_blowdown(sections, out_dir, n, alpha, seed, threads) -> int:
     return 0
 
 
-def cmd_perimeter(sections, out_dir, n, alpha, seed, threads) -> int:
+def cmd_perimeter(sections, out_dir, n, alpha, seed) -> int:
     sec = sections["perimeter"]
     profile = profile_from_config(sec)
     body = TwoLeaf(profile)
@@ -304,7 +297,8 @@ def main(argv=None) -> int:
     common.add_argument("--config", help="INI file with [run] and per-command sections")
     common.add_argument("--out", help="output directory (default runs/<command>)")
     common.add_argument("--seed", type=int, help="base seed for all sampling")
-    common.add_argument("--threads", type=int, help="worker threads for point sweeps")
+    common.add_argument("--threads", type=int,
+                        help="accepted for old scripts; runs are single-threaded")
 
     parser = argparse.ArgumentParser(
         prog="fracsurf",
@@ -322,12 +316,12 @@ def main(argv=None) -> int:
         n = int(run["n"])
         alpha = float(run["alpha"])
         seed = int(run["seed"])
-        # destination directory and worker count change neither values nor
-        # bytes, so they stay out of the resolved config and its hash
-        threads = max(1, int(run.pop("threads", "1")))
+        # destination directory and the ignored worker count change neither
+        # values nor bytes, so they stay out of the resolved config and its hash
+        run.pop("threads", None)
         out_dir = Path(args.out or run.pop("out", None) or f"runs/{args.command}")
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[args.command](sections, out_dir, n, alpha, seed, threads)
+        return _HANDLERS[args.command](sections, out_dir, n, alpha, seed)
     except FracsurfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,6 +35,7 @@ Assembly splits at a pivot radius delta:
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,7 +43,7 @@ from scipy import integrate, special
 
 from .errors import NonSmoothPointError
 from .kernelfn import SliceIntegral
-from .profiles import BarrierProfile, RadialProfile, profile_values
+from .profiles import BarrierProfile, RadialProfile, profile_bends, profile_values
 
 # Lipschitz probe grid for the tail bound: dense through the near field,
 # decades out to 1e8 to catch slopes that keep growing
@@ -133,14 +134,21 @@ def _quad(func, lo, hi, **kw):
     return ret[0], ret[1]
 
 
+# max |v'| over _SLOPE_PROBE, per profile instance
+_PROBED_SLOPE = weakref.WeakKeyDictionary()
+
+
 def _slope_bound(profile: RadialProfile, extra: float) -> float:
-    probes = np.concatenate([_SLOPE_PROBE, [abs(extra) + 1e-6]])
-    worst = 0.0
-    for r in probes:
-        g = abs(profile.first_derivative(float(r)))
-        if math.isfinite(g) and g > worst:
-            worst = g
-    return worst
+    worst = _PROBED_SLOPE.get(profile)
+    if worst is None:
+        worst = 0.0
+        for r in _SLOPE_PROBE:
+            g = abs(profile.first_derivative(float(r)))
+            if math.isfinite(g) and g > worst:
+                worst = float(g)
+        _PROBED_SLOPE[profile] = worst
+    g = abs(profile.first_derivative(abs(extra) + 1e-6))
+    return float(g) if math.isfinite(g) and g > worst else worst
 
 
 def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
@@ -173,29 +181,41 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
     quad_kw = dict(epsabs=1e-12, epsrel=1e-12,
                    limit=max(2, config.max_subdivisions))
 
+    # everything below that does not depend on rho, once per point
+    wl = -cj * dvs
+    regularizer = F.value(wl)
+    two_s_c = 2.0 * s * cj
+    two_s_sin2 = 2.0 * s * (1.0 - cj * cj)
+
     def offsets(rho):
-        a_coef = 2.0 * s * cj + rho
+        a_coef = two_s_c + rho
         if n == 1:
             t = np.abs(s + cj * rho)
-        else:
+        elif s > 0.0:
             t = np.sqrt(s * s + rho * a_coef)
+        else:
+            # at the apex |x' + rho theta| = rho exactly; the squared form
+            # underflows to 0 below rho ~ 1e-154 and leaves t + s = 0
+            t = np.full_like(cj, rho)
         return t, a_coef
 
     def core_graph(rho):
         rho = max(rho, 1e-300)
         t, a_coef = offsets(rho)
-        q = a_coef / (t + s)
+        ts = t + s
+        q = a_coef / ts
         dt = rho * q
-        one_m_cq = (dt + 2.0 * s * (1.0 - cj * cj) - cj * rho) / (t + s)
-        bends = np.array([profile.bend(s, float(h)) for h in dt])
-        ddr = -dvs * one_m_cq / (t + s) - q * q * bends
+        one_m_cq = (dt + two_s_sin2 - cj * rho) / ts
+        ddr = -dvs * one_m_cq / ts - q * q * profile_bends(profile, s, dt)
         dd = ddr * rho
-        wl = -cj * dvs
-        safe = rho if rho > 0.0 else 1.0
         small = np.abs(dd) < 1e-6
-        exact = np.where(small, 0.0, (F.value(wl + dd) - F.value(wl)) / safe)
-        taylor = ddr * F.deriv(wl + 0.5 * dd)
-        return float(np.sum(wang * np.where(small, taylor, exact)))
+        if small.all():
+            part = ddr * F.deriv(wl + 0.5 * dd)
+        else:
+            part = (F.value(wl + dd) - regularizer) / rho
+            if small.any():
+                part = np.where(small, ddr * F.deriv(wl + 0.5 * dd), part)
+        return float(np.sum(wang * part))
 
     def core_mirror(rho):
         rho = max(rho, 1e-300)
@@ -211,7 +231,7 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
     def plain(rho):
         t, _ = offsets(rho)
         vt = profile_values(profile, t)
-        part = F.value((vs - vt) / rho) - F.value(-cj * dvs)
+        part = F.value((vs - vt) / rho) - regularizer
         if two_leaf:
             part = part + F.gap((vs + vt) / rho)
         return float(np.sum(wang * part))
@@ -248,15 +268,16 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
         outer *= 10.0
         escalations += 1
 
-    if 2.0 * (core_err + mid_err) > max(config.target_tolerance,
-                                        TAIL_SHARE * abs(value)):
+    # written so that a nan error also warns
+    if not 2.0 * (core_err + mid_err) <= max(config.target_tolerance,
+                                             TAIL_SHARE * abs(value)):
         warnings.append("quadrature-above-target")
 
-    return CurvatureResult(value=2.0 * (core_val + mid_val),
-                           error_core=2.0 * core_err,
-                           error_midfield=2.0 * mid_err,
-                           error_tail=tail,
-                           outer_radius=outer,
+    return CurvatureResult(value=float(2.0 * (core_val + mid_val)),
+                           error_core=float(2.0 * core_err),
+                           error_midfield=float(2.0 * mid_err),
+                           error_tail=float(tail),
+                           outer_radius=float(outer),
                            warnings=tuple(warnings))
 
 

@@ -18,6 +18,15 @@ import numpy as np
 from scipy import special
 
 
+def _inverse_square(t):
+    # (1/t)^2 underflows silently where t*t would overflow; t = +-inf gives 0
+    out = np.zeros_like(t)
+    finite = np.isfinite(t)
+    r = 1.0 / t[finite]
+    out[finite] = r * r
+    return out
+
+
 class SliceIntegral:
     """Evaluator for F and its derivative at fixed (n, alpha).
 
@@ -39,29 +48,21 @@ class SliceIntegral:
         self.alpha = float(alpha)
         self.power = 0.5 * (n + 1 + alpha)
         self._b = 0.5 * (n + alpha)
-        self._beta_full = special.beta(0.5, self._b)
-        self.limit = 0.5 * self._beta_full
+        self.limit = float(0.5 * special.beta(0.5, self._b))
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        out = np.empty_like(t)
-        at = np.abs(t)
-        big = at > 1e150
-        tf = t[~big]
-        x = tf * tf / (1.0 + tf * tf)
-        out[~big] = np.sign(tf) * 0.5 * self._beta_full * special.betainc(0.5, self._b, x)
+        big = np.abs(t) > 1e150
         if big.any():
-            tb = t[big]
-            # (1/t)^2 underflows silently where t*t would overflow;
-            # t = +-inf gives x = 1 exactly
-            inv = np.zeros_like(tb)
-            finite = np.isfinite(tb)
-            r = 1.0 / tb[finite]
-            inv[finite] = r * r
-            x = 1.0 / (1.0 + inv)
-            out[big] = np.sign(tb) * 0.5 * self._beta_full * special.betainc(0.5, self._b, x)
+            x = np.empty_like(t)
+            tf = t[~big]
+            x[~big] = tf * tf / (1.0 + tf * tf)
+            x[big] = 1.0 / (1.0 + _inverse_square(t[big]))
+        else:
+            x = t * t / (1.0 + t * t)
+        out = np.sign(t) * self.limit * special.betainc(0.5, self._b, x)
         return float(out[0]) if scalar else out
 
     __call__ = value
@@ -75,16 +76,14 @@ class SliceIntegral:
         t = np.abs(np.asarray(t, dtype=float))
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        u = np.empty_like(t)
         big = t > 1e150
-        tf = t[~big]
-        u[~big] = 1.0 / (1.0 + tf * tf)
         if big.any():
-            tb = t[big]
-            r = np.zeros_like(tb)
-            finite = np.isfinite(tb)
-            r[finite] = 1.0 / tb[finite]
-            u[big] = r * r
+            u = np.empty_like(t)
+            tf = t[~big]
+            u[~big] = 1.0 / (1.0 + tf * tf)
+            u[big] = _inverse_square(t[big])
+        else:
+            u = 1.0 / (1.0 + t * t)
         out = self.limit * special.betainc(self._b, 0.5, u)
         return float(out[0]) if scalar else out
 

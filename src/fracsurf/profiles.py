@@ -67,18 +67,18 @@ def _poly_chord(coeffs, a, b):
 
 
 def _poly_bend(coeffs, a, b):
-    # ((P(b) - P(a))/(b - a) - P'(a)) / (b - a), again free of cancellation
-    out = 0.0
-    for k in range(2, len(coeffs)):
-        c = coeffs[k]
-        if c == 0.0:
-            continue
-        s = 0.0
-        for j in range(k):
-            m = k - 1 - j
-            for i in range(m):
-                s += a ** j * b ** i * a ** (m - 1 - i)
-        out += c * s
+    # ((P(b) - P(a))/(b - a) - P'(a)) / (b - a) as sum_k c_k Q_k, where for
+    # x^k the chord is P_k = sum_{i+j=k-1} a^i b^j and the bend is
+    # Q_k = sum_{i<k} a^i P_(k-1-i); both recur through sums of products
+    # that share one sign when a, b >= 0, so nothing cancels inside a
+    # monomial.  a and b may be arrays, with one coefficient array per power.
+    out = p = q = 0.0 * a
+    ak = 1.0
+    for c in coeffs:
+        out = out + c * q
+        q = a * q + p
+        p = b * p + ak
+        ak = ak * a
     return out
 
 
@@ -87,7 +87,10 @@ class RadialProfile:
 
     Subclasses implement the one-sided accessors ``_val``, ``_slope``,
     ``_curve``, ``_chord``, ``_bend`` on the closed half-line; this class
-    folds negative arguments and mixed-sign steps through evenness.
+    folds negative arguments and mixed-sign steps through evenness.  The
+    array counterparts ``_values`` and ``_bends`` default to loops over the
+    scalar accessors, which stay the reference; ``profile_values`` and
+    ``profile_bends`` are the array entry points.
     """
 
     kind = "abstract"
@@ -143,8 +146,12 @@ class RadialProfile:
     def smooth_at(self, r: float) -> bool:
         return True
 
-    def values(self, r) -> np.ndarray:
-        return np.array([self.value(float(x)) for x in np.atleast_1d(r)])
+    def _values(self, r: np.ndarray) -> np.ndarray:
+        return np.array([self._val(float(x)) for x in r.flat]).reshape(r.shape)
+
+    def _bends(self, r: np.ndarray, h: np.ndarray) -> np.ndarray:
+        # one-sided like _bend: r >= 0, r + h >= 0, h != 0
+        return np.array([self._bend(float(x), float(y)) for x, y in zip(r.flat, h.flat)])
 
 
 class PiecewisePolyProfile(RadialProfile):
@@ -161,6 +168,13 @@ class PiecewisePolyProfile(RadialProfile):
         assert len(pieces) == len(knots) + 1
         self.knots = tuple(float(k) for k in knots)
         self.pieces = [(float(a), tuple(float(c) for c in cs)) for a, cs in pieces]
+        # array forms: row k of _coef holds the x^k coefficient of every
+        # piece, zero-padded to the highest degree
+        self._knot_arr = np.array(self.knots)
+        self._anchors = np.array([a for a, _ in self.pieces])
+        degree = max(len(cs) for _, cs in self.pieces)
+        self._coef = np.array([[cs[k] if k < len(cs) else 0.0 for _, cs in self.pieces]
+                               for k in range(degree)])
 
     def _idx(self, r: float) -> int:
         for i, k in enumerate(self.knots):
@@ -227,6 +241,31 @@ class PiecewisePolyProfile(RadialProfile):
         return (self._chord(r, h) - _poly_deriv(self.pieces[self._idx(r)][1],
                                                 r - self.pieces[self._idx(r)][0])) / h
 
+    def _values(self, r):
+        # Horner with one gathered coefficient row per step, so temporaries
+        # stay the size of r; leading zero rows leave a piece's value exact
+        idx = np.searchsorted(self._knot_arr, r, side="right")
+        t = r - self._anchors[idx]
+        acc = self._coef[-1][idx]
+        for row in self._coef[-2::-1]:
+            acc *= t
+            acc += row[idx]
+        return acc
+
+    def _bends(self, r, h):
+        # the same piece choice as _bend; steps with a knot strictly inside
+        # fall back to it element by element
+        lo = np.minimum(r, r + h)
+        hi = np.maximum(r, r + h)
+        knots = self._knot_arr
+        idx = np.searchsorted(knots, 0.5 * (lo + hi), side="right")
+        a = r - self._anchors[idx]
+        out = _poly_bend((row[idx] for row in self._coef), a, a + h)
+        crossing = np.searchsorted(knots, hi, side="left") > np.searchsorted(knots, lo, side="right")
+        for i in np.flatnonzero(crossing):
+            out[i] = self._bend(float(r[i]), float(h[i]))
+        return out
+
 
 class ConstantProfile(PiecewisePolyProfile):
     kind = "constant"
@@ -280,6 +319,9 @@ class SqrtProfile(RadialProfile):
         if sa == 0.0:
             return (self._chord(r, h) - self._slope(r)) / h
         return -self.scale / (2.0 * sa * (sa + sb) ** 2)
+
+    def _values(self, r):
+        return self.scale * np.sqrt(r)
 
     def smooth_at(self, r):
         return r != 0.0
@@ -398,6 +440,13 @@ class SampledProfile(RadialProfile):
             return 0.5 * self._curve(r + 0.5 * h)
         return (self._chord(r, h) - self._slope(r)) / h
 
+    def _values(self, r):
+        out = np.asarray(self._interp(np.minimum(r, self.r_max)), dtype=float)
+        beyond = r > self.r_max
+        if beyond.any():
+            out[beyond] = self._end_val + self._end_slope * (r[beyond] - self.r_max)
+        return out
+
 
 class VerticalShiftProfile(RadialProfile):
     """inner(r) - shift; differences and derivatives pass through."""
@@ -422,6 +471,12 @@ class VerticalShiftProfile(RadialProfile):
 
     def _bend(self, r, h):
         return self.inner._bend(r, h)
+
+    def _values(self, r):
+        return self.inner._values(r) - self.shift
+
+    def _bends(self, r, h):
+        return self.inner._bends(r, h)
 
     def smooth_at(self, r):
         return self.inner.smooth_at(r)
@@ -458,43 +513,45 @@ class DilatedGraphProfile(RadialProfile):
     def _bend(self, r, h):
         return self.factor * self.inner._bend(self.factor * r, self.factor * h)
 
+    def _values(self, r):
+        return self.inner._values(self.factor * r) / self.factor
+
+    def _bends(self, r, h):
+        return self.factor * self.inner._bends(self.factor * r, self.factor * h)
+
     def smooth_at(self, r):
         return self.inner.smooth_at(self.factor * r)
 
 
 def profile_values(profile: RadialProfile, radii) -> np.ndarray:
-    """Vectorized evaluation of a profile on an array of radii.
+    """Profile heights on an array of radii, each family on its own array path.
 
     Membership tests and the curvature quadrature both classify large point
-    batches, so the common profile families get array paths instead of the
-    per-scalar fallback.
+    batches through this one entry point.
     """
-    r = np.abs(np.asarray(radii, dtype=float))
-    if isinstance(profile, VerticalShiftProfile):
-        return profile_values(profile.inner, r) - profile.shift
-    if isinstance(profile, DilatedGraphProfile):
-        return profile_values(profile.inner, profile.factor * r) / profile.factor
-    if isinstance(profile, PiecewisePolyProfile):
-        out = np.empty_like(r)
-        idx = np.searchsorted(profile.knots, r, side="right")
-        for i, (anchor, coeffs) in enumerate(profile.pieces):
-            m = idx == i
-            if m.any():
-                t = r[m] - anchor
-                acc = np.zeros_like(t)
-                for c in reversed(coeffs):
-                    acc = acc * t + c
-                out[m] = acc
-        return out
-    if isinstance(profile, SqrtProfile):
-        return profile.scale * np.sqrt(r)
-    if isinstance(profile, SampledProfile):
-        out = np.asarray(profile._interp(np.minimum(r, profile.r_max)), dtype=float)
-        beyond = r > profile.r_max
-        if beyond.any():
-            out[beyond] = profile._end_val + profile._end_slope * (r[beyond] - profile.r_max)
-        return out
-    return np.array([profile.value(float(x)) for x in np.atleast_1d(r)])
+    return profile._values(np.abs(np.asarray(radii, dtype=float)))
+
+
+def profile_bends(profile: RadialProfile, radius, steps) -> np.ndarray:
+    """Array ``bend``: the second divided difference at each (radius, step).
+
+    One-sided steps (r >= 0, r + h >= 0, h != 0) take the family's array
+    path; any other element goes through the scalar ``bend`` and its
+    evenness folding.
+    """
+    r, h = np.broadcast_arrays(np.asarray(radius, dtype=float),
+                               np.asarray(steps, dtype=float))
+    r = r.ravel()
+    h = h.ravel()
+    one_sided = (h != 0.0) & (r >= 0.0) & (r + h >= 0.0)
+    if one_sided.all():
+        return profile._bends(r, h)
+    out = np.empty(r.shape)
+    if one_sided.any():
+        out[one_sided] = profile._bends(r[one_sided], h[one_sided])
+    for i in np.flatnonzero(~one_sided):
+        out[i] = profile.bend(float(r[i]), float(h[i]))
+    return out
 
 
 PROFILE_CSV_HEADER = "r,value"

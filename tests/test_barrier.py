@@ -130,3 +130,29 @@ def test_verify_barrier_goes_inconclusive_when_quadrature_is_starved():
                          bisect_eps0=False, check_shrink=False)
     assert rep.verdict == "INCONCLUSIVE"
     assert any("error target" in note for note in rep.notes)
+
+
+def test_positivity_probe_reads_invalid_barriers_as_not_positive(monkeypatch):
+    def invalid(*args, **kwargs):
+        raise InvalidCutoffError("blend fails its C^2 check")
+
+    monkeypatch.setattr(barrier_mod, "_evaluate_boundary", invalid)
+    assert barrier_mod._positivity_probe(0.2, 1, 0.5, None, 16) == (None, True)
+
+
+def test_positivity_probe_lets_faults_propagate(monkeypatch):
+    """A bug must not silently read as 'not positive' and lower eps0."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("fault in the evaluation")
+
+    monkeypatch.setattr(barrier_mod, "_evaluate_boundary", broken)
+    with pytest.raises(RuntimeError, match="fault in the evaluation"):
+        barrier_mod._positivity_probe(0.2, 1, 0.5, None, 16)
+
+
+def test_verify_barrier_report_holds_python_types():
+    rep = verify_barrier(0.05, 1, 0.5, min_samples=16, bisect_eps0=False)
+    assert type(rep.shrink_consistent) is bool
+    assert type(rep.far_agrees) is bool
+    assert type(rep.min_margin) is float
+    assert all(type(p.value) is float and type(p.error) is float for p in rep.samples)

@@ -265,6 +265,17 @@ def test_barrier_verify_positive_exits_0(small_config, tmp_path):
     assert payload["notes"] == []
 
 
+def test_barrier_verify_with_default_shrink_check_writes_report(small_config, tmp_path):
+    cfg = tmp_path / "shrink.ini"
+    cfg.write_text(small_config.read_text().replace("check_shrink = false\n", ""))
+    out = tmp_path / "shrink"
+    assert run_cli("barrier-verify", cfg, out) == 0
+    payload = json.loads((out / "report.json").read_text())
+    assert "check_shrink = true" in (out / "resolved.ini").read_text()
+    assert payload["verdict"] == "POSITIVE"
+    assert payload["shrink_consistent"] is True
+
+
 def test_barrier_verify_starved_quadrature_exits_2(tmp_path):
     cfg = tmp_path / "starved.ini"
     cfg.write_text("""\

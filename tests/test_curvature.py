@@ -93,6 +93,35 @@ def test_barrier_regression_value():
     assert res.warnings == ()
 
 
+@pytest.mark.parametrize("n,expected", [(2, 11.57676617831453), (3, 13.016402362796219)])
+def test_barrier_regression_value_higher_dimensions(n, expected):
+    res = two_leaf_curvature(BarrierProfile(0.2), 2.5, n, 0.5)
+    assert res.value == pytest.approx(expected, rel=1e-9)
+    assert res.warnings == ()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+def test_apex_is_finite_and_continuous(n, alpha):
+    """r = 0 with n >= 2: finite, next to r = 1e-6, and dilation-consistent."""
+    base = BarrierProfile(0.2)
+    apex = two_leaf_curvature(base, 0.0, n, alpha)
+    assert math.isfinite(apex.value) and math.isfinite(apex.total_error)
+    assert math.isfinite(apex.error_core)
+    near = two_leaf_curvature(base, 1e-6, n, alpha)
+    assert abs(apex.value - near.value) <= apex.total_error + near.total_error
+    twin = two_leaf_curvature(DilatedGraphProfile(base, 0.5), 0.0, n, alpha)
+    dev = abs(twin.value - 2.0 ** (-alpha) * apex.value)
+    assert dev <= twin.total_error + 2.0 ** (-alpha) * apex.total_error
+
+
+def test_results_are_python_floats():
+    res = two_leaf_curvature(BarrierProfile(0.2), 2.5, 1, 0.5)
+    for name in ("value", "error_core", "error_midfield", "error_tail", "outer_radius"):
+        assert type(getattr(res, name)) is float
+    assert type(res.total_error) is float
+
+
 def test_knot_radii_are_smooth_enough_to_evaluate():
     res = two_leaf_curvature(BarrierProfile(0.2), 1.0, 1, 0.5)
     assert math.isfinite(res.value)

@@ -9,6 +9,7 @@ from fracsurf import (BarrierProfile, BumpProfile, ConstantProfile,
                       SqrtProfile, SublinearEnvelope, VerticalShiftProfile,
                       profile_from_config, profile_from_csv, profile_to_csv,
                       profile_values, sublinearity_modulus)
+from fracsurf.profiles import profile_bends
 
 ALL_SMOOTH = [
     ConstantProfile(0.7),
@@ -191,6 +192,89 @@ def test_profile_values_matches_scalar_loop():
         vec = profile_values(prof, rs)
         loop = np.array([prof.value(float(x)) for x in rs])
         np.testing.assert_allclose(vec, loop, rtol=1e-13, atol=1e-15)
+
+
+ARRAY_FAMILIES = ALL_SMOOTH + [
+    SampledProfile(np.linspace(0.0, 4.0, 17), 1.0 + np.linspace(0.0, 4.0, 17) ** 2 / 8.0),
+    VerticalShiftProfile(BarrierProfile(0.3), 0.1),
+    DilatedGraphProfile(BarrierProfile(0.2), 0.5),
+    DilatedGraphProfile(RampBumpProfile(0.4, 2.0), 3.0),
+]
+
+
+def assert_within_ulps(got, ref, ulps=4):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    same = (got == ref) | (np.isnan(got) & np.isnan(ref))
+    with np.errstate(invalid="ignore"):  # inf - inf where both are infinite
+        close = np.abs(got - ref) <= ulps * np.spacing(np.abs(ref))
+    assert np.all(same | close), (got[~(same | close)], ref[~(same | close)])
+
+
+def seeded_steps(profile, rng, count=400):
+    """Radii and steps: smooth, tiny, knot-crossing and sign-crossing."""
+    r = rng.uniform(0.0, 6.0, count)
+    h = rng.uniform(-1.0, 1.0, count) * 10.0 ** rng.uniform(-12.0, 0.5, count)
+    knots = getattr(profile, "knots", None) or (1.0, 2.0)
+    k = rng.choice(knots, count // 4)
+    # steps from just below a knot to just above it, and back
+    r = np.concatenate([r, k - 1e-3 * rng.uniform(0.0, 1.0, k.size),
+                        k + 1e-9 * rng.uniform(0.0, 1.0, k.size)])
+    h = np.concatenate([h, 2e-3 * rng.uniform(0.5, 1.0, k.size),
+                        -1e-3 * rng.uniform(0.5, 1.0, k.size)])
+    # steps through zero, and from negative radii
+    r = np.concatenate([r, [0.3, 0.05, -0.4, -1.5, 0.0]])
+    h = np.concatenate([h, [-0.5, -0.2, 0.1, -0.3, 0.7]])
+    return r, h
+
+
+@pytest.mark.parametrize("profile", ARRAY_FAMILIES, ids=lambda p: p.kind)
+def test_array_values_match_scalar_reference(profile):
+    rng = np.random.default_rng(21)
+    rs = np.concatenate([rng.uniform(-8.0, 8.0, 500), [0.0, 1.0, 2.0, 3.0, 4.0, 1e6]])
+    if isinstance(profile, PiecewisePolyProfile):
+        rs = np.concatenate([rs, np.nextafter(profile.knots, 0.0), profile.knots])
+    assert_within_ulps(profile_values(profile, rs),
+                       [profile.value(float(x)) for x in rs])
+    grid = rs[:100].reshape(10, 10)
+    assert profile_values(profile, grid).shape == (10, 10)
+
+
+@pytest.mark.parametrize("profile", ARRAY_FAMILIES, ids=lambda p: p.kind)
+def test_array_bends_match_scalar_reference(profile):
+    rng = np.random.default_rng(22)
+    r, h = seeded_steps(profile, rng)
+    assert_within_ulps(profile_bends(profile, r, h),
+                       [profile.bend(float(a), float(b)) for a, b in zip(r, h)])
+    # one base radius against many steps, the shape the curvature core uses
+    steps = h[:48]
+    assert_within_ulps(profile_bends(profile, 2.5, steps),
+                       [profile.bend(2.5, float(b)) for b in steps])
+
+
+def test_within_piece_bend_is_exact_to_rounding():
+    """The scalar reference itself against rational arithmetic, on the blend."""
+    from fractions import Fraction
+
+    rng = np.random.default_rng(23)
+    prof = BarrierProfile(0.2)
+    anchor, coeffs = prof.pieces[1]
+    poly = [Fraction(c) for c in coeffs]
+
+    def val(x):
+        return sum(c * x ** k for k, c in enumerate(poly))
+
+    for _ in range(200):
+        r = float(rng.uniform(1.05, 1.95))
+        h = float(rng.uniform(-0.05, 0.05)) * 10.0 ** float(rng.uniform(-10.0, 0.0))
+        # the piece-local endpoints exactly as the profile forms them
+        a = Fraction(r - anchor)
+        b = Fraction(r - anchor + h)
+        slope = sum(k * c * a ** (k - 1) for k, c in enumerate(poly) if k)
+        ref = float(((val(b) - val(a)) / (b - a) - slope) / (b - a))
+        # relative to the bend's own size, or to the blend's curvature
+        # scale where the bend passes through zero
+        assert abs(prof.bend(r, h) - ref) <= 1e-12 * max(abs(ref), 0.2)
 
 
 def test_csv_round_trip(tmp_path):
