@@ -8,11 +8,12 @@ estimates used in the blow-down analysis.
 """
 
 from .barrier import (BarrierReport, ConeConstantReport, ConeSweepReport,
-                      build_barrier, cone_constant, derived_seed,
-                      sweep_cone_constant, verify_barrier)
+                      build_barrier, cone_constant, sweep_cone_constant,
+                      verify_barrier)
 from .blowdown import (FlatnessReport, HolderReport, blowdown_rescale,
                        flatness_certificate, holder_rescaling_check,
                        rescaled_profile)
+from .config import derived_seed
 from .curvature import (CurvatureResult, QuadratureConfig, angular_rule,
                         graph_curvature, subgraph_curvature,
                         two_leaf_curvature)
@@ -22,13 +23,12 @@ from .errors import (DisjointnessError, FracsurfError, HomogeneityViolationError
                      InvalidExponentError, InvalidPointError,
                      NonSmoothPointError, NotSublinearError,
                      UnsupportedGeometryError)
-from .geometry import (AmbientDim, Ball, Body, BoundarySample, Complement,
-                       Cone, FractionalOrder, HalfSpace, SampleSpec, Scaled,
-                       Subgraph, TwoLeaf, boundary_sample)
+from .geometry import (Ball, Body, BoundarySample, Box, Complement, Cone,
+                       HalfSpace, SampleSpec, Scaled, Subgraph, TwoLeaf,
+                       boundary_sample)
 from .kernelfn import SliceIntegral
-from .oracle import (Box, EnergyResult, PerimeterResult, Region,
-                     direct_curvature, interaction_energy, region_of,
-                     relative_perimeter)
+from .oracle import (EnergyResult, PerimeterResult, direct_curvature,
+                     interaction_energy, relative_perimeter)
 from .profiles import (BarrierProfile, BumpProfile, ConstantProfile,
                        DilatedGraphProfile, LinearProfile, ModulusReport,
                        PiecewisePolyProfile, RadialProfile, RampBumpProfile,
@@ -43,7 +43,6 @@ from .sliding import (RescalePlan, SlideOutcome, VERDICT_CONFIRMED,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbientDim",
     "Ball",
     "BarrierProfile",
     "BarrierReport",
@@ -62,7 +61,6 @@ __all__ = [
     "EnergyResult",
     "FlatnessReport",
     "FracsurfError",
-    "FractionalOrder",
     "HalfSpace",
     "HolderReport",
     "HomogeneityViolationError",
@@ -81,7 +79,6 @@ __all__ = [
     "QuadratureConfig",
     "RadialProfile",
     "RampBumpProfile",
-    "Region",
     "RescalePlan",
     "SampleSpec",
     "SampledProfile",
@@ -112,7 +109,6 @@ __all__ = [
     "profile_from_csv",
     "profile_to_csv",
     "profile_values",
-    "region_of",
     "relative_perimeter",
     "rescale_for_slide",
     "rescaled_profile",

@@ -14,24 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import CurvatureResult, QuadratureConfig, two_leaf_curvature
+from .config import derived_seed
+from .curvature import QuadratureConfig, two_leaf_curvature
 from .errors import FracsurfError, HomogeneityViolationError, InvalidCutoffError
 from .geometry import Cone, SampleSpec, TwoLeaf, boundary_sample
 from .oracle import direct_curvature
 from .profiles import BarrierProfile
-
-
-def derived_seed(base: int, *tags) -> int:
-    """Deterministic child seed from a base seed and hashable tags.
-
-    Sweeps and single calls must agree bit for bit when they describe the
-    same sub-run, so the derivation depends only on the printable tags.
-    """
-    import hashlib
-
-    text = ":".join([str(int(base))] + [repr(t) for t in tags])
-    digest = hashlib.md5(text.encode()).hexdigest()
-    return int(digest[:16], 16)
 
 
 @dataclass(frozen=True)
@@ -41,8 +29,6 @@ class BarrierBody:
     epsilon: float
     n: int
     alpha: float
-    grad_sup: float
-    curve_sup: float
 
 
 def build_barrier(epsilon: float, n: int, alpha: float) -> BarrierBody:
@@ -57,12 +43,8 @@ def build_barrier(epsilon: float, n: int, alpha: float) -> BarrierBody:
         if abs(ds) > 1e-5 * epsilon or abs(dc) > 1e-3 * epsilon:
             raise InvalidCutoffError(
                 f"blend fails C^2 check at r = {knot}: slope jump {ds}, curvature jump {dc}")
-    grid = np.linspace(0.0, 3.0, 3001)
-    grad_sup = max(abs(prof.first_derivative(float(r))) for r in grid)
-    curve_sup = max(abs(prof.second_derivative(float(r))) for r in grid)
     return BarrierBody(profile=prof, body=TwoLeaf(prof), epsilon=float(epsilon),
-                       n=int(n), alpha=float(alpha),
-                       grad_sup=grad_sup, curve_sup=curve_sup)
+                       n=int(n), alpha=float(alpha))
 
 
 @dataclass(frozen=True)
@@ -223,7 +205,7 @@ def verify_barrier(epsilon: float, n: int, alpha: float,
     notes = []
     try:
         pts, failed = _evaluate_boundary(epsilon, n, alpha, config, min_samples)
-    except Exception as exc:  # noqa: BLE001 - the report carries the reason
+    except FracsurfError as exc:
         return BarrierReport(epsilon=epsilon, n=n, alpha=alpha, samples=(),
                              min_margin=float("nan"),
                              verdict=VERDICT_INCONCLUSIVE, empirical_eps0=0.0,

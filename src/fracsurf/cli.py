@@ -14,19 +14,18 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
-from .barrier import derived_seed, sweep_cone_constant, verify_barrier
+from .barrier import sweep_cone_constant, verify_barrier
 from .blowdown import flatness_certificate, holder_rescaling_check
 from .curvature import QuadratureConfig, graph_curvature
 from .errors import FracsurfError
-from .geometry import (Ball, Complement, Cone, HalfSpace, Scaled, Subgraph,
-                       TwoLeaf)
-from .oracle import Box, direct_curvature, relative_perimeter
+from .geometry import Ball, Box, Cone, HalfSpace, Scaled, Subgraph, TwoLeaf
+from .oracle import direct_curvature, relative_perimeter
 from .profiles import BarrierProfile, SublinearEnvelope, profile_from_config
 from .sliding import (VERDICT_UNBOUNDED, rescale_for_slide, slide)
 
@@ -50,24 +49,14 @@ def _envelope_from(section: dict, prefix: str) -> SublinearEnvelope:
 
 def _quadrature_from(section: dict, profile=None) -> QuadratureConfig:
     cfg = QuadratureConfig.for_profile(profile) if profile is not None else QuadratureConfig()
-    kwargs = {}
-    for key in cfgmod.QUADRATURE_KEYS:
-        if key in section and section[key].strip():
-            value = section[key]
-            if key in ("max_subdivisions", "oracle_samples", "angular_order"):
-                kwargs[key] = int(float(value))
-            else:
-                kwargs[key] = float(value)
+    kwargs = {f.name: type(f.default)(float(section[f.name]))
+              for f in fields(QuadratureConfig) if section.get(f.name, "").strip()}
     return replace(cfg, **kwargs) if kwargs else cfg
 
 
 def _record_quadrature(section: dict, cfg: QuadratureConfig) -> None:
-    section["pv_inner_radius"] = repr(cfg.pv_inner_radius)
-    section["truncation_radius"] = repr(cfg.truncation_radius)
-    section["target_tolerance"] = repr(cfg.target_tolerance)
-    section["max_subdivisions"] = str(cfg.max_subdivisions)
-    section["oracle_samples"] = str(cfg.oracle_samples)
-    section["angular_order"] = str(cfg.angular_order)
+    for f in fields(QuadratureConfig):
+        section[f.name] = repr(getattr(cfg, f.name))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -101,7 +90,7 @@ def cmd_curvature(sections, out_dir, n, alpha, seed) -> int:
             elif method == "direct":
                 body = TwoLeaf(profile) if geometry == "twoleaf" else Subgraph(profile)
                 res = direct_curvature(body, np.array(point), n, alpha, cfg,
-                                       seed=derived_seed(seed, "curvature", i))
+                                       seed=cfgmod.derived_seed(seed, "curvature", i))
             else:
                 raise ValueError(f"unknown method {method!r}")
         else:
@@ -109,7 +98,7 @@ def cmd_curvature(sections, out_dir, n, alpha, seed) -> int:
                 raise ValueError(f"geometry {geometry!r} has no closed quadrature; use method=direct")
             body, point = _direct_body_point(sec, geometry, r, n)
             res = direct_curvature(body, np.array(point), n, alpha, cfg,
-                                   seed=derived_seed(seed, "curvature", i))
+                                   seed=cfgmod.derived_seed(seed, "curvature", i))
             height = point[-1]
         return point, height, res
 
@@ -157,7 +146,7 @@ def _direct_body_point(sec, geometry, r, n):
     else:
         raise ValueError(f"unknown geometry {geometry!r}")
     if cfgmod.parse_bool(sec.get("complement", "false")):
-        body = Complement(body)
+        body = ~body
     return body, point
 
 
@@ -273,7 +262,7 @@ def cmd_perimeter(sections, out_dir, n, alpha, seed) -> int:
         scaled_body = Scaled(body, scale) if scale != 1.0 else body
         window = Box((-w * scale,) * (n + 1), (w * scale,) * (n + 1))
         res = relative_perimeter(scaled_body, window, n, alpha, samples=samples,
-                                 seed=derived_seed(seed, "perimeter", scale))
+                                 seed=cfgmod.derived_seed(seed, "perimeter", scale))
         lines.append(_csv_line(scale, res.value, res.error))
         rows.append({"scale": float(scale), "value": res.value, "err": res.error})
     (out_dir / "perimeter.csv").write_text("\n".join(lines) + "\n")

@@ -21,9 +21,6 @@ RUN_DEFAULTS = {
     "threads": "1",
 }
 
-QUADRATURE_KEYS = ("pv_inner_radius", "truncation_radius", "target_tolerance",
-                   "max_subdivisions", "oracle_samples", "angular_order")
-
 COMMAND_DEFAULTS = {
     "curvature": {
         "geometry": "twoleaf",
@@ -98,6 +95,17 @@ def canonical_text(sections: dict) -> str:
 
 def config_hash(sections: dict) -> str:
     return hashlib.md5(canonical_text(sections).encode()).hexdigest()
+
+
+def derived_seed(base: int, *tags) -> int:
+    """Deterministic child seed from a base seed and hashable tags.
+
+    Sweeps and single calls must agree bit for bit when they describe the
+    same sub-run, so the derivation depends only on the printable tags.
+    """
+    text = ":".join([str(int(base))] + [repr(t) for t in tags])
+    digest = hashlib.md5(text.encode()).hexdigest()
+    return int(digest[:16], 16)
 
 
 def write_resolved(sections: dict, out_dir: Path) -> str:

@@ -153,7 +153,7 @@ def _slope_bound(profile: RadialProfile, extra: float) -> float:
 
 def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
                     config: QuadratureConfig | None = None,
-                    two_leaf: bool = True, leaf: str = "upper") -> CurvatureResult:
+                    two_leaf: bool = True) -> CurvatureResult:
     """Curvature at the boundary point above horizontal radius ``radius``.
 
     ``two_leaf`` selects the symmetric body {|x_last| < v}; otherwise the
@@ -162,8 +162,6 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
     """
     if config is None:
         config = QuadratureConfig.for_profile(profile)
-    if leaf not in ("upper", "lower"):
-        raise ValueError("leaf must be 'upper' or 'lower'")
     s = abs(float(radius))
     if not profile.smooth_at(s):
         raise NonSmoothPointError(f"profile {profile.kind!r} is not smooth at r = {s}")
@@ -281,9 +279,8 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
                            warnings=tuple(warnings))
 
 
-def two_leaf_curvature(profile, radius, n, alpha, config=None, leaf="upper"):
-    return graph_curvature(profile, radius, n, alpha, config,
-                           two_leaf=True, leaf=leaf)
+def two_leaf_curvature(profile, radius, n, alpha, config=None):
+    return graph_curvature(profile, radius, n, alpha, config, two_leaf=True)
 
 
 def subgraph_curvature(profile, radius, n, alpha, config=None):

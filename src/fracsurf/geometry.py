@@ -16,40 +16,27 @@ from .errors import UnsupportedGeometryError
 from .profiles import RadialProfile, profile_values
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Order of the interaction kernel, strictly between 0 and 1."""
-
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not (0.0 < a < 1.0):
-            raise ValueError(f"order must lie in the open interval (0, 1), got {a}")
-        object.__setattr__(self, "alpha", a)
-
-
-@dataclass(frozen=True)
-class AmbientDim:
-    """Dimension n of the horizontal slice; the body lives in R^(n+1)."""
-
-    n: int
-
-    def __post_init__(self):
-        n = int(self.n)
-        if n < 1:
-            raise ValueError(f"ambient slice dimension must be >= 1, got {n}")
-        object.__setattr__(self, "n", n)
-
-
 class Body:
-    """Base variant; subclasses implement the open-set membership test."""
+    """Base variant; subclasses implement the membership test.
+
+    Bodies combine as point sets: ``a & b`` is the intersection, ``~a`` the
+    complement and ``a - b`` the difference ``a & ~b``.
+    """
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def contains_one(self, point) -> bool:
         return bool(self.contains(np.asarray(point, dtype=float)[None, :])[0])
+
+    def __and__(self, other: "Body") -> "Body":
+        return Intersection(self, other)
+
+    def __invert__(self) -> "Body":
+        return Complement(self)
+
+    def __sub__(self, other: "Body") -> "Body":
+        return self & ~other
 
 
 @dataclass(frozen=True)
@@ -117,6 +104,15 @@ class Complement(Body):
 
 
 @dataclass(frozen=True)
+class Intersection(Body):
+    first: Body
+    second: Body
+
+    def contains(self, points):
+        return self.first.contains(points) & self.second.contains(points)
+
+
+@dataclass(frozen=True)
 class Scaled(Body):
     """x is a member iff x / factor is a member of the inner body."""
 
@@ -126,6 +122,49 @@ class Scaled(Body):
     def contains(self, points):
         p = np.asarray(points, dtype=float)
         return self.inner.contains(p / self.factor)
+
+
+@dataclass(frozen=True)
+class Box(Body):
+    """Axis-aligned box given by inclusive lower/upper corner arrays."""
+
+    lo: tuple
+    hi: tuple
+
+    def __post_init__(self):
+        lo = tuple(float(v) for v in self.lo)
+        hi = tuple(float(v) for v in self.hi)
+        if len(lo) != len(hi) or any(h <= l for l, h in zip(lo, hi)):
+            raise ValueError("box corners must satisfy lo < hi componentwise")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    @property
+    def dim(self) -> int:
+        return len(self.lo)
+
+    @property
+    def volume(self) -> float:
+        return float(np.prod(np.array(self.hi) - np.array(self.lo)))
+
+    @property
+    def diameter(self) -> float:
+        return float(np.linalg.norm(np.array(self.hi) - np.array(self.lo)))
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        lo = np.array(self.lo)
+        hi = np.array(self.hi)
+        return lo + rng.random((count, self.dim)) * (hi - lo)
+
+    def contains(self, points):
+        p = np.asarray(points, dtype=float)
+        lo = np.array(self.lo)
+        hi = np.array(self.hi)
+        return np.all((p >= lo) & (p <= hi), axis=-1)
+
+    def scaled(self, factor: float) -> "Box":
+        return Box(tuple(v * factor for v in self.lo),
+                   tuple(v * factor for v in self.hi))
 
 
 @dataclass(frozen=True)
@@ -162,28 +201,21 @@ def boundary_sample(body: Body, n: int, spec: SampleSpec = SampleSpec()):
 
     Supported variants: TwoLeaf, Subgraph (upper leaf along the first
     horizontal axis), Cone (upper leaf, apex excluded), Ball, HalfSpace.
-    Wrapper variants have no canonical parametrization here; callers must
-    unwrap them first.
+    Combined, scaled and box bodies have no canonical parametrization here.
     """
     d = n + 1
     out = []
-
-    def graph_samples(value, slope, upper_leaf_sign=1.0):
+    if isinstance(body, (TwoLeaf, Subgraph)):
+        profile = body.profile
         for r in _graph_radii(spec):
             x = np.zeros(d)
             x[0] = r
-            x[-1] = upper_leaf_sign * value(r)
-            g = slope(r)
+            x[-1] = profile.value(r)
             nv = np.zeros(d)
-            nv[0] = -upper_leaf_sign * g
-            nv[-1] = 1.0 * upper_leaf_sign
+            nv[0] = -profile.first_derivative(r)
+            nv[-1] = 1.0
             nv /= np.linalg.norm(nv)
             out.append(BoundarySample(point=x, normal=nv, radius=float(r)))
-
-    if isinstance(body, TwoLeaf):
-        graph_samples(body.profile.value, body.profile.first_derivative)
-    elif isinstance(body, Subgraph):
-        graph_samples(body.profile.value, body.profile.first_derivative)
     elif isinstance(body, Cone):
         eps = body.epsilon
         for r in _graph_radii(spec):
@@ -215,9 +247,6 @@ def boundary_sample(body: Body, n: int, spec: SampleSpec = SampleSpec()):
             nv = np.zeros(d)
             nv[-1] = 1.0
             out.append(BoundarySample(point=x, normal=nv, radius=float(r)))
-    elif isinstance(body, (Complement, Scaled)):
-        raise UnsupportedGeometryError(
-            f"{type(body).__name__} has no direct boundary parametrization; unwrap it first")
     else:
         raise UnsupportedGeometryError(f"cannot sample boundary of {type(body).__name__}")
     return out

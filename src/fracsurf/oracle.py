@@ -16,7 +16,7 @@ import numpy as np
 
 from .curvature import CurvatureResult, QuadratureConfig
 from .errors import DisjointnessError, InvalidPointError
-from .geometry import Body
+from .geometry import Body, Box
 
 _SHELL_RATIO = math.sqrt(2.0)
 
@@ -123,78 +123,6 @@ def direct_curvature(body: Body, point, n: int, alpha: float,
 
 
 @dataclass(frozen=True)
-class Box:
-    """Axis-aligned box given by inclusive lower/upper corner arrays."""
-
-    lo: tuple
-    hi: tuple
-
-    def __post_init__(self):
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
-        if len(lo) != len(hi) or any(h <= l for l, h in zip(lo, hi)):
-            raise ValueError("box corners must satisfy lo < hi componentwise")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(np.array(self.hi) - np.array(self.lo)))
-
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(np.array(self.hi) - np.array(self.lo)))
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        lo = np.array(self.lo)
-        hi = np.array(self.hi)
-        return lo + rng.random((count, self.dim)) * (hi - lo)
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        p = np.asarray(points, dtype=float)
-        lo = np.array(self.lo)
-        hi = np.array(self.hi)
-        return np.all((p >= lo) & (p <= hi), axis=-1)
-
-    def scaled(self, factor: float) -> "Box":
-        return Box(tuple(v * factor for v in self.lo),
-                   tuple(v * factor for v in self.hi))
-
-
-class Region:
-    """Boolean combination of bodies and boxes for energy integrands."""
-
-    def __init__(self, fn, label: str):
-        self._fn = fn
-        self.label = label
-
-    def contains(self, points):
-        return self._fn(points)
-
-    def __and__(self, other):
-        return Region(lambda p: self.contains(p) & other.contains(p),
-                      f"({self.label} & {other.label})")
-
-    def __invert__(self):
-        return Region(lambda p: ~self.contains(p), f"!{self.label}")
-
-    def __sub__(self, other):
-        return Region(lambda p: self.contains(p) & ~other.contains(p),
-                      f"({self.label} - {other.label})")
-
-
-def region_of(obj, label: str | None = None) -> Region:
-    if isinstance(obj, Region):
-        return obj
-    name = label or type(obj).__name__
-    return Region(obj.contains, name)
-
-
-@dataclass(frozen=True)
 class EnergyResult:
     value: float
     error: float
@@ -203,10 +131,10 @@ class EnergyResult:
     truncated: bool
 
 
-def interaction_energy(first, second, window: Box, n: int, alpha: float,
+def interaction_energy(first: Body, second: Body, window: Box, n: int, alpha: float,
                        samples: int = 400_000, seed: int = 0,
                        check_disjoint: bool = True) -> EnergyResult:
-    """alpha(1-alpha)-weighted kernel energy between two disjoint regions.
+    """alpha(1-alpha)-weighted kernel energy between two disjoint bodies.
 
     The base point runs uniformly over ``window``; the offset is drawn from
     the kernel-weighted radial law between the near and far cuts, both tied
@@ -216,17 +144,15 @@ def interaction_energy(first, second, window: Box, n: int, alpha: float,
     d = n + 1
     if window.dim != d:
         raise ValueError(f"window must live in R^{d}")
-    A = region_of(first, "A")
-    B = region_of(second, "B")
     rng_x = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
     rng_d = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
 
     near = 1e-4 * window.diameter
     far = 4.0 * window.diameter
     xs = window.sample(rng_x, samples)
-    in_a = A.contains(xs)
+    in_a = first.contains(xs)
     if check_disjoint:
-        both = in_a & B.contains(xs)
+        both = in_a & second.contains(xs)
         if both.any():
             raise DisjointnessError("regions overlap inside the sampling window")
 
@@ -238,7 +164,7 @@ def interaction_energy(first, second, window: Box, n: int, alpha: float,
     rho = (near ** (-alpha) - u * (near ** (-alpha) - far ** (-alpha))) ** (-1.0 / alpha)
     omega = _unit_directions(rng_d, samples, d)
     ys = xs + rho[:, None] * omega
-    hit = in_a & B.contains(ys)
+    hit = in_a & second.contains(ys)
     vals = hit.astype(float)
     scale = alpha * (1.0 - alpha) * window.volume * mass
     value = scale * float(np.mean(vals))
@@ -264,8 +190,7 @@ def relative_perimeter(body: Body, window: Box, n: int, alpha: float,
     Three interaction energies: inside-with-inside, inside-with-outside
     complement, outside-body-with-inside complement.
     """
-    E = region_of(body, "E")
-    W = region_of(window, "W")
+    E, W = body, window
     seeds = np.random.SeedSequence(seed).spawn(3)
 
     def run(first, second, s):
@@ -274,9 +199,9 @@ def relative_perimeter(body: Body, window: Box, n: int, alpha: float,
                                   seed=int(s.generate_state(1)[0]),
                                   check_disjoint=False)
 
-    t1 = run(E & W, (~E) & W, seeds[0])
-    t2 = run(E & W, (~E) - W, seeds[1])
-    t3 = run(E - W, (~E) & W, seeds[2])
+    t1 = run(E & W, ~E & W, seeds[0])
+    t2 = run(E & W, ~E - W, seeds[1])
+    t3 = run(E - W, ~E & W, seeds[2])
     value = t1.value + t2.value + t3.value
     error = t1.error + t2.error + t3.error
     return PerimeterResult(value=value, error=error, inner_inner=t1,

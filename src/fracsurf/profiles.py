@@ -118,8 +118,6 @@ class RadialProfile:
             return self._slope(r)
         return -self._slope(-r)
 
-    slope = first_derivative
-
     def second_derivative(self, r: float) -> float:
         return self._curve(abs(r))
 

@@ -10,27 +10,14 @@ from fracsurf import (BarrierProfile, CurvatureResult, HomogeneityViolationError
                       verify_barrier)
 
 
-def test_build_barrier_measures_slope_and_curvature_sups():
-    bb = build_barrier(0.2, 1, 0.5)
-    assert bb.epsilon == 0.2
-    assert bb.grad_sup == pytest.approx(0.35555525925937087, rel=1e-9)
-    assert bb.curve_sup == pytest.approx(0.9243497285760004, rel=1e-9)
-
-
-def test_barrier_sups_scale_linearly_with_epsilon():
-    base = build_barrier(0.1, 1, 0.5)
-    double = build_barrier(0.2, 1, 0.5)
-    assert double.grad_sup == pytest.approx(2.0 * base.grad_sup, rel=1e-12)
-    assert double.curve_sup == pytest.approx(2.0 * base.curve_sup, rel=1e-12)
-
-
 def test_build_barrier_rejects_nonpositive_epsilon():
     with pytest.raises(ValueError):
         build_barrier(0.0, 1, 0.5)
 
 
 def test_broken_blend_is_caught(monkeypatch):
-    """The C^2 gate must actually fire when the profile has a slope jump."""
+    """The C^2 gate passes the true blend and fires on a slope jump."""
+    assert build_barrier(0.2, 1, 0.5).epsilon == 0.2
 
     class KinkedProfile(BarrierProfile):
         def first_derivative(self, r):
@@ -148,6 +135,29 @@ def test_positivity_probe_lets_faults_propagate(monkeypatch):
     monkeypatch.setattr(barrier_mod, "_evaluate_boundary", broken)
     with pytest.raises(RuntimeError, match="fault in the evaluation"):
         barrier_mod._positivity_probe(0.2, 1, 0.5, None, 16)
+
+
+def test_verify_barrier_reads_invalid_barriers_as_inconclusive(monkeypatch):
+    def invalid(*args, **kwargs):
+        raise InvalidCutoffError("blend fails its C^2 check")
+
+    monkeypatch.setattr(barrier_mod, "_evaluate_boundary", invalid)
+    rep = verify_barrier(0.2, 1, 0.5, min_samples=16, bisect_eps0=False,
+                         check_shrink=False)
+    assert rep.verdict == "INCONCLUSIVE"
+    assert rep.samples == ()
+    assert any(note.startswith("evaluation failed") for note in rep.notes)
+
+
+def test_verify_barrier_lets_faults_propagate(monkeypatch):
+    """A bug must surface, not hide behind an INCONCLUSIVE report."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("fault in the evaluation")
+
+    monkeypatch.setattr(barrier_mod, "_evaluate_boundary", broken)
+    with pytest.raises(RuntimeError, match="fault in the evaluation"):
+        verify_barrier(0.2, 1, 0.5, min_samples=16, bisect_eps0=False,
+                       check_shrink=False)
 
 
 def test_verify_barrier_report_holds_python_types():

@@ -108,6 +108,24 @@ def test_curvature_outputs(small_config, tmp_path):
     assert "out" not in (out / "resolved.ini").read_text().splitlines()
 
 
+def test_quadrature_keys_reach_resolved_ini_with_their_types(tmp_path):
+    cfg = tmp_path / "quad.ini"
+    cfg.write_text("""\
+[curvature]
+epsilon = 0.1
+points = 0.5
+max_subdivisions = 1e2
+truncation_radius = 500
+""")
+    out = tmp_path / "quad"
+    assert run_cli("curvature", cfg, out) == 0
+    lines = (out / "resolved.ini").read_text().splitlines()
+    assert "max_subdivisions = 100" in lines
+    assert "truncation_radius = 500.0" in lines
+    # the INI sets no pivot; it comes from the barrier height scale
+    assert "pv_inner_radius = 0.05" in lines
+
+
 def test_curvature_direct_ball_interprets_points_as_angles(tmp_path):
     cfg = tmp_path / "ball.ini"
     cfg.write_text("""\

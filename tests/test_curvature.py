@@ -73,13 +73,6 @@ def test_scaling_law_on_barrier():
             assert dev <= h2.total_error + lam ** (-alpha) * h1.total_error
 
 
-def test_leaf_choice_is_symmetric():
-    up = two_leaf_curvature(BarrierProfile(0.2), 2.5, 1, 0.5, leaf="upper")
-    lo = two_leaf_curvature(BarrierProfile(0.2), 2.5, 1, 0.5, leaf="lower")
-    assert up.value == lo.value
-    assert up.total_error == lo.total_error
-
-
 def test_subgraph_entry_point_is_the_one_leaf_case():
     a = subgraph_curvature(SqrtProfile(1.0), 4.0, 1, 0.5)
     b = graph_curvature(SqrtProfile(1.0), 4.0, 1, 0.5, two_leaf=False)

@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
-from fracsurf import (Ball, Box, DisjointnessError, HalfSpace, Region, Scaled,
-                      interaction_energy, region_of, relative_perimeter)
+from fracsurf import (Ball, Body, Box, Complement, DisjointnessError, HalfSpace,
+                      Scaled, interaction_energy, relative_perimeter)
 
 WINDOW = Box((-2.0, -2.0), (2.0, 2.0))
 
-
-def rect(x0, x1, y0, y1, label):
-    return Region(lambda p: (p[..., 0] > x0) & (p[..., 0] < x1)
-                  & (p[..., 1] > y0) & (p[..., 1] < y1), label)
-
-
-UPPER = rect(-1.5, 1.5, 0.1, 1.5, "upper")
-LOWER = rect(-1.5, 1.5, -1.5, -0.1, "lower")
+# boxes are closed, but their boundaries have measure zero: no sample lands there
+UPPER = Box((-1.5, 0.1), (1.5, 1.5))
+LOWER = Box((-1.5, -1.5), (1.5, -0.1))
+TOP_HALF = Box((-2.0, 0.0), (2.0, 2.0))
 
 
 def test_energy_is_symmetric_for_windowed_regions():
@@ -28,7 +24,7 @@ def test_energy_is_symmetric_for_windowed_regions():
 def test_energy_decays_with_separation():
     near = interaction_energy(UPPER, LOWER, WINDOW, 1, 0.5,
                               samples=400000, seed=1)
-    far_bar = rect(-1.5, 1.5, -1.5, -0.6, "lowerfar")
+    far_bar = Box((-1.5, -1.5), (1.5, -0.6))
     far = interaction_energy(UPPER, far_bar, WINDOW, 1, 0.5,
                              samples=400000, seed=3)
     assert near.value - near.error > far.value + far.error
@@ -36,12 +32,12 @@ def test_energy_decays_with_separation():
 
 def test_overlapping_regions_are_rejected():
     with pytest.raises(DisjointnessError):
-        interaction_energy(region_of(Ball(1.0)), region_of(HalfSpace(0.0)),
+        interaction_energy(Ball(1.0), HalfSpace(0.0),
                            WINDOW, 1, 0.5, samples=1000, seed=0)
 
 
 def test_disjointness_check_can_be_waived():
-    res = interaction_energy(region_of(Ball(1.0)), region_of(HalfSpace(0.0)),
+    res = interaction_energy(Ball(1.0), HalfSpace(0.0),
                              WINDOW, 1, 0.5, samples=1000, seed=0,
                              check_disjoint=False)
     assert res.value > 0.0
@@ -61,14 +57,17 @@ def test_window_dimension_must_match():
         interaction_energy(UPPER, LOWER, Box((-1.0,), (1.0,)), 1, 0.5)
 
 
-def test_region_algebra():
+def test_body_algebra():
     pts = np.array([[0.0, 0.5], [0.0, -0.5], [0.0, 1.8]])
-    both = UPPER & rect(-2.0, 2.0, 0.0, 2.0, "top-half")
+    both = UPPER & TOP_HALF
     np.testing.assert_array_equal(both.contains(pts), [True, False, False])
     neg = ~UPPER
+    assert neg == Complement(UPPER)
     np.testing.assert_array_equal(neg.contains(pts), [False, True, True])
-    diff = rect(-2.0, 2.0, 0.0, 2.0, "top-half") - UPPER
+    diff = TOP_HALF - UPPER
     np.testing.assert_array_equal(diff.contains(pts), [False, False, True])
+    for combined in (both, neg, diff, Ball(1.0) & WINDOW, WINDOW - Ball(1.0)):
+        assert isinstance(combined, Body)
 
 
 def test_perimeter_scaling_within_budget():
@@ -98,6 +97,7 @@ def test_perimeter_same_seed_scaling_is_exact():
 def test_perimeter_of_contained_body_has_no_outer_part():
     res = relative_perimeter(Ball(1.0), WINDOW, 1, 0.5,
                              samples=100000, seed=5)
+    assert res.value == pytest.approx(13.17302271398568, rel=1e-12)
     assert res.outer_inner.value == 0.0
     assert res.inner_inner.value > 0.0
     assert res.inner_outer.value > 0.0

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fracsurf import (AmbientDim, Ball, BarrierProfile, Complement, Cone,
-                      ConstantProfile, FractionalOrder, HalfSpace, SampleSpec,
-                      Scaled, SqrtProfile, Subgraph, TwoLeaf,
-                      UnsupportedGeometryError, boundary_sample)
+from fracsurf import (Ball, BarrierProfile, Box, Complement, Cone,
+                      ConstantProfile, HalfSpace, SampleSpec, Scaled,
+                      SqrtProfile, Subgraph, TwoLeaf, UnsupportedGeometryError,
+                      boundary_sample)
 
 from fracsurf import BumpProfile
 
@@ -93,6 +93,10 @@ def test_wrapper_bodies_refuse_boundary_sampling():
         boundary_sample(Complement(Ball(1.0)), 1)
     with pytest.raises(UnsupportedGeometryError):
         boundary_sample(Scaled(Ball(1.0), 2.0), 1)
+    with pytest.raises(UnsupportedGeometryError):
+        boundary_sample(Ball(1.0) & HalfSpace(0.0), 1)
+    with pytest.raises(UnsupportedGeometryError):
+        boundary_sample(Box((-1.0, -1.0), (1.0, 1.0)), 1)
 
 
 def test_sample_spec_refinement_and_rays():
@@ -111,16 +115,3 @@ def test_membership_far_from_origin():
     h = float(np.sqrt(r))
     pts = np.array([[r, h - 1.0], [r, h + 1.0]])
     np.testing.assert_array_equal(body.contains(pts), [True, False])
-
-
-def test_fractional_order_validation():
-    assert FractionalOrder(0.5).alpha == 0.5
-    for bad in (0.0, 1.0, -0.2, 1.7):
-        with pytest.raises(ValueError):
-            FractionalOrder(bad)
-
-
-def test_ambient_dim_validation():
-    assert AmbientDim(3).n == 3
-    with pytest.raises(ValueError):
-        AmbientDim(0)
