@@ -17,7 +17,7 @@ from .errors import InvalidEpsilonError, InvalidExponentError
 from .geometry import Scaled, Subgraph
 from .profiles import (DilatedGraphProfile, RadialProfile, SampledProfile,
                        SublinearEnvelope, VerticalShiftProfile,
-                       profile_values, sublinearity_modulus)
+                       profile_slopes, profile_values, sublinearity_modulus)
 
 
 def blowdown_rescale(body: Subgraph, factor: float) -> Scaled:
@@ -101,14 +101,12 @@ def holder_rescaling_check(profile: RadialProfile, R: float, beta: float = 0.5,
         raise InvalidExponentError(f"Holder exponent must lie in (0, 1), got {beta}")
     R = float(R)
     radii = (0.25 * R) * (np.arange(nodes) + 1.0) / nodes
-    slopes = np.array([profile.first_derivative(float(r)) for r in radii])
-    lhs = _seminorm(radii, slopes, beta)
+    lhs = _seminorm(radii, profile_slopes(profile, radii), beta)
 
     sample_t = np.linspace(0.0, 0.3, resample + 1)
     sampled = SampledProfile(sample_t, profile_values(profile, R * sample_t) / R)
     t = radii / R
-    rescaled_slopes = np.array([sampled.first_derivative(float(x)) for x in t])
-    rhs = _seminorm(t, rescaled_slopes, beta) / R ** beta
+    rhs = _seminorm(t, profile_slopes(sampled, t), beta) / R ** beta
     return HolderReport(R=R, beta=float(beta), lhs=float(lhs), rhs=float(rhs))
 
 

@@ -280,6 +280,10 @@ _HANDLERS = {
     "perimeter": cmd_perimeter,
 }
 
+# the other commands build their own quadrature settings, so a quadrature key
+# in their section would reach resolved.ini and config_hash without effect
+_READS_QUADRATURE = ("curvature", "barrier-verify")
+
 
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
@@ -301,6 +305,10 @@ def main(argv=None) -> int:
     overrides = {"seed": args.seed, "threads": args.threads}
     try:
         sections = cfgmod.resolve(args.command, args.config, overrides)
+        if args.command not in _READS_QUADRATURE:
+            for f in fields(QuadratureConfig):
+                if f.name in sections[args.command]:
+                    raise ValueError(f"{args.command} does not read the quadrature key {f.name!r}")
         run = sections["run"]
         n = int(run["n"])
         alpha = float(run["alpha"])

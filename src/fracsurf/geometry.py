@@ -199,8 +199,9 @@ def _graph_radii(spec: SampleSpec) -> np.ndarray:
 def boundary_sample(body: Body, n: int, spec: SampleSpec = SampleSpec()):
     """Points on the boundary of the body with outward unit normals.
 
-    Supported variants: TwoLeaf, Subgraph (upper leaf along the first
-    horizontal axis), Cone (upper leaf, apex excluded), Ball, HalfSpace.
+    Supported variants: TwoLeaf and Subgraph (upper leaf along the first
+    horizontal axis, radii where the profile is not smooth excluded), Cone
+    (upper leaf, apex excluded), Ball, HalfSpace.
     Combined, scaled and box bodies have no canonical parametrization here.
     """
     d = n + 1
@@ -208,6 +209,8 @@ def boundary_sample(body: Body, n: int, spec: SampleSpec = SampleSpec()):
     if isinstance(body, (TwoLeaf, Subgraph)):
         profile = body.profile
         for r in _graph_radii(spec):
+            if not profile.smooth_at(r):
+                continue
             x = np.zeros(d)
             x[0] = r
             x[-1] = profile.value(r)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,104 +31,58 @@ from scipy.optimize import minimize_scalar
 from .errors import InvalidEnvelopeError
 
 
-def _poly_val(coeffs, t):
-    out = 0.0
-    for c in reversed(coeffs):
-        out = out * t + c
-    return out
-
-
-def _poly_deriv(coeffs, t):
-    out = 0.0
-    for k in range(len(coeffs) - 1, 0, -1):
-        out = out * t + k * coeffs[k]
-    return out
-
-
-def _poly_deriv2(coeffs, t):
-    out = 0.0
-    for k in range(len(coeffs) - 1, 1, -1):
-        out = out * t + k * (k - 1) * coeffs[k]
-    return out
-
-
-def _poly_chord(coeffs, a, b):
-    # (P(b) - P(a)) / (b - a) via sum_{i+j=k-1} a^i b^j, exact in the step
-    out = 0.0
-    for k in range(1, len(coeffs)):
-        c = coeffs[k]
-        if c == 0.0:
-            continue
-        s = 0.0
-        for j in range(k):
-            s += a ** j * b ** (k - 1 - j)
-        out += c * s
-    return out
-
-
-def _poly_bend(coeffs, a, b):
-    # ((P(b) - P(a))/(b - a) - P'(a)) / (b - a) as sum_k c_k Q_k, where for
-    # x^k the chord is P_k = sum_{i+j=k-1} a^i b^j and the bend is
-    # Q_k = sum_{i<k} a^i P_(k-1-i); both recur through sums of products
-    # that share one sign when a, b >= 0, so nothing cancels inside a
-    # monomial.  a and b may be arrays, with one coefficient array per power.
-    out = p = q = 0.0 * a
-    ak = 1.0
-    for c in coeffs:
-        out = out + c * q
-        q = a * q + p
-        p = b * p + ak
-        ak = ak * a
-    return out
+def _poly_divided(coeffs, a, b):
+    # chord (P(b) - P(a)) / (b - a) and bend (chord - P'(a)) / (b - a) as
+    # sums over the monomials x^k: the chord of x^k is P_k = sum_{i+j=k-1}
+    # a^i b^j and its bend is Q_k = sum_{i<k} a^i P_(k-1-i); both recur
+    # through sums of products that share one sign when a, b >= 0, so
+    # nothing cancels inside a monomial.  ``coeffs`` lists the coefficients
+    # of x^1, x^2, ... (a constant has neither); a and b may be arrays, with
+    # one coefficient array per power.
+    chord = bend = q = 0.0 * a
+    p = ak = 1.0
+    for k, c in enumerate(coeffs):
+        if k:
+            q = a * q + p
+            ak = ak * a
+            p = b * p + ak
+        chord = chord + c * p
+        bend = bend + c * q
+    return chord, bend
 
 
 class RadialProfile:
     """Base class: an even height profile r >= 0 -> height.
 
-    Subclasses implement the one-sided accessors ``_val``, ``_slope``,
-    ``_curve``, ``_chord``, ``_bend`` on the closed half-line; this class
-    folds negative arguments and mixed-sign steps through evenness.  The
-    array counterparts ``_values`` and ``_bends`` default to loops over the
-    scalar accessors, which stay the reference; ``profile_values`` and
+    Each family implements five one-sided array accessors: ``_values``,
+    ``_slopes`` and ``_curves`` for r >= 0, and ``_chords`` and ``_bends``
+    for r >= 0, r + h >= 0, h != 0.  They take arrays of one shape, or
+    plain floats, and run the same numpy code on both.  The public scalar
+    accessors below fold negative arguments and mixed-sign steps through
+    evenness and call them; ``profile_values``, ``profile_slopes`` and
     ``profile_bends`` are the array entry points.
     """
 
     kind = "abstract"
 
-    def _val(self, r: float) -> float:
-        raise NotImplementedError
-
-    def _slope(self, r: float) -> float:
-        raise NotImplementedError
-
-    def _curve(self, r: float) -> float:
-        raise NotImplementedError
-
-    def _chord(self, r: float, h: float) -> float:
-        raise NotImplementedError
-
-    def _bend(self, r: float, h: float) -> float:
-        raise NotImplementedError
-
     def value(self, r: float) -> float:
-        return self._val(abs(r))
+        return float(self._values(abs(r)))
 
     def first_derivative(self, r: float) -> float:
-        if r >= 0:
-            return self._slope(r)
-        return -self._slope(-r)
+        g = float(self._slopes(abs(r)))
+        return g if r >= 0 else -g
 
     def second_derivative(self, r: float) -> float:
-        return self._curve(abs(r))
+        return float(self._curves(abs(r)))
 
     def chord(self, r: float, h: float) -> float:
         if h == 0.0:
             return self.first_derivative(r)
         b = r + h
         if r >= 0.0 and b >= 0.0:
-            return self._chord(r, h)
+            return float(self._chords(abs(r), h))
         if r <= 0.0 and b <= 0.0:
-            return -self._chord(-r, -h)
+            return -float(self._chords(abs(r), -h))
         return (self.value(b) - self.value(r)) / h
 
     def bend(self, r: float, h: float) -> float:
@@ -136,20 +90,13 @@ class RadialProfile:
             return 0.5 * self.second_derivative(r)
         b = r + h
         if r >= 0.0 and b >= 0.0:
-            return self._bend(r, h)
+            return float(self._bends(abs(r), h))
         if r <= 0.0 and b <= 0.0:
-            return self._bend(-r, -h)
+            return float(self._bends(abs(r), -h))
         return (self.chord(r, h) - self.first_derivative(r)) / h
 
     def smooth_at(self, r: float) -> bool:
         return True
-
-    def _values(self, r: np.ndarray) -> np.ndarray:
-        return np.array([self._val(float(x)) for x in r.flat]).reshape(r.shape)
-
-    def _bends(self, r: np.ndarray, h: np.ndarray) -> np.ndarray:
-        # one-sided like _bend: r >= 0, r + h >= 0, h != 0
-        return np.array([self._bend(float(x), float(y)) for x, y in zip(r.flat, h.flat)])
 
 
 class PiecewisePolyProfile(RadialProfile):
@@ -158,111 +105,81 @@ class PiecewisePolyProfile(RadialProfile):
     ``pieces`` is a list of (anchor, coeffs); piece i covers
     [knots[i-1], knots[i]) with knots[-1] implicitly 0 and the final piece
     unbounded.  Chords and bends inside one piece use the exact product-sum
-    forms; steps crossing knots accumulate piece chords with the remainder
-    carried in the step itself, never recomputed from rounded endpoints.
+    forms; a step across knots sums each piece's exact chord over its share
+    of the step, weighted by that share's length.
     """
 
     def __init__(self, knots: Sequence[float], pieces: Sequence[tuple]):
         assert len(pieces) == len(knots) + 1
         self.knots = tuple(float(k) for k in knots)
         self.pieces = [(float(a), tuple(float(c) for c in cs)) for a, cs in pieces]
-        # array forms: row k of _coef holds the x^k coefficient of every
-        # piece, zero-padded to the highest degree
+        # row k of _coef holds the x^k coefficient of every piece, zero-padded
+        # to the highest degree; the derivative rows k c_k and k (k - 1) c_k
+        # keep at least one (zero) row
         self._knot_arr = np.array(self.knots)
         self._anchors = np.array([a for a, _ in self.pieces])
         degree = max(len(cs) for _, cs in self.pieces)
-        self._coef = np.array([[cs[k] if k < len(cs) else 0.0 for _, cs in self.pieces]
-                               for k in range(degree)])
+        coef = np.array([[cs[k] if k < len(cs) else 0.0 for _, cs in self.pieces]
+                         for k in range(degree)])
+        k = np.arange(degree)[:, None]
+        zero = np.zeros((1, len(self.pieces)))
+        self._coef = tuple(coef)
+        self._slope_coef = tuple((k * coef)[1:] if degree > 1 else zero)
+        self._curve_coef = tuple((k * (k - 1) * coef)[2:] if degree > 2 else zero)
 
-    def _idx(self, r: float) -> int:
-        for i, k in enumerate(self.knots):
-            if r < k:
-                return i
-        return len(self.knots)
-
-    def _val(self, r):
-        a, cs = self.pieces[self._idx(r)]
-        return _poly_val(cs, r - a)
-
-    def _slope(self, r):
-        a, cs = self.pieces[self._idx(r)]
-        return _poly_deriv(cs, r - a)
-
-    def _curve(self, r):
-        a, cs = self.pieces[self._idx(r)]
-        return _poly_deriv2(cs, r - a)
-
-    def _piece_chord(self, r, h, idx):
-        a, cs = self.pieces[idx]
-        return _poly_chord(cs, r - a, r - a + h)
-
-    def _piece_bend(self, r, h, idx):
-        a, cs = self.pieces[idx]
-        return _poly_bend(cs, r - a, r - a + h)
-
-    def _inner_knots(self, lo, hi):
-        return [k for k in self.knots if lo < k < hi]
-
-    def _chord(self, r, h):
-        b = r + h
-        lo, hi = (r, b) if h > 0 else (b, r)
-        ia, ib = self._idx(lo), self._idx(hi)
-        if ia == ib:
-            return self._piece_chord(r, h, ia)
-        inner = self._inner_knots(lo, hi)
-        if not inner:
-            # endpoints straddle a knot boundary but the open interval does
-            # not contain it; the closed piece through the midpoint applies
-            return self._piece_chord(r, h, self._idx(0.5 * (lo + hi)))
-        du = 0.0
-        cur = lo
-        used = 0.0
-        for k in inner:
-            seg = k - cur
-            du += self._piece_chord(cur, seg, self._idx(0.5 * (cur + k))) * seg
-            used += seg
-            cur = k
-        last = abs(h) - used
-        if last < 0.0:
-            last = 0.0
-        du += self._piece_chord(cur, last, self._idx(0.5 * (cur + hi))) * last
-        return du / abs(h)
-
-    def _bend(self, r, h):
-        b = r + h
-        lo, hi = (r, b) if h > 0 else (b, r)
-        ia, ib = self._idx(lo), self._idx(hi)
-        if ia == ib:
-            return self._piece_bend(r, h, ia)
-        if not self._inner_knots(lo, hi):
-            return self._piece_bend(r, h, self._idx(0.5 * (lo + hi)))
-        return (self._chord(r, h) - _poly_deriv(self.pieces[self._idx(r)][1],
-                                                r - self.pieces[self._idx(r)][0])) / h
-
-    def _values(self, r):
-        # Horner with one gathered coefficient row per step, so temporaries
-        # stay the size of r; leading zero rows leave a piece's value exact
-        idx = np.searchsorted(self._knot_arr, r, side="right")
-        t = r - self._anchors[idx]
-        acc = self._coef[-1][idx]
-        for row in self._coef[-2::-1]:
-            acc *= t
-            acc += row[idx]
+    def _horner(self, rows, r):
+        # one gathered coefficient row per step, so temporaries stay the size
+        # of r; leading zero rows leave a piece's value exact
+        idx = self._knot_arr.searchsorted(r, side="right")
+        acc = rows[-1][idx]
+        if len(rows) > 1:
+            t = r - self._anchors[idx]
+            for row in rows[-2::-1]:
+                acc *= t
+                acc += row[idx]
         return acc
 
-    def _bends(self, r, h):
-        # the same piece choice as _bend; steps with a knot strictly inside
-        # fall back to it element by element
-        lo = np.minimum(r, r + h)
-        hi = np.maximum(r, r + h)
+    def _values(self, r):
+        return self._horner(self._coef, r)
+
+    def _slopes(self, r):
+        return self._horner(self._slope_coef, r)
+
+    def _curves(self, r):
+        return self._horner(self._curve_coef, r)
+
+    def _divided(self, r, h):
+        # a step that ends on a knot stays in the closed piece through its
+        # midpoint; one with a knot strictly inside is split at the knots
+        b = r + h
+        lo = np.minimum(r, b)
+        hi = np.maximum(r, b)
         knots = self._knot_arr
-        idx = np.searchsorted(knots, 0.5 * (lo + hi), side="right")
+        idx = knots.searchsorted(0.5 * (lo + hi), side="right")
         a = r - self._anchors[idx]
-        out = _poly_bend((row[idx] for row in self._coef), a, a + h)
-        crossing = np.searchsorted(knots, hi, side="left") > np.searchsorted(knots, lo, side="right")
-        for i in np.flatnonzero(crossing):
-            out[i] = self._bend(float(r[i]), float(h[i]))
-        return out
+        chord, bend = _poly_divided((row[idx] for row in self._coef[1:]), a, a + h)
+        crossing = knots.searchsorted(hi, side="left") > knots.searchsorted(lo, side="right")
+        if crossing.any():
+            # shares are measured as offsets from r, so they add up to the
+            # exact step h, never to the rounded endpoint r + h
+            lo, hi = np.minimum(h, 0.0), np.maximum(h, 0.0)
+            total = 0.0
+            for (anchor, cs), left, right in zip(self.pieces, (-np.inf,) + self.knots,
+                                                 self.knots + (np.inf,)):
+                u0 = np.clip(left - r, lo, hi)
+                u1 = np.clip(right - r, lo, hi)
+                t = r - anchor
+                total = total + _poly_divided(cs[1:], t + u0, t + u1)[0] * (u1 - u0)
+            across = total / np.abs(h)
+            chord = np.where(crossing, across, chord)
+            bend = np.where(crossing, (across - self._slopes(r)) / h, bend)
+        return chord, bend
+
+    def _chords(self, r, h):
+        return self._divided(r, h)[0]
+
+    def _bends(self, r, h):
+        return self._divided(r, h)[1]
 
 
 class ConstantProfile(PiecewisePolyProfile):
@@ -287,39 +204,37 @@ class LinearProfile(PiecewisePolyProfile):
 
 
 class SqrtProfile(RadialProfile):
-    """v(r) = scale * sqrt(r); chord and bend have exact algebraic forms."""
+    """v(r) = scale * sqrt(r); chord and bend have exact algebraic forms.
+
+    At the cusp r = 0 the slope is inf and the curvature and bends -inf
+    (for a positive scale), without a floating-point warning.
+    """
 
     kind = "sqrt"
 
     def __init__(self, scale: float = 1.0):
         self.scale = float(scale)
 
-    def _val(self, r):
+    def _values(self, r):
         return self.scale * np.sqrt(r)
 
-    def _slope(self, r):
-        if r == 0.0:
-            return np.inf
-        return 0.5 * self.scale / np.sqrt(r)
+    def _slopes(self, r):
+        with np.errstate(divide="ignore"):
+            return 0.5 * self.scale / np.sqrt(r)
 
-    def _curve(self, r):
-        if r == 0.0:
-            return -np.inf
-        return -0.25 * self.scale * r ** -1.5
+    def _curves(self, r):
+        # a plain float would raise at 0 ** -1.5; as np.float64 it takes inf
+        with np.errstate(divide="ignore"):
+            return -0.25 * self.scale * np.float64(r) ** -1.5
 
-    def _chord(self, r, h):
+    def _chords(self, r, h):
         # (sqrt(r+h) - sqrt(r))/h = 1/(sqrt(r) + sqrt(r+h))
         return self.scale / (np.sqrt(r) + np.sqrt(r + h))
 
-    def _bend(self, r, h):
+    def _bends(self, r, h):
         sa = np.sqrt(r)
-        sb = np.sqrt(r + h)
-        if sa == 0.0:
-            return (self._chord(r, h) - self._slope(r)) / h
-        return -self.scale / (2.0 * sa * (sa + sb) ** 2)
-
-    def _values(self, r):
-        return self.scale * np.sqrt(r)
+        with np.errstate(divide="ignore"):
+            return -self.scale / (2.0 * sa * (sa + np.sqrt(r + h)) ** 2)
 
     def smooth_at(self, r):
         return r != 0.0
@@ -413,37 +328,26 @@ class SampledProfile(RadialProfile):
         self.nodes = r
         self.node_values = v
 
-    def _val(self, r):
-        if r > self.r_max:
-            return self._end_val + self._end_slope * (r - self.r_max)
-        return float(self._interp(r))
-
-    def _slope(self, r):
-        if r > self.r_max:
-            return self._end_slope
-        return float(self._d1(r))
-
-    def _curve(self, r):
-        if r > self.r_max:
-            return 0.0
-        return float(self._d2(r))
-
-    def _chord(self, r, h):
-        if abs(h) < 1e-7 * max(1.0, abs(r)):
-            return self._slope(r) + 0.5 * h * self._curve(r)
-        return (self._val(r + h) - self._val(r)) / h
-
-    def _bend(self, r, h):
-        if abs(h) < 1e-7 * max(1.0, abs(r)):
-            return 0.5 * self._curve(r + 0.5 * h)
-        return (self._chord(r, h) - self._slope(r)) / h
-
     def _values(self, r):
-        out = np.asarray(self._interp(np.minimum(r, self.r_max)), dtype=float)
-        beyond = r > self.r_max
-        if beyond.any():
-            out[beyond] = self._end_val + self._end_slope * (r[beyond] - self.r_max)
-        return out
+        return np.where(r > self.r_max, self._end_val + self._end_slope * (r - self.r_max),
+                        self._interp(np.minimum(r, self.r_max)))
+
+    def _slopes(self, r):
+        return np.where(r > self.r_max, self._end_slope, self._d1(np.minimum(r, self.r_max)))
+
+    def _curves(self, r):
+        return np.where(r > self.r_max, 0.0, self._d2(np.minimum(r, self.r_max)))
+
+    def _taylor_guard(self, r, h):
+        return np.abs(h) < 1e-7 * np.maximum(1.0, r)
+
+    def _chords(self, r, h):
+        return np.where(self._taylor_guard(r, h), self._slopes(r) + 0.5 * h * self._curves(r),
+                        (self._values(r + h) - self._values(r)) / h)
+
+    def _bends(self, r, h):
+        return np.where(self._taylor_guard(r, h), 0.5 * self._curves(r + 0.5 * h),
+                        (self._chords(r, h) - self._slopes(r)) / h)
 
 
 class VerticalShiftProfile(RadialProfile):
@@ -455,23 +359,17 @@ class VerticalShiftProfile(RadialProfile):
         self.inner = inner
         self.shift = float(shift)
 
-    def _val(self, r):
-        return self.inner._val(r) - self.shift
-
-    def _slope(self, r):
-        return self.inner._slope(r)
-
-    def _curve(self, r):
-        return self.inner._curve(r)
-
-    def _chord(self, r, h):
-        return self.inner._chord(r, h)
-
-    def _bend(self, r, h):
-        return self.inner._bend(r, h)
-
     def _values(self, r):
         return self.inner._values(r) - self.shift
+
+    def _slopes(self, r):
+        return self.inner._slopes(r)
+
+    def _curves(self, r):
+        return self.inner._curves(r)
+
+    def _chords(self, r, h):
+        return self.inner._chords(r, h)
 
     def _bends(self, r, h):
         return self.inner._bends(r, h)
@@ -496,23 +394,17 @@ class DilatedGraphProfile(RadialProfile):
         self.inner = inner
         self.factor = float(factor)
 
-    def _val(self, r):
-        return self.inner._val(self.factor * r) / self.factor
-
-    def _slope(self, r):
-        return self.inner._slope(self.factor * r)
-
-    def _curve(self, r):
-        return self.factor * self.inner._curve(self.factor * r)
-
-    def _chord(self, r, h):
-        return self.inner._chord(self.factor * r, self.factor * h)
-
-    def _bend(self, r, h):
-        return self.factor * self.inner._bend(self.factor * r, self.factor * h)
-
     def _values(self, r):
         return self.inner._values(self.factor * r) / self.factor
+
+    def _slopes(self, r):
+        return self.inner._slopes(self.factor * r)
+
+    def _curves(self, r):
+        return self.factor * self.inner._curves(self.factor * r)
+
+    def _chords(self, r, h):
+        return self.inner._chords(self.factor * r, self.factor * h)
 
     def _bends(self, r, h):
         return self.factor * self.inner._bends(self.factor * r, self.factor * h)
@@ -530,25 +422,42 @@ def profile_values(profile: RadialProfile, radii) -> np.ndarray:
     return profile._values(np.abs(np.asarray(radii, dtype=float)))
 
 
+def profile_slopes(profile: RadialProfile, radii) -> np.ndarray:
+    """Array ``first_derivative``: the slope of an even profile is odd in r."""
+    r = np.asarray(radii, dtype=float)
+    g = profile._slopes(np.abs(r))
+    return np.where(r < 0.0, -g, g)
+
+
 def profile_bends(profile: RadialProfile, radius, steps) -> np.ndarray:
     """Array ``bend``: the second divided difference at each (radius, step).
 
-    One-sided steps (r >= 0, r + h >= 0, h != 0) take the family's array
-    path; any other element goes through the scalar ``bend`` and its
-    evenness folding.
+    Steps on one side of the axis fold through evenness onto the family's
+    ``_bends``; zero steps and steps through the axis take the same forms
+    as the scalar ``bend``.
     """
     r, h = np.broadcast_arrays(np.asarray(radius, dtype=float),
                                np.asarray(steps, dtype=float))
     r = r.ravel()
     h = h.ravel()
-    one_sided = (h != 0.0) & (r >= 0.0) & (r + h >= 0.0)
-    if one_sided.all():
-        return profile._bends(r, h)
+    b = r + h
+    right = (r >= 0.0) & (b >= 0.0)
+    if right.all() and h.all():
+        return profile._bends(np.abs(r), h)
+    left = ~right & (r <= 0.0) & (b <= 0.0)
+    through = ~(right | left)
+    flat = h == 0.0
+    one_sided = ~(through | flat)
     out = np.empty(r.shape)
     if one_sided.any():
-        out[one_sided] = profile._bends(r[one_sided], h[one_sided])
-    for i in np.flatnonzero(~one_sided):
-        out[i] = profile.bend(float(r[i]), float(h[i]))
+        out[one_sided] = profile._bends(np.abs(r[one_sided]),
+                                        np.where(left, -h, h)[one_sided])
+    if flat.any():
+        out[flat] = 0.5 * profile._curves(np.abs(r[flat]))
+    if through.any():
+        r, h, b = r[through], h[through], b[through]
+        chord = (profile._values(np.abs(b)) - profile._values(np.abs(r))) / h
+        out[through] = (chord - profile_slopes(profile, r)) / h
     return out
 
 

@@ -126,6 +126,19 @@ truncation_radius = 500
     assert "pv_inner_radius = 0.05" in lines
 
 
+def test_quadrature_key_in_a_command_that_ignores_it_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cone.ini"
+    cfg.write_text("""\
+[cone-sweep]
+epsilons = 0.4
+oracle_samples = 20000
+""")
+    out = tmp_path / "cone"
+    assert run_cli("cone-sweep", cfg, out) == 1
+    assert "oracle_samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_curvature_direct_ball_interprets_points_as_angles(tmp_path):
     cfg = tmp_path / "ball.ini"
     cfg.write_text("""\

@@ -72,6 +72,13 @@ def test_cone_apex_excluded_from_samples():
     assert all(s.radius > 0.0 for s in samples)
 
 
+def test_graph_cusp_excluded_from_samples():
+    # sqrt has an infinite slope at r = 0, where no unit normal exists
+    samples = boundary_sample(Subgraph(SqrtProfile(1.0)), 1, SampleSpec(count=5, r_max=4.0))
+    assert [s.radius for s in samples] == [1.0, 2.0, 3.0, 4.0]
+    assert all(np.all(np.isfinite(s.normal)) for s in samples)
+
+
 def test_scaled_membership_is_exact():
     base = TwoLeaf(BarrierProfile(0.2))
     pts = np.array([[0.5, 0.15], [3.0, 0.55], [3.0, 0.65], [0.5, 0.25]])

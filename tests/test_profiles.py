@@ -1,7 +1,10 @@
+import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from fracsurf import (BarrierProfile, BumpProfile, ConstantProfile,
                       DilatedGraphProfile, InvalidEnvelopeError, LinearProfile,
@@ -9,7 +12,7 @@ from fracsurf import (BarrierProfile, BumpProfile, ConstantProfile,
                       SqrtProfile, SublinearEnvelope, VerticalShiftProfile,
                       profile_from_config, profile_from_csv, profile_to_csv,
                       profile_values, sublinearity_modulus)
-from fracsurf.profiles import profile_bends
+from fracsurf.profiles import profile_bends, profile_slopes
 
 ALL_SMOOTH = [
     ConstantProfile(0.7),
@@ -186,14 +189,6 @@ def test_sampled_profile_reproduces_lines_exactly():
         assert prof.first_derivative(x) == pytest.approx(0.25, abs=1e-10)
 
 
-def test_profile_values_matches_scalar_loop():
-    rs = np.linspace(0.0, 9.0, 97)
-    for prof in ALL_SMOOTH:
-        vec = profile_values(prof, rs)
-        loop = np.array([prof.value(float(x)) for x in rs])
-        np.testing.assert_allclose(vec, loop, rtol=1e-13, atol=1e-15)
-
-
 ARRAY_FAMILIES = ALL_SMOOTH + [
     SampledProfile(np.linspace(0.0, 4.0, 17), 1.0 + np.linspace(0.0, 4.0, 17) ** 2 / 8.0),
     VerticalShiftProfile(BarrierProfile(0.3), 0.1),
@@ -202,17 +197,20 @@ ARRAY_FAMILIES = ALL_SMOOTH + [
 ]
 
 
-def assert_within_ulps(got, ref, ulps=4):
-    got, ref = np.asarray(got), np.asarray(ref)
+def assert_within_ulps(got, ref, ulps=4, size=None):
+    """got lies within ``ulps`` spacings of ref, taken at ``size`` where that
+    is larger: the magnitude a computation's rounding error scales with."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
     assert got.shape == ref.shape
+    scale = np.abs(ref) if size is None else np.maximum(np.abs(ref), size)
     same = (got == ref) | (np.isnan(got) & np.isnan(ref))
     with np.errstate(invalid="ignore"):  # inf - inf where both are infinite
-        close = np.abs(got - ref) <= ulps * np.spacing(np.abs(ref))
+        close = np.abs(got - ref) <= ulps * np.spacing(scale)
     assert np.all(same | close), (got[~(same | close)], ref[~(same | close)])
 
 
 def seeded_steps(profile, rng, count=400):
-    """Radii and steps: smooth, tiny, knot-crossing and sign-crossing."""
+    """Radii and steps: smooth, tiny, knot-crossing, sign-crossing, zero."""
     r = rng.uniform(0.0, 6.0, count)
     h = rng.uniform(-1.0, 1.0, count) * 10.0 ** rng.uniform(-12.0, 0.5, count)
     knots = getattr(profile, "knots", None) or (1.0, 2.0)
@@ -222,40 +220,266 @@ def seeded_steps(profile, rng, count=400):
                         k + 1e-9 * rng.uniform(0.0, 1.0, k.size)])
     h = np.concatenate([h, 2e-3 * rng.uniform(0.5, 1.0, k.size),
                         -1e-3 * rng.uniform(0.5, 1.0, k.size)])
-    # steps through zero, and from negative radii
-    r = np.concatenate([r, [0.3, 0.05, -0.4, -1.5, 0.0]])
-    h = np.concatenate([h, [-0.5, -0.2, 0.1, -0.3, 0.7]])
+    # steps through zero, from negative radii, and of length zero
+    r = np.concatenate([r, [0.3, 0.05, -0.2, -0.4, -1.5, 0.0, 1.5, -2.5]])
+    h = np.concatenate([h, [-0.5, -0.2, 0.5, 0.1, -0.3, 0.7, 0.0, 0.0]])
     return r, h
+
+
+# Independent references, one element at a time.  ``point(r)`` gives the
+# value and slope at r >= 0, ``step(r, h)`` the chord and bend of a step
+# with r >= 0, r + h >= 0, h != 0.  Each entry is (reference, size): the
+# profile's rounding error stays within 4 ulps of size (which covers the
+# error bounds of Horner's rule and of the product-sum recurrence), or of
+# the reference itself where size is 0.
+
+def exact_piece(profile, x):
+    """Anchor and rational coefficients of the piece that holds x."""
+    anchor, coeffs = profile.pieces[bisect.bisect_right(profile.knots, x)]
+    return anchor, [Fraction(c) for c in coeffs]
+
+
+def exact_poly(coeffs, t, deriv=0):
+    """The deriv-th derivative of sum c_k t^k at rational t, with the
+    coefficient count times the sum of its terms' sizes."""
+    terms = [c * math.perm(k, deriv) * t ** (k - deriv)
+             for k, c in enumerate(coeffs) if k >= deriv]
+    return sum(terms, Fraction(0)), len(coeffs) * sum(map(abs, terms), Fraction(0))
+
+
+def exact_divided(coeffs, a, b):
+    """Chord and bend of one polynomial between rationals a != b; their
+    sizes are the same forms on |coeffs|, whose product sums have no
+    negative term when a, b >= 0."""
+    def forms(cs):
+        if a == b:  # a step below half an ulp of a
+            return exact_poly(cs, a, 1)[0], exact_poly(cs, a, 2)[0] / 2
+        chord = (exact_poly(cs, b)[0] - exact_poly(cs, a)[0]) / (b - a)
+        return chord, (chord - exact_poly(cs, a, 1)[0]) / (b - a)
+
+    (chord, bend), sizes = forms(coeffs), forms([abs(c) for c in coeffs])
+    return (chord, len(coeffs) * sizes[0]), (bend, len(coeffs) * sizes[1])
+
+
+class PiecewiseReference:
+    """Fraction arithmetic on each piece's own float coefficients."""
+
+    def __init__(self, profile):
+        self.profile = profile
+
+    def point(self, r):
+        anchor, coeffs = exact_piece(self.profile, r)
+        t = Fraction(r - anchor)  # the piece-local radius as the profile forms it
+        return exact_poly(coeffs, t), exact_poly(coeffs, t, 1)
+
+    def curve(self, r):
+        anchor, coeffs = exact_piece(self.profile, r)
+        return exact_poly(coeffs, Fraction(r - anchor), 2)
+
+    def step(self, r, h):
+        lo, hi = min(r, r + h), max(r, r + h)
+        if any(lo < k < hi for k in self.profile.knots):
+            return self.across(r, h)
+        # a step that ends on a knot belongs to the piece through its midpoint
+        anchor, coeffs = exact_piece(self.profile, 0.5 * (lo + hi))
+        a = r - anchor
+        return exact_divided(coeffs, Fraction(a), Fraction(a + h))
+
+    def across(self, r, h):
+        """Each piece's exact increment over its share of the exact step,
+        over h: the slope integrated across the knots, so a jump where two
+        pieces' float coefficients fail to meet does not count."""
+        R, H = Fraction(r), Fraction(h)
+        lo, hi = sorted((R, R + H))
+        ends = [lo] + [Fraction(k) for k in self.profile.knots if lo < k < hi] + [hi]
+        first = bisect.bisect_right(self.profile.knots, lo)
+        chord = size = Fraction(0)
+        for (anchor, coeffs), x0, x1 in zip(self.profile.pieces[first:], ends, ends[1:]):
+            a = Fraction(anchor)
+            (share, share_size), _ = exact_divided([Fraction(c) for c in coeffs], x0 - a, x1 - a)
+            chord += share * (x1 - x0) / abs(H)
+            size += share_size * (x1 - x0) / abs(H)
+        # the far end r + h rounds once in its piece's coordinate, as the
+        # end of a step within one piece does; the slope carries that over h
+        far_anchor = exact_piece(self.profile, r + h)[0]
+        far_slope = self.point(r + h)[1][0]
+        size += abs(far_slope) * abs(Fraction(r + h) - Fraction(far_anchor)) / abs(H)
+        slope, slope_size = self.point(r)[1]
+        return (chord, size), ((chord - slope) / H, (size + slope_size) / abs(H))
+
+
+class SqrtReference:
+    """The closed forms, with math.sqrt."""
+
+    def __init__(self, profile):
+        self.scale = profile.scale
+
+    def point(self, r):
+        s = self.scale
+        return (s * math.sqrt(r), 0), (0.5 * s / math.sqrt(r) if r else math.inf, 0)
+
+    def curve(self, r):
+        return (-0.25 * self.scale * r ** -1.5 if r else -math.inf), 0
+
+    def step(self, r, h):
+        sa, sb = math.sqrt(r), math.sqrt(r + h)
+        bend = -self.scale / (2.0 * sa * (sa + sb) ** 2) if sa else -math.inf
+        return (self.scale / (sa + sb), 0), (bend, 0)
+
+
+class SampledReference:
+    """scipy's PchipInterpolator on the profile's nodes, called directly and
+    continued linearly past the last node.  Steps below the relative
+    threshold 1e-7 take the Taylor forms; longer ones difference rounded
+    values, whose error the sizes carry through the divisions by h."""
+
+    def __init__(self, profile):
+        self.f = PchipInterpolator(profile.nodes, profile.node_values)
+        self.end = float(profile.nodes[-1])
+        self.end_value = float(profile.node_values[-1])
+
+    def value(self, r):
+        if r > self.end:
+            return self.end_value + float(self.f(self.end, 1)) * (r - self.end)
+        return float(self.f(r))
+
+    def slope(self, r):
+        return float(self.f(min(r, self.end), 1))
+
+    def curve(self, r):
+        return (float(self.f(r, 2)) if r <= self.end else 0.0), 0
+
+    def point(self, r):
+        return (self.value(r), 0), (self.slope(r), 0)
+
+    def step(self, r, h):
+        if abs(h) < 1e-7 * max(1.0, r):
+            return ((self.slope(r) + 0.5 * h * self.curve(r)[0], 0),
+                    (0.5 * self.curve(r + 0.5 * h)[0], 0))
+        ends = (self.value(r + h), self.value(r))
+        chord = (ends[0] - ends[1]) / h
+        size = (abs(ends[0]) + abs(ends[1])) / abs(h)
+        slope = self.slope(r)
+        return (chord, size), ((chord - slope) / h, (size + abs(slope)) / abs(h))
+
+
+def reference_for(profile):
+    for family, reference in ((PiecewisePolyProfile, PiecewiseReference),
+                              (SqrtProfile, SqrtReference),
+                              (SampledProfile, SampledReference)):
+        if isinstance(profile, family):
+            return reference(profile)
+    return None
+
+
+def as_floats(pairs):
+    """(references, sizes) as two float arrays."""
+    return tuple(np.array([float(x) for x in column]) for column in zip(*pairs))
+
+
+def reference_points(profile, radii):
+    """Values and slopes at any radii: evenness folds the sign."""
+    points = [reference_for(profile).point(abs(float(x))) for x in radii]
+    values = as_floats(p[0] for p in points)
+    slopes, slope_sizes = as_floats(p[1] for p in points)
+    return values, (np.where(np.asarray(radii) < 0.0, -slopes, slopes), slope_sizes)
+
+
+def reference_bends(profile, radii, steps):
+    """Bends at any (radius, step): a zero step gives half the curvature,
+    one-sided steps fold onto r >= 0, and a step through the axis is
+    (chord - slope) / h with the chord between the folded ends, its error
+    amplified by 1/h twice."""
+    ref = reference_for(profile)
+    out = []
+    for r, h in zip(radii, steps):
+        r, h = float(r), float(h)
+        b = r + h
+        if h == 0.0:
+            curve, size = ref.curve(abs(r))
+            out.append((curve / 2, size / 2))
+        elif r >= 0.0 and b >= 0.0:
+            out.append(ref.step(r, h)[1])
+        elif r <= 0.0 and b <= 0.0:
+            out.append(ref.step(-r, -h)[1])
+        else:
+            (vb, vb_size), _ = ref.point(abs(b))
+            (vr, vr_size), (slope, slope_size) = ref.point(abs(r))
+            slope = slope if r >= 0.0 else -slope
+            chord = (Fraction(vb) - Fraction(vr)) / Fraction(h)
+            size = ((max(vb_size, abs(vb)) + max(vr_size, abs(vr))) / h ** 2
+                    + max(slope_size, abs(slope)) / abs(h))
+            out.append(((chord - Fraction(slope)) / Fraction(h), size))
+    return as_floats(out)
 
 
 @pytest.mark.parametrize("profile", ARRAY_FAMILIES, ids=lambda p: p.kind)
 def test_array_values_match_scalar_reference(profile):
+    """Array values and slopes against references formed one radius at a
+    time; the wrappers against their scaling identities."""
     rng = np.random.default_rng(21)
     rs = np.concatenate([rng.uniform(-8.0, 8.0, 500), [0.0, 1.0, 2.0, 3.0, 4.0, 1e6]])
     if isinstance(profile, PiecewisePolyProfile):
         rs = np.concatenate([rs, np.nextafter(profile.knots, 0.0), profile.knots])
-    assert_within_ulps(profile_values(profile, rs),
-                       [profile.value(float(x)) for x in rs])
+    values, slopes = profile_values(profile, rs), profile_slopes(profile, rs)
+    if reference_for(profile) is None:
+        f = getattr(profile, "factor", 1.0)
+        shift = getattr(profile, "shift", 0.0)
+        assert_within_ulps(values, profile_values(profile.inner, f * rs) / f - shift)
+        assert_within_ulps(slopes, profile_slopes(profile.inner, f * rs))
+    else:
+        (v, v_size), (g, g_size) = reference_points(profile, rs)
+        assert_within_ulps(values, v, size=v_size)
+        assert_within_ulps(slopes, g, size=g_size)
     grid = rs[:100].reshape(10, 10)
     assert profile_values(profile, grid).shape == (10, 10)
+    assert profile_slopes(profile, grid).shape == (10, 10)
 
 
 @pytest.mark.parametrize("profile", ARRAY_FAMILIES, ids=lambda p: p.kind)
 def test_array_bends_match_scalar_reference(profile):
+    """Array chords and bends against references formed one step at a time
+    (within-piece steps to a few ulps; steps across a knot to their error
+    bound, which the cancellation of a bend there makes loose); the
+    wrappers against their scaling identities."""
     rng = np.random.default_rng(22)
     r, h = seeded_steps(profile, rng)
-    assert_within_ulps(profile_bends(profile, r, h),
-                       [profile.bend(float(a), float(b)) for a, b in zip(r, h)])
+    right = (r >= 0.0) & (r + h >= 0.0) & (h != 0.0)
+    ra, ha = r[right], h[right]
+    chords = profile._chords(ra, ha)
+    if reference_for(profile) is None:
+        f = getattr(profile, "factor", 1.0)
+        inner = profile.inner
+        assert_within_ulps(chords, inner._chords(f * ra, f * ha))
+        assert_within_ulps(profile_bends(profile, r, h), f * profile_bends(inner, f * r, f * h))
+        assert_within_ulps(profile_bends(profile, 2.5, h[:48]),
+                           f * profile_bends(inner, 2.5 * f, f * h[:48]))
+        return
+    reference = reference_for(profile)
+    ref, size = as_floats(reference.step(float(a), float(b))[0] for a, b in zip(ra, ha))
+    assert_within_ulps(chords, ref, size=size)
+    ref, size = reference_bends(profile, r, h)
+    assert_within_ulps(profile_bends(profile, r, h), ref, size=size)
     # one base radius against many steps, the shape the curvature core uses
     steps = h[:48]
-    assert_within_ulps(profile_bends(profile, 2.5, steps),
-                       [profile.bend(2.5, float(b)) for b in steps])
+    ref, size = reference_bends(profile, np.full(steps.shape, 2.5), steps)
+    assert_within_ulps(profile_bends(profile, 2.5, steps), ref, size=size)
+
+
+def test_profile_values_matches_scalar_loop():
+    """The public scalar accessors, one radius at a time, against the same
+    references as the array paths."""
+    rs = np.linspace(0.0, 9.0, 97)
+    for prof in ALL_SMOOTH:
+        (v, v_size), (g, g_size) = reference_points(prof, rs)
+        assert_within_ulps([prof.value(float(x)) for x in rs], v, size=v_size)
+        assert_within_ulps([prof.first_derivative(float(x)) for x in rs], g, size=g_size)
+        assert_within_ulps([prof.first_derivative(-float(x)) for x in rs[1:]],
+                           -g[1:], size=g_size[1:])
 
 
 def test_within_piece_bend_is_exact_to_rounding():
-    """The scalar reference itself against rational arithmetic, on the blend."""
-    from fractions import Fraction
-
+    """The scalar bend against rational arithmetic, on the blend."""
     rng = np.random.default_rng(23)
     prof = BarrierProfile(0.2)
     anchor, coeffs = prof.pieces[1]
@@ -287,6 +511,9 @@ def test_csv_round_trip(tmp_path):
     back = profile_from_csv(path)
     for r in (0.4, 1.7, 3.3, 5.9):
         assert back.value(r) == pytest.approx(prof.value(r), rel=1e-6)
+    # sqrt heights come from numpy; the CSV must hold plain float reprs
+    path.write_text(profile_to_csv(SqrtProfile(1.0), radii))
+    assert profile_from_csv(path).node_values.tolist() == np.sqrt(radii).tolist()
 
 
 def test_csv_rejects_wrong_header(tmp_path):
