@@ -32,10 +32,9 @@ from .oracle import (EnergyResult, PerimeterResult, direct_curvature,
 from .profiles import (BarrierProfile, BumpProfile, ConstantProfile,
                        DilatedGraphProfile, LinearProfile, ModulusReport,
                        PiecewisePolyProfile, RadialProfile, RampBumpProfile,
-                       SampledProfile, SqrtProfile, SublinearEnvelope,
-                       VerticalShiftProfile, profile_from_config,
-                       profile_from_csv, profile_to_csv, profile_values,
-                       sublinearity_modulus)
+                       SampledProfile, SqrtProfile, VerticalShiftProfile,
+                       profile_from_config, profile_from_csv, profile_to_csv,
+                       profile_values, sublinearity_modulus)
 from .sliding import (RescalePlan, SlideOutcome, VERDICT_CONFIRMED,
                       VERDICT_TOUCH, VERDICT_UNBOUNDED, rescale_for_slide,
                       slide)
@@ -87,7 +86,6 @@ __all__ = [
     "SlideOutcome",
     "SqrtProfile",
     "Subgraph",
-    "SublinearEnvelope",
     "TwoLeaf",
     "UnsupportedGeometryError",
     "VERDICT_CONFIRMED",

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import InvalidEpsilonError, InvalidExponentError
 from .geometry import Scaled, Subgraph
 from .profiles import (DilatedGraphProfile, RadialProfile, SampledProfile,
-                       SublinearEnvelope, VerticalShiftProfile,
-                       profile_slopes, profile_values, sublinearity_modulus)
+                       VerticalShiftProfile, profile_slopes, profile_values,
+                       sublinearity_modulus)
 
 
 def blowdown_rescale(body: Subgraph, factor: float) -> Scaled:
@@ -45,7 +45,7 @@ class FlatnessReport:
     inf: float
 
 
-def flatness_certificate(profile: RadialProfile, envelope: SublinearEnvelope,
+def flatness_certificate(profile: RadialProfile, envelope: RadialProfile,
                          epsilon: float, R: float,
                          grid_count: int = 2001) -> FlatnessReport:
     """Check |rescaled height| <= epsilon on the unit horizontal ball.

@@ -26,25 +26,14 @@ from .curvature import QuadratureConfig, graph_curvature
 from .errors import FracsurfError
 from .geometry import Ball, Box, Cone, HalfSpace, Scaled, Subgraph, TwoLeaf
 from .oracle import direct_curvature, relative_perimeter
-from .profiles import BarrierProfile, SublinearEnvelope, profile_from_config
+from .profiles import BarrierProfile, profile_from_config
 from .sliding import (VERDICT_UNBOUNDED, rescale_for_slide, slide)
 
 
-def _envelope_from(section: dict, prefix: str) -> SublinearEnvelope:
-    kind = section.get(f"{prefix}_kind", "constant").strip().lower()
-    if kind == "constant":
-        level = float(section.get(f"{prefix}_level", 1.0))
-        return SublinearEnvelope(lambda r: level, label=f"constant {level}")
-    if kind == "sqrt":
-        scale = float(section.get(f"{prefix}_scale", 1.0))
-        return SublinearEnvelope(lambda r: scale * math.sqrt(r) if r > 0 else scale * 1e-9,
-                                 label=f"{scale} sqrt(r)")
-    if kind == "affine":
-        off = float(section.get(f"{prefix}_offset", 1.0))
-        slope = float(section.get(f"{prefix}_slope", 1.0))
-        return SublinearEnvelope(lambda r: off + slope * r,
-                                 label=f"{off} + {slope} r")
-    raise ValueError(f"unknown envelope kind {kind!r}")
+def _prefixed_profile(section: dict, prefix: str):
+    """The profile whose keys carry ``prefix_`` (envelope, candidate)."""
+    return profile_from_config({k.removeprefix(prefix + "_"): v for k, v in section.items()
+                                if k.startswith(prefix + "_")})
 
 
 def _quadrature_from(section: dict, profile=None) -> QuadratureConfig:
@@ -204,10 +193,8 @@ def cmd_slide(sections, out_dir, n, alpha, seed) -> int:
     sec = sections["slide"]
     eps0 = float(sec["eps0"])
     r_max = float(sec.get("r_max", 100.0))
-    envelope = _envelope_from(sec, "envelope")
-    candidate = profile_from_config(
-        {k.removeprefix("candidate_"): v for k, v in sec.items()
-         if k.startswith("candidate_")})
+    envelope = _prefixed_profile(sec, "envelope")
+    candidate = _prefixed_profile(sec, "candidate")
     plan = rescale_for_slide(envelope, eps0, r_max=r_max)
     outcome = slide(candidate, plan.lam, eps0, n, alpha, r_max=r_max)
     payload = {
@@ -228,7 +215,7 @@ def cmd_slide(sections, out_dir, n, alpha, seed) -> int:
 def cmd_blowdown(sections, out_dir, n, alpha, seed) -> int:
     sec = sections["blowdown"]
     profile = profile_from_config(sec)
-    envelope = _envelope_from(sec, "envelope")
+    envelope = _prefixed_profile(sec, "envelope")
     eps = float(sec["epsilon"])
     R = float(sec["R"])
     beta = float(sec.get("beta", 0.5))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedGeometryError
-from .profiles import RadialProfile, profile_values
+from .profiles import ConstantProfile, LinearProfile, RadialProfile, profile_values
 
 
 class Body:
@@ -63,16 +63,14 @@ class Subgraph(Body):
         return p[..., -1] < profile_values(self.profile, rad)
 
 
-@dataclass(frozen=True)
-class Cone(Body):
+def Cone(epsilon: float) -> TwoLeaf:
     """{ |x_last| < eps * |x'| }: the symmetric open double cone."""
+    return TwoLeaf(LinearProfile(epsilon))
 
-    epsilon: float
 
-    def contains(self, points):
-        p = np.asarray(points, dtype=float)
-        rad = np.linalg.norm(p[..., :-1], axis=-1)
-        return np.abs(p[..., -1]) < self.epsilon * rad
+def HalfSpace(height: float) -> Subgraph:
+    """{ x_last < height }."""
+    return Subgraph(ConstantProfile(height))
 
 
 @dataclass(frozen=True)
@@ -82,17 +80,6 @@ class Ball(Body):
     def contains(self, points):
         p = np.asarray(points, dtype=float)
         return np.linalg.norm(p, axis=-1) < self.radius
-
-
-@dataclass(frozen=True)
-class HalfSpace(Body):
-    """{ x_last < height }."""
-
-    height: float
-
-    def contains(self, points):
-        p = np.asarray(points, dtype=float)
-        return p[..., -1] < self.height
 
 
 @dataclass(frozen=True)
@@ -200,9 +187,9 @@ def boundary_sample(body: Body, n: int, spec: SampleSpec = SampleSpec()):
     """Points on the boundary of the body with outward unit normals.
 
     Supported variants: TwoLeaf and Subgraph (upper leaf along the first
-    horizontal axis, radii where the profile is not smooth excluded), Cone
-    (upper leaf, apex excluded), Ball, HalfSpace.
-    Combined, scaled and box bodies have no canonical parametrization here.
+    horizontal axis, radii where the profile is not smooth excluded, such as
+    the apex of a cone) and Ball.  Combined, scaled and box bodies have no
+    canonical parametrization here.
     """
     d = n + 1
     out = []
@@ -219,19 +206,6 @@ def boundary_sample(body: Body, n: int, spec: SampleSpec = SampleSpec()):
             nv[-1] = 1.0
             nv /= np.linalg.norm(nv)
             out.append(BoundarySample(point=x, normal=nv, radius=float(r)))
-    elif isinstance(body, Cone):
-        eps = body.epsilon
-        for r in _graph_radii(spec):
-            if r == 0.0:
-                continue
-            x = np.zeros(d)
-            x[0] = r
-            x[-1] = eps * r
-            nv = np.zeros(d)
-            nv[0] = -eps
-            nv[-1] = 1.0
-            nv /= np.linalg.norm(nv)
-            out.append(BoundarySample(point=x, normal=nv, radius=float(r)))
     elif isinstance(body, Ball):
         R = body.radius
         angles = np.linspace(0.0, 2.0 * np.pi, spec.count, endpoint=False)
@@ -242,14 +216,6 @@ def boundary_sample(body: Body, n: int, spec: SampleSpec = SampleSpec()):
             nv = x / R
             out.append(BoundarySample(point=x, normal=nv,
                                       radius=float(abs(R * np.cos(th)))))
-    elif isinstance(body, HalfSpace):
-        for r in _graph_radii(spec):
-            x = np.zeros(d)
-            x[0] = r
-            x[-1] = body.height
-            nv = np.zeros(d)
-            nv[-1] = 1.0
-            out.append(BoundarySample(point=x, normal=nv, radius=float(r)))
     else:
         raise UnsupportedGeometryError(f"cannot sample boundary of {type(body).__name__}")
     return out

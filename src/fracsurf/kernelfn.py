@@ -90,12 +90,3 @@ class SliceIntegral:
     def deriv(self, t):
         t = np.asarray(t, dtype=float)
         return (1.0 + t * t) ** (-self.power)
-
-    def tail_gap_bound(self, t: float) -> float:
-        """Upper bound for limit - F(t), t > 0.
-
-        From (1 + tau^2)^(-p) <= tau^(-2p) the gap is at most
-        t^(-(n+alpha)) / (n+alpha).
-        """
-        m = self.n + self.alpha
-        return float(t) ** (-m) / m

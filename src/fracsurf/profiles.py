@@ -11,7 +11,11 @@ digits once h is small against r, and the principal-value integrand amplifies
 that noise by h^(-1).  Piecewise-polynomial profiles therefore evaluate both
 quantities through expanded product sums that never subtract nearly equal
 numbers; the square-root profile has its own closed forms.  Sampled profiles
-fall back to a Taylor guard below a step threshold.
+are piecewise polynomials too: the pieces of their monotone cubic
+interpolant.
+
+Every radial function in the package is a profile: candidate sets, their
+growth envelopes, barriers, straight cones and half-spaces.
 
 All profiles are even in r (the two-leaf bodies they describe are symmetric
 under x' -> -x'); negative arguments are folded through that symmetry.
@@ -20,9 +24,8 @@ under x' -> -x'); negative arguments are folded through that symmetry.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -109,6 +112,8 @@ class PiecewisePolyProfile(RadialProfile):
     of the step, weighted by that share's length.
     """
 
+    kind = "piecewise"
+
     def __init__(self, knots: Sequence[float], pieces: Sequence[tuple]):
         assert len(pieces) == len(knots) + 1
         self.knots = tuple(float(k) for k in knots)
@@ -160,14 +165,18 @@ class PiecewisePolyProfile(RadialProfile):
         chord, bend = _poly_divided((row[idx] for row in self._coef[1:]), a, a + h)
         crossing = knots.searchsorted(hi, side="left") > knots.searchsorted(lo, side="right")
         if crossing.any():
-            # shares are measured as offsets from r, so they add up to the
-            # exact step h, never to the rounded endpoint r + h
+            # only the pieces that some crossing step reaches; shares are
+            # measured as offsets from r, so they add up to the exact step h,
+            # never to the rounded endpoint r + h
+            first = knots.searchsorted(np.min(np.where(crossing, lo, np.inf)), side="right")
+            last = knots.searchsorted(np.max(np.where(crossing, hi, -np.inf)), side="left")
+            edges = (-np.inf,) + self.knots + (np.inf,)
             lo, hi = np.minimum(h, 0.0), np.maximum(h, 0.0)
             total = 0.0
-            for (anchor, cs), left, right in zip(self.pieces, (-np.inf,) + self.knots,
-                                                 self.knots + (np.inf,)):
-                u0 = np.clip(left - r, lo, hi)
-                u1 = np.clip(right - r, lo, hi)
+            for i in range(first, last + 1):
+                anchor, cs = self.pieces[i]
+                u0 = np.clip(edges[i] - r, lo, hi)
+                u1 = np.clip(edges[i + 1] - r, lo, hi)
                 t = r - anchor
                 total = total + _poly_divided(cs[1:], t + u0, t + u1)[0] * (u1 - u0)
             across = total / np.abs(h)
@@ -180,6 +189,10 @@ class PiecewisePolyProfile(RadialProfile):
 
     def _bends(self, r, h):
         return self._divided(r, h)[1]
+
+    def smooth_at(self, r):
+        # the even extension has a corner at the axis unless the slope is 0
+        return bool(r != 0.0 or self._slopes(0.0) == 0.0)
 
 
 class ConstantProfile(PiecewisePolyProfile):
@@ -198,9 +211,6 @@ class LinearProfile(PiecewisePolyProfile):
     def __init__(self, gradient: float):
         super().__init__((), ((0.0, (0.0, float(gradient))),))
         self.gradient = float(gradient)
-
-    def smooth_at(self, r):
-        return r != 0.0
 
 
 class SqrtProfile(RadialProfile):
@@ -297,13 +307,12 @@ class BarrierProfile(PiecewisePolyProfile):
         self.epsilon = e
 
 
-class SampledProfile(RadialProfile):
+class SampledProfile(PiecewisePolyProfile):
     """Monotone-cubic interpolant through (r, value) samples.
 
-    Derivatives come from the interpolant.  Beyond the last node the profile
-    continues linearly with the terminal slope.  Divided differences use a
-    Taylor guard below a relative step threshold because the interpolant
-    cannot be differenced exactly.
+    The pieces are those of scipy's PCHIP interpolant, each anchored at its
+    left node; beyond the last node the profile continues linearly with the
+    terminal slope.  Chords and bends are the exact piecewise forms.
     """
 
     kind = "sampled"
@@ -319,35 +328,13 @@ class SampledProfile(RadialProfile):
             # evenness pins the slope at the axis
             r = np.concatenate(([0.0], r))
             v = np.concatenate(([v[0]], v))
-        self._interp = PchipInterpolator(r, v, extrapolate=False)
-        self._d1 = self._interp.derivative(1)
-        self._d2 = self._interp.derivative(2)
+        interp = PchipInterpolator(r, v)
+        # scipy stores piece i highest power first, in powers of x - r[i]
+        cubics = list(zip(r[:-1], interp.c[::-1].T))
+        super().__init__(r[1:], cubics + [(r[-1], (v[-1], interp(r[-1], 1)))])
         self.r_max = float(r[-1])
-        self._end_val = float(v[-1])
-        self._end_slope = float(self._d1(self.r_max))
         self.nodes = r
         self.node_values = v
-
-    def _values(self, r):
-        return np.where(r > self.r_max, self._end_val + self._end_slope * (r - self.r_max),
-                        self._interp(np.minimum(r, self.r_max)))
-
-    def _slopes(self, r):
-        return np.where(r > self.r_max, self._end_slope, self._d1(np.minimum(r, self.r_max)))
-
-    def _curves(self, r):
-        return np.where(r > self.r_max, 0.0, self._d2(np.minimum(r, self.r_max)))
-
-    def _taylor_guard(self, r, h):
-        return np.abs(h) < 1e-7 * np.maximum(1.0, r)
-
-    def _chords(self, r, h):
-        return np.where(self._taylor_guard(r, h), self._slopes(r) + 0.5 * h * self._curves(r),
-                        (self._values(r + h) - self._values(r)) / h)
-
-    def _bends(self, r, h):
-        return np.where(self._taylor_guard(r, h), 0.5 * self._curves(r + 0.5 * h),
-                        (self._chords(r, h) - self._slopes(r)) / h)
 
 
 class VerticalShiftProfile(RadialProfile):
@@ -466,12 +453,7 @@ PROFILE_CSV_HEADER = "r,value"
 
 def profile_from_csv(path) -> SampledProfile:
     with open(path, "r", newline="") as fh:
-        text = fh.read()
-    return profile_from_csv_text(text)
-
-
-def profile_from_csv_text(text: str) -> SampledProfile:
-    rows = list(csv.reader(io.StringIO(text)))
+        rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != ["r", "value"]:
         raise ValueError('profile CSV must start with header "r,value"')
     data = np.array([[float(a), float(b)] for a, b in rows[1:]])
@@ -492,6 +474,9 @@ def profile_from_config(options: dict) -> RadialProfile:
         return ConstantProfile(float(options.get("level", 1.0)))
     if kind == "linear":
         return LinearProfile(float(options.get("slope", 0.1)))
+    if kind == "affine":
+        return PiecewisePolyProfile((), ((0.0, (float(options.get("offset", 1.0)),
+                                                float(options.get("slope", 1.0)))),))
     if kind == "sqrt":
         return SqrtProfile(float(options.get("scale", 1.0)))
     if kind == "bump":
@@ -508,19 +493,6 @@ def profile_from_config(options: dict) -> RadialProfile:
 
 
 @dataclass(frozen=True)
-class SublinearEnvelope:
-    """A claimed growth bound phi for candidate set heights.
-
-    ``phi`` maps radius to the bound; ``label`` is free-form provenance for
-    reports.  Whether phi actually grows sublinearly is *tested*, not
-    trusted; see sublinearity_modulus.
-    """
-
-    phi: Callable[[float], float]
-    label: str = "envelope"
-
-
-@dataclass(frozen=True)
 class ModulusReport:
     constant: float
     location: float
@@ -532,10 +504,12 @@ class ModulusReport:
 MODULUS_FLOOR = 1e-9
 
 
-def sublinearity_modulus(envelope: SublinearEnvelope, delta: float,
+def sublinearity_modulus(envelope: RadialProfile, delta: float,
                          r_max: float = 100.0) -> ModulusReport:
     """Smallest grid-verified C with phi(r) <= C + delta*r on [0, r_max].
 
+    ``envelope`` is the profile phi claimed to bound candidate set heights;
+    whether it actually grows sublinearly is *tested*, not trusted.
     Evaluates max(phi(r) - delta*r) on a 0.25-spaced grid, clamped below at
     a positive floor.  If the maximum sits at the grid edge and the
     difference is still strictly climbing there, the envelope fails the
@@ -545,20 +519,20 @@ def sublinearity_modulus(envelope: SublinearEnvelope, delta: float,
     if delta <= 0:
         raise ValueError("delta must be positive")
     grid = np.arange(0.0, r_max + 1e-9, 0.25)
-    vals = np.array([float(envelope.phi(float(r))) for r in grid])
+    vals = profile_values(envelope, grid)
     if np.any(vals[1:] <= 0.0):
         bad = grid[1:][vals[1:] <= 0.0][0]
         raise InvalidEnvelopeError(
-            f"envelope {envelope.label!r} is non-positive at r = {bad}")
+            f"envelope {envelope.kind!r} is non-positive at r = {bad}")
     diff = vals - delta * grid
     i = int(np.argmax(diff))
     constant = float(diff[i])
     location = float(grid[i])
     if 0 < i < len(grid) - 1:
         # the grid undershoots an interior peak; polish it against the
-        # callable so downstream rescalings built on C stay containing
+        # profile so downstream rescalings built on C stay containing
         opt = minimize_scalar(
-            lambda r: delta * r - float(envelope.phi(float(r))),
+            lambda r: delta * r - envelope.value(r),
             bounds=(float(grid[i - 1]), float(grid[i + 1])), method="bounded",
             options={"xatol": 1e-10})
         if -float(opt.fun) > constant:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .curvature import QuadratureConfig, two_leaf_curvature
 from .errors import InitialInclusionError, NotSublinearError
-from .profiles import (BarrierProfile, RadialProfile, SublinearEnvelope,
-                       profile_values, sublinearity_modulus)
+from .profiles import (BarrierProfile, RadialProfile, profile_values,
+                       sublinearity_modulus)
 
 SLIDE_FLOOR = 1e-4
 SLIDE_ITERATIONS = 30
@@ -35,7 +35,7 @@ class RescalePlan:
     modulus_location: float
 
 
-def rescale_for_slide(envelope: SublinearEnvelope, eps0: float,
+def rescale_for_slide(envelope: RadialProfile, eps0: float,
                       r_max: float = 100.0) -> RescalePlan:
     """Shrink factor placing any envelope-bounded set under (eps0/8)(1+r).
 
@@ -49,11 +49,11 @@ def rescale_for_slide(envelope: SublinearEnvelope, eps0: float,
     report = sublinearity_modulus(envelope, delta, r_max=r_max)
     if not report.sublinear:
         raise NotSublinearError(
-            f"envelope {envelope.label!r} keeps growing at the grid edge; "
+            f"envelope {envelope.kind!r} keeps growing at the grid edge; "
             "no rescaling can place it under the barrier")
     lam = eps0 / (8.0 * report.constant)
     grid = np.linspace(0.0, r_max, 2001)
-    rescaled = lam * np.array([float(envelope.phi(float(r / lam))) for r in grid])
+    rescaled = lam * profile_values(envelope, grid / lam)
     bound = delta * (1.0 + grid)
     if np.any(rescaled > bound + 1e-9):
         bad = grid[np.argmax(rescaled - bound)]

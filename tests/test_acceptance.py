@@ -15,8 +15,8 @@ import pytest
 from scipy import integrate
 
 from fracsurf import (Ball, ConstantProfile, DilatedGraphProfile,
-                      HalfSpace, NotSublinearError, SliceIntegral,
-                      SqrtProfile, SublinearEnvelope, TwoLeaf, Box,
+                      HalfSpace, NotSublinearError, PiecewisePolyProfile,
+                      SliceIntegral, SqrtProfile, TwoLeaf, Box,
                       derived_seed, direct_curvature, flatness_certificate,
                       holder_rescaling_check, relative_perimeter,
                       rescale_for_slide, slide, subgraph_curvature,
@@ -145,7 +145,7 @@ def test_criterion_6_barrier_positivity_at_bisected_height():
 def test_criterion_7_sliding_mechanism():
     with criterion(7, "sliding confirms rigidity, reports interior touch, "
                       "and rejects linear growth"):
-        env = SublinearEnvelope(lambda r: 1.0, label="one")
+        env = ConstantProfile(1.0)
         plan = rescale_for_slide(env, 0.05)
         empty = slide(ConstantProfile(0.0), plan.lam, plan.eps0, 1, 0.5)
         assert empty.verdict == "RIGIDITY_MECHANISM_CONFIRMED"
@@ -153,8 +153,7 @@ def test_criterion_7_sliding_mechanism():
         assert slab.verdict == "TOUCH_FOUND"
         assert slab.curvature_at_touch > 0.0
         with pytest.raises(NotSublinearError):
-            rescale_for_slide(
-                SublinearEnvelope(lambda r: 1.0 + r, label="affine"), 0.05)
+            rescale_for_slide(PiecewisePolyProfile((), [(0.0, (1.0, 1.0))]), 0.05)
 
 
 def test_criterion_8_perimeter_scaling():
@@ -175,8 +174,7 @@ def test_criterion_8_perimeter_scaling():
 def test_criterion_9_blowdown_certificates():
     with criterion(9, "flatness passes exactly from the predicted radius and "
                       "the rescaled seminorm identity holds"):
-        env = SublinearEnvelope(lambda r: math.sqrt(r) if r > 0 else 0.0,
-                                label="sqrt")
+        env = SqrtProfile(1.0)
         passing = flatness_certificate(SqrtProfile(1.0), env, 0.1, 100.0)
         assert passing.passed
         assert passing.R_eps_predicted == pytest.approx(100.0, rel=1e-9)

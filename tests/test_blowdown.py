@@ -6,11 +6,11 @@ import pytest
 from fracsurf import (Ball, BumpProfile, ConstantProfile, InvalidEpsilonError,
                       InvalidExponentError, LinearProfile,
                       PiecewisePolyProfile, SqrtProfile, Subgraph,
-                      SublinearEnvelope, VerticalShiftProfile,
+                      VerticalShiftProfile,
                       blowdown_rescale, flatness_certificate,
                       holder_rescaling_check, rescaled_profile)
 
-SQRT_ENV = SublinearEnvelope(lambda r: math.sqrt(r) if r > 0 else 0.0, "sqrt")
+SQRT_ENV = SqrtProfile(1.0)
 
 
 def test_blowdown_translates_then_shrinks():

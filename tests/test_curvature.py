@@ -6,7 +6,7 @@ from scipy import special
 
 from fracsurf import (BarrierProfile, ConstantProfile, DilatedGraphProfile,
                       LinearProfile, NonSmoothPointError, QuadratureConfig,
-                      RampBumpProfile, SqrtProfile, angular_rule,
+                      RampBumpProfile, SampledProfile, SqrtProfile, angular_rule,
                       graph_curvature, subgraph_curvature, two_leaf_curvature)
 
 
@@ -194,6 +194,20 @@ def test_nonsmooth_points_are_rejected():
         two_leaf_curvature(LinearProfile(0.3), 0.0, 1, 0.5)
     with pytest.raises(NonSmoothPointError):
         subgraph_curvature(SqrtProfile(1.0), 0.0, 1, 0.5)
+
+
+def test_sampled_corner_at_the_axis_is_rejected():
+    # nodes from r = 0 let PCHIP pick a nonzero one-sided slope there, so the
+    # even extension has a corner on the axis; it once read as smooth and
+    # returned a value of order -1e266
+    r = np.linspace(0.0, 20.0, 41)
+    v = 0.3 + 0.05 * np.sqrt(1.0 + r ** 2)
+    with pytest.raises(NonSmoothPointError):
+        two_leaf_curvature(SampledProfile(r, v), 0.0, 1, 0.5)
+    # without the axis node the prepended flat node keeps the axis smooth
+    res = two_leaf_curvature(SampledProfile(r[1:], v[1:]), 0.0, 1, 0.5)
+    assert res.warnings == ()
+    assert res.value == pytest.approx(10.7787, abs=res.total_error)
 
 
 def test_bump_peak_sign_matches_the_ball_convention():

@@ -2,23 +2,23 @@ import numpy as np
 import pytest
 
 from fracsurf import (Ball, BarrierProfile, Box, Complement, Cone,
-                      ConstantProfile, HalfSpace, SampleSpec, Scaled,
-                      SqrtProfile, Subgraph, TwoLeaf, UnsupportedGeometryError,
-                      boundary_sample)
+                      ConstantProfile, HalfSpace, LinearProfile, SampleSpec,
+                      Scaled, SqrtProfile, Subgraph, TwoLeaf,
+                      UnsupportedGeometryError, boundary_sample)
 
 from fracsurf import BumpProfile
 
-BODIES = [
-    TwoLeaf(BarrierProfile(0.1)),
-    Subgraph(BumpProfile(0.5, 3.0)),
-    Cone(0.3),
-    Ball(2.0),
-    HalfSpace(0.5),
-]
+BODIES = {
+    "TwoLeaf": TwoLeaf(BarrierProfile(0.1)),
+    "Subgraph": Subgraph(BumpProfile(0.5, 3.0)),
+    "Cone": Cone(0.3),
+    "Ball": Ball(2.0),
+    "HalfSpace": HalfSpace(0.5),
+}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("body", BODIES, ids=lambda b: type(b).__name__)
+@pytest.mark.parametrize("body", BODIES.values(), ids=BODIES.keys())
 def test_membership_flips_across_boundary(body, n):
     for s in boundary_sample(body, n, SampleSpec(count=24, r_max=6.0)):
         inside = s.point - 1e-6 * s.normal
@@ -53,7 +53,7 @@ def test_two_leaf_boundary_heights_match_profile():
 
 
 def test_boundary_normals_are_unit_and_outward():
-    for body in BODIES:
+    for body in BODIES.values():
         for s in boundary_sample(body, 2, SampleSpec(count=16, r_max=4.0)):
             assert np.linalg.norm(s.normal) == pytest.approx(1.0, abs=1e-12)
 
@@ -70,6 +70,67 @@ def test_subgraph_vs_two_leaf_lower_half():
 def test_cone_apex_excluded_from_samples():
     samples = boundary_sample(Cone(0.2), 1, SampleSpec(count=16, r_max=4.0))
     assert all(s.radius > 0.0 for s in samples)
+
+
+def seeded_points(rng, n, count=2000):
+    """Seeded points in R^(n+1), a third of them on the upper cone and on
+    the level 0.5 exactly."""
+    p = rng.uniform(-3.0, 3.0, (count, n + 1))
+    on_cone = p[: count // 3]
+    on_cone[:, -1] = 0.3 * np.linalg.norm(on_cone[:, :-1], axis=-1)
+    p[count // 3: 2 * count // 3, -1] = 0.5
+    return p
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cone_is_the_two_leaf_body_of_a_linear_profile(n):
+    """Same membership as the graph body and as the defining inequality,
+    and the same boundary samples as the straight ray: apex excluded,
+    normal (-eps, 1) normalised."""
+    eps = 0.3
+    p = seeded_points(np.random.default_rng(31), n)
+    rad = np.linalg.norm(p[:, :-1], axis=-1)
+    np.testing.assert_array_equal(Cone(eps).contains(p),
+                                  TwoLeaf(LinearProfile(eps)).contains(p))
+    np.testing.assert_array_equal(Cone(eps).contains(p), np.abs(p[:, -1]) < eps * rad)
+    spec = SampleSpec(count=9, r_max=4.0, refine_near=(2.0,), ray_radii=(2.5,))
+    got = boundary_sample(Cone(eps), n, spec)
+    graph = boundary_sample(TwoLeaf(LinearProfile(eps)), n, spec)
+    assert [s.radius for s in got] == [s.radius for s in graph]
+    assert 0.0 not in [s.radius for s in got]
+    normal = np.zeros(n + 1)
+    normal[0], normal[-1] = -eps, 1.0
+    normal /= np.linalg.norm(normal)
+    for s, g in zip(got, graph):
+        point = np.zeros(n + 1)
+        point[0], point[-1] = s.radius, eps * s.radius
+        np.testing.assert_array_equal(s.point, g.point)
+        np.testing.assert_array_equal(s.point, point)
+        np.testing.assert_array_equal(s.normal, g.normal)
+        np.testing.assert_array_equal(s.normal, normal)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_half_space_is_the_subgraph_of_a_constant_profile(n):
+    """Same membership as the graph body and as x_last < h, and the same
+    boundary samples as the flat plane: every radius, normal e_last."""
+    h = 0.5
+    p = seeded_points(np.random.default_rng(32), n)
+    np.testing.assert_array_equal(HalfSpace(h).contains(p),
+                                  Subgraph(ConstantProfile(h)).contains(p))
+    np.testing.assert_array_equal(HalfSpace(h).contains(p), p[:, -1] < h)
+    spec = SampleSpec(count=9, r_max=4.0, refine_near=(2.0,), ray_radii=(2.5,))
+    got = boundary_sample(HalfSpace(h), n, spec)
+    graph = boundary_sample(Subgraph(ConstantProfile(h)), n, spec)
+    assert [s.radius for s in got] == [s.radius for s in graph]
+    assert got[0].radius == 0.0
+    for s, g in zip(got, graph):
+        point = np.zeros(n + 1)
+        point[0], point[-1] = s.radius, h
+        np.testing.assert_array_equal(s.point, g.point)
+        np.testing.assert_array_equal(s.point, point)
+        np.testing.assert_array_equal(s.normal, g.normal)
+        np.testing.assert_array_equal(s.normal, np.eye(n + 1)[-1])
 
 
 def test_graph_cusp_excluded_from_samples():

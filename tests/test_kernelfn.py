@@ -99,13 +99,6 @@ def test_gap_is_complement_and_stable():
     assert f.gap(t) == pytest.approx(t ** (-1.5) / 1.5, rel=1e-10)
 
 
-def test_tail_gap_bound_holds():
-    for n, alpha in sorted(FROZEN):
-        f = SliceIntegral(n, alpha)
-        for t in (1.0, 10.0, 100.0):
-            assert f.gap(t) <= f.tail_gap_bound(t)
-
-
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
         SliceIntegral(0, 0.5)

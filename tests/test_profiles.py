@@ -9,7 +9,7 @@ from scipy.interpolate import PchipInterpolator
 from fracsurf import (BarrierProfile, BumpProfile, ConstantProfile,
                       DilatedGraphProfile, InvalidEnvelopeError, LinearProfile,
                       PiecewisePolyProfile, RampBumpProfile, SampledProfile,
-                      SqrtProfile, SublinearEnvelope, VerticalShiftProfile,
+                      SqrtProfile, VerticalShiftProfile,
                       profile_from_config, profile_from_csv, profile_to_csv,
                       profile_values, sublinearity_modulus)
 from fracsurf.profiles import profile_bends, profile_slopes
@@ -181,6 +181,43 @@ def test_sampled_profile_interpolates_and_extrapolates():
                                             rel=1e-12)
 
 
+def test_sampled_pieces_match_pchip():
+    """Values, slopes and curvatures against scipy's PchipInterpolator
+    called directly, within 4 ulps of the sizes of its power-sum terms."""
+    r = np.linspace(0.0, 4.0, 17)
+    prof = SampledProfile(r, 1.0 + np.sqrt(1.0 + r ** 2))
+    f = PchipInterpolator(prof.nodes, prof.node_values)
+    x = np.concatenate([np.random.default_rng(24).uniform(0.0, 4.0, 400), prof.nodes[:-1]])
+    i = np.searchsorted(prof.nodes, x, side="right") - 1
+    t = x - prof.nodes[i]
+    coeffs = np.abs(f.c[::-1, i])  # rows in ascending powers
+    got = (profile_values(prof, x), profile_slopes(prof, x),
+           [prof.second_derivative(float(y)) for y in x])
+    for deriv in range(3):
+        factor = np.array([[math.perm(k, deriv)] for k in range(4)])
+        terms = factor * coeffs * t ** np.maximum(np.arange(4)[:, None] - deriv, 0)
+        assert_within_ulps(got[deriv], f(x, deriv), size=4 * terms.sum(axis=0))
+
+
+def test_sampled_bend_keeps_its_digits_at_small_steps():
+    # differencing rounded values lost most digits at these steps
+    r = np.linspace(0.0, 4.0, 17)
+    prof = SampledProfile(r, 1.0 + r ** 2 / 8.0)
+    for h in (1.31e-7, 1.5e-7):
+        assert abs(prof.bend(1.3, h) - 0.5 * prof.second_derivative(1.3)) <= 1e-6
+
+
+def test_piecewise_smoothness_at_the_axis():
+    """The even extension is smooth at 0 only where the slope there is 0."""
+    r = np.linspace(0.0, 20.0, 41)
+    assert SampledProfile(r, 0.3 + 0.05 * np.sqrt(1.0 + r ** 2)).smooth_at(0.0) is False
+    assert SampledProfile(r[1:], 0.3 + 0.05 * np.sqrt(1.0 + r[1:] ** 2)).smooth_at(0.0) is True
+    assert LinearProfile(0.3).smooth_at(0.0) is False
+    assert LinearProfile(0.3).smooth_at(1.0) is True
+    for prof in (ConstantProfile(0.7), BumpProfile(0.5, 3.0), BarrierProfile(0.2)):
+        assert prof.smooth_at(0.0) is True
+
+
 def test_sampled_profile_reproduces_lines_exactly():
     r = np.linspace(0.0, 3.0, 31)
     prof = SampledProfile(r, 0.25 * r + 1.0)
@@ -327,46 +364,9 @@ class SqrtReference:
         return (self.scale / (sa + sb), 0), (bend, 0)
 
 
-class SampledReference:
-    """scipy's PchipInterpolator on the profile's nodes, called directly and
-    continued linearly past the last node.  Steps below the relative
-    threshold 1e-7 take the Taylor forms; longer ones difference rounded
-    values, whose error the sizes carry through the divisions by h."""
-
-    def __init__(self, profile):
-        self.f = PchipInterpolator(profile.nodes, profile.node_values)
-        self.end = float(profile.nodes[-1])
-        self.end_value = float(profile.node_values[-1])
-
-    def value(self, r):
-        if r > self.end:
-            return self.end_value + float(self.f(self.end, 1)) * (r - self.end)
-        return float(self.f(r))
-
-    def slope(self, r):
-        return float(self.f(min(r, self.end), 1))
-
-    def curve(self, r):
-        return (float(self.f(r, 2)) if r <= self.end else 0.0), 0
-
-    def point(self, r):
-        return (self.value(r), 0), (self.slope(r), 0)
-
-    def step(self, r, h):
-        if abs(h) < 1e-7 * max(1.0, r):
-            return ((self.slope(r) + 0.5 * h * self.curve(r)[0], 0),
-                    (0.5 * self.curve(r + 0.5 * h)[0], 0))
-        ends = (self.value(r + h), self.value(r))
-        chord = (ends[0] - ends[1]) / h
-        size = (abs(ends[0]) + abs(ends[1])) / abs(h)
-        slope = self.slope(r)
-        return (chord, size), ((chord - slope) / h, (size + abs(slope)) / abs(h))
-
-
 def reference_for(profile):
     for family, reference in ((PiecewisePolyProfile, PiecewiseReference),
-                              (SqrtProfile, SqrtReference),
-                              (SampledProfile, SampledReference)):
+                              (SqrtProfile, SqrtReference)):
         if isinstance(profile, family):
             return reference(profile)
     return None
@@ -527,6 +527,10 @@ def test_profile_from_config():
     assert profile_from_config({"kind": "constant", "level": "0.4"}).value(3.0) == 0.4
     assert profile_from_config({"kind": "linear", "slope": "0.2"}).value(5.0) == 1.0
     assert profile_from_config({"kind": "sqrt", "scale": "2.0"}).value(4.0) == 4.0
+    affine = profile_from_config({"kind": "affine", "offset": "0.5", "slope": "0.25"})
+    assert affine.kind == "piecewise"
+    assert affine.value(4.0) == 1.5 and affine.first_derivative(2.0) == 0.25
+    assert profile_from_config({"kind": "affine"}).value(3.0) == 4.0
     barrier = profile_from_config({"kind": "barrier", "epsilon": "0.1"})
     assert barrier.value(0.5) == 0.1
     with pytest.raises(ValueError):
@@ -534,14 +538,14 @@ def test_profile_from_config():
 
 
 def test_modulus_constant_envelope():
-    env = SublinearEnvelope(lambda r: 1.0, label="one")
+    env = ConstantProfile(1.0)
     rep = sublinearity_modulus(env, 0.00625)
     assert rep.constant == pytest.approx(1.0)
     assert rep.sublinear
 
 
 def test_modulus_sqrt_envelope():
-    env = SublinearEnvelope(lambda r: math.sqrt(r) if r > 0 else 0.0, label="sqrt")
+    env = SqrtProfile(1.0)
     rep = sublinearity_modulus(env, 0.5)
     # max of sqrt(r) - r/2 sits at r = 1 with value 1/2
     assert rep.constant == pytest.approx(0.5, abs=1e-6)
@@ -550,7 +554,7 @@ def test_modulus_sqrt_envelope():
 
 
 def test_modulus_edge_peak_is_flagged_conservatively():
-    env = SublinearEnvelope(lambda r: math.sqrt(r) if r > 0 else 0.0, label="sqrt")
+    env = SqrtProfile(1.0)
     rep = sublinearity_modulus(env, 0.05)
     # peak of sqrt(r) - r/20 sits exactly at the window edge r = 100; the
     # grid cannot certify anything beyond the window, so the check must
@@ -561,7 +565,7 @@ def test_modulus_edge_peak_is_flagged_conservatively():
 
 
 def test_modulus_flags_linear_growth():
-    env = SublinearEnvelope(lambda r: 1.0 + r, label="affine")
+    env = PiecewisePolyProfile((), [(0.0, (1.0, 1.0))])
     rep = sublinearity_modulus(env, 0.5)
     assert rep.constant == pytest.approx(51.0)
     assert rep.location == pytest.approx(100.0)
@@ -569,13 +573,13 @@ def test_modulus_flags_linear_growth():
 
 
 def test_modulus_nonincreasing_in_delta():
-    env = SublinearEnvelope(lambda r: math.sqrt(r) if r > 0 else 0.0, label="sqrt")
+    env = SqrtProfile(1.0)
     deltas = [0.05, 0.1, 0.25, 0.5, 1.0]
     consts = [sublinearity_modulus(env, d).constant for d in deltas]
     assert all(a >= b - 1e-12 for a, b in zip(consts, consts[1:]))
 
 
 def test_modulus_rejects_nonpositive_envelope():
-    env = SublinearEnvelope(lambda r: -1.0, label="negative")
+    env = ConstantProfile(-1.0)
     with pytest.raises(InvalidEnvelopeError):
         sublinearity_modulus(env, 0.5)

@@ -1,15 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
 from fracsurf import (ConstantProfile, InitialInclusionError, LinearProfile,
-                      NotSublinearError, SampledProfile, SqrtProfile,
-                      SublinearEnvelope, rescale_for_slide, slide)
+                      NotSublinearError, PiecewisePolyProfile, SampledProfile,
+                      SqrtProfile, rescale_for_slide, slide)
 
-CONSTANT_ENV = SublinearEnvelope(lambda r: 1.0, label="one")
-SQRT_ENV = SublinearEnvelope(lambda r: math.sqrt(r) if r > 0 else 0.0,
-                             label="sqrt")
+CONSTANT_ENV = ConstantProfile(1.0)
+SQRT_ENV = SqrtProfile(1.0)
 
 
 def test_plan_for_constant_envelope():
@@ -29,8 +26,7 @@ def test_plan_for_sqrt_envelope_hits_the_tangency_exactly():
 
 def test_plan_rejects_linear_growth():
     with pytest.raises(NotSublinearError):
-        rescale_for_slide(SublinearEnvelope(lambda r: 1.0 + r, label="affine"),
-                          0.05)
+        rescale_for_slide(PiecewisePolyProfile((), [(0.0, (1.0, 1.0))]), 0.05)
 
 
 def test_plan_rejects_nonpositive_eps0():
