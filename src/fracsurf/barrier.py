@@ -56,8 +56,8 @@ class ConeConstantReport:
 
 
 def cone_constant(epsilon: float, n: int, alpha: float,
-                  config: QuadratureConfig | None = None, seed: int = 0,
-                  norms=(2.0, 5.0, 10.0)) -> ConeConstantReport:
+                  config: QuadratureConfig | None = None,
+                  seed: int = 0) -> ConeConstantReport:
     """|x|^alpha-scaled curvature of the straight cone, averaged over rays.
 
     The cone curvature is (-alpha)-homogeneous, so the scaled samples along
@@ -69,7 +69,7 @@ def cone_constant(epsilon: float, n: int, alpha: float,
     cone = Cone(epsilon)
     tilt = math.sqrt(1.0 + epsilon * epsilon)
     entries = []
-    for m in norms:
+    for m in (2.0, 5.0, 10.0):
         r = m / tilt
         point = np.zeros(n + 1)
         point[0] = r

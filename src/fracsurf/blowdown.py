@@ -14,24 +14,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidEpsilonError, InvalidExponentError
-from .geometry import Scaled, Subgraph
+from .geometry import Subgraph
 from .profiles import (DilatedGraphProfile, RadialProfile, SampledProfile,
-                       VerticalShiftProfile, profile_slopes, profile_values,
-                       sublinearity_modulus)
+                       profile_slopes, profile_values, sublinearity_modulus)
 
 
-def blowdown_rescale(body: Subgraph, factor: float) -> Scaled:
+def blowdown_rescale(body: Subgraph, factor: float) -> Subgraph:
     """View the subgraph at scale ``factor``: translate the boundary through
     the origin, then shrink space by the factor."""
     if not isinstance(body, Subgraph):
         raise TypeError("blowdown rescaling is defined for subgraph bodies")
-    shifted = VerticalShiftProfile(body.profile, body.profile.value(0.0))
-    return Scaled(Subgraph(shifted), 1.0 / float(factor))
+    return Subgraph(rescaled_profile(body.profile, factor))
 
 
-def rescaled_profile(profile: RadialProfile, factor: float) -> DilatedGraphProfile:
-    shifted = VerticalShiftProfile(profile, profile.value(0.0))
-    return DilatedGraphProfile(shifted, float(factor))
+def rescaled_profile(profile: RadialProfile, factor: float) -> RadialProfile:
+    """u(R r)/R - u(0)/R: the graph translated through the origin, then
+    rescaled by R = factor."""
+    return DilatedGraphProfile(profile.shifted(profile.value(0.0)), factor)
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,7 @@ class FlatnessReport:
 
 
 def flatness_certificate(profile: RadialProfile, envelope: RadialProfile,
-                         epsilon: float, R: float,
-                         grid_count: int = 2001) -> FlatnessReport:
+                         epsilon: float, R: float) -> FlatnessReport:
     """Check |rescaled height| <= epsilon on the unit horizontal ball.
 
     The predicted first passing radius comes from the envelope modulus at
@@ -61,7 +59,7 @@ def flatness_certificate(profile: RadialProfile, envelope: RadialProfile,
     R = float(R)
     if not R > 0:
         raise ValueError("rescaling radius must be positive")
-    grid = np.linspace(0.0, 1.0, grid_count)
+    grid = np.linspace(0.0, 1.0, 2001)
     # raw u(R r)/R, no vertical translation: a nonzero apex height must
     # count against flatness (it decays like u(0)/R under the rescaling)
     w = profile_values(profile, R * grid) / R
@@ -86,12 +84,12 @@ class HolderReport:
     rhs: float
 
 
-def holder_rescaling_check(profile: RadialProfile, R: float, beta: float = 0.5,
-                           nodes: int = 60, resample: int = 400) -> HolderReport:
+def holder_rescaling_check(profile: RadialProfile, R: float,
+                           beta: float = 0.5) -> HolderReport:
     """Discrete gradient Holder seminorm against its rescaled counterpart.
 
     lhs: seminorm of the profile slope over the quarter ball of radius R/4,
-    on a fixed-size grid whose pairs are at least one spacing apart.
+    on a 60-node grid whose pairs are at least one spacing apart.
     rhs: the same seminorm of the rescaled graph u(R r)/R over the quarter
     unit ball, evaluated through an independently resampled interpolant and
     divided by R^beta.  Exactly equal in the continuum; the gap here is
@@ -100,10 +98,10 @@ def holder_rescaling_check(profile: RadialProfile, R: float, beta: float = 0.5,
     if not 0.0 < beta < 1.0:
         raise InvalidExponentError(f"Holder exponent must lie in (0, 1), got {beta}")
     R = float(R)
-    radii = (0.25 * R) * (np.arange(nodes) + 1.0) / nodes
+    radii = (0.25 * R) * (np.arange(60) + 1.0) / 60
     lhs = _seminorm(radii, profile_slopes(profile, radii), beta)
 
-    sample_t = np.linspace(0.0, 0.3, resample + 1)
+    sample_t = np.linspace(0.0, 0.3, 401)
     sampled = SampledProfile(sample_t, profile_values(profile, R * sample_t) / R)
     t = radii / R
     rhs = _seminorm(t, profile_slopes(sampled, t), beta) / R ** beta

@@ -24,7 +24,7 @@ from .barrier import sweep_cone_constant, verify_barrier
 from .blowdown import flatness_certificate, holder_rescaling_check
 from .curvature import QuadratureConfig, graph_curvature
 from .errors import FracsurfError
-from .geometry import Ball, Box, Cone, HalfSpace, Scaled, Subgraph, TwoLeaf
+from .geometry import Ball, Box, Cone, HalfSpace, Subgraph, TwoLeaf
 from .oracle import direct_curvature, relative_perimeter
 from .profiles import BarrierProfile, profile_from_config
 from .sliding import (VERDICT_UNBOUNDED, rescale_for_slide, slide)
@@ -58,9 +58,9 @@ def _csv_line(*vals) -> str:
 
 def cmd_curvature(sections, out_dir, n, alpha, seed) -> int:
     sec = sections["curvature"]
-    geometry = sec.get("geometry", "twoleaf").strip().lower()
-    method = sec.get("method", "formula").strip().lower()
-    points = cfgmod.parse_floats(sec.get("points", "1.0"))
+    geometry = sec["geometry"].strip().lower()
+    method = sec["method"].strip().lower()
+    points = cfgmod.parse_floats(sec["points"])
 
     profile = None
     if geometry in ("twoleaf", "subgraph"):
@@ -127,7 +127,7 @@ def _direct_body_point(sec, geometry, r, n):
         point[0] = r
         point[-1] = height
     elif geometry == "cone":
-        eps = float(sec.get("epsilon", 0.2))
+        eps = float(sec["epsilon"])
         body = Cone(eps)
         point = [0.0] * d
         point[0] = r
@@ -142,13 +142,13 @@ def _direct_body_point(sec, geometry, r, n):
 def cmd_barrier_verify(sections, out_dir, n, alpha, seed) -> int:
     sec = sections["barrier-verify"]
     eps = float(sec["epsilon"])
-    samples = int(float(sec.get("samples", 200)))
+    samples = int(float(sec["samples"]))
     cfg = _quadrature_from(sec, BarrierProfile(eps))
     _record_quadrature(sec, cfg)
     report = verify_barrier(eps, n, alpha, config=cfg, seed=seed,
                             min_samples=samples,
-                            bisect_eps0=cfgmod.parse_bool(sec.get("bisect", "true")),
-                            check_shrink=cfgmod.parse_bool(sec.get("check_shrink", "true")))
+                            bisect_eps0=cfgmod.parse_bool(sec["bisect"]),
+                            check_shrink=cfgmod.parse_bool(sec["check_shrink"]))
     payload = {
         "epsilon": report.epsilon,
         "n": report.n,
@@ -192,7 +192,7 @@ def cmd_cone_sweep(sections, out_dir, n, alpha, seed) -> int:
 def cmd_slide(sections, out_dir, n, alpha, seed) -> int:
     sec = sections["slide"]
     eps0 = float(sec["eps0"])
-    r_max = float(sec.get("r_max", 100.0))
+    r_max = float(sec["r_max"])
     envelope = _prefixed_profile(sec, "envelope")
     candidate = _prefixed_profile(sec, "candidate")
     plan = rescale_for_slide(envelope, eps0, r_max=r_max)
@@ -218,7 +218,7 @@ def cmd_blowdown(sections, out_dir, n, alpha, seed) -> int:
     envelope = _prefixed_profile(sec, "envelope")
     eps = float(sec["epsilon"])
     R = float(sec["R"])
-    beta = float(sec.get("beta", 0.5))
+    beta = float(sec["beta"])
     report = flatness_certificate(profile, envelope, eps, R)
     payload = {
         "R": report.R,
@@ -229,7 +229,7 @@ def cmd_blowdown(sections, out_dir, n, alpha, seed) -> int:
     }
     _write_json(out_dir / "report.json", payload)
     lines = ["R,beta,lhs,rhs"]
-    for rr in cfgmod.parse_floats(sec.get("holder_R", "")):
+    for rr in cfgmod.parse_floats(sec["holder_R"]):
         h = holder_rescaling_check(profile, rr, beta)
         lines.append(_csv_line(h.R, h.beta, h.lhs, h.rhs))
     (out_dir / "holder.csv").write_text("\n".join(lines) + "\n")
@@ -241,14 +241,13 @@ def cmd_perimeter(sections, out_dir, n, alpha, seed) -> int:
     sec = sections["perimeter"]
     profile = profile_from_config(sec)
     body = TwoLeaf(profile)
-    w = float(sec.get("window", 2.0))
-    samples = int(float(sec.get("samples", 400000)))
+    w = float(sec["window"])
+    samples = int(float(sec["samples"]))
     lines = ["scale,value,err"]
     rows = []
-    for scale in cfgmod.parse_floats(sec.get("scales", "1.0")):
-        scaled_body = Scaled(body, scale) if scale != 1.0 else body
+    for scale in cfgmod.parse_floats(sec["scales"]):
         window = Box((-w * scale,) * (n + 1), (w * scale,) * (n + 1))
-        res = relative_perimeter(scaled_body, window, n, alpha, samples=samples,
+        res = relative_perimeter(body.scaled(scale), window, n, alpha, samples=samples,
                                  seed=cfgmod.derived_seed(seed, "perimeter", scale))
         lines.append(_csv_line(scale, res.value, res.error))
         rows.append({"scale": float(scale), "value": res.value, "err": res.error})

@@ -156,9 +156,10 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
                     two_leaf: bool = True) -> CurvatureResult:
     """Curvature at the boundary point above horizontal radius ``radius``.
 
-    ``two_leaf`` selects the symmetric body {|x_last| < v}; otherwise the
-    subgraph {x_last < v} is used and the mirror term is dropped.  The lower
-    leaf of a two-leaf body has the same value by symmetry.
+    ``two_leaf`` selects the symmetric body {|x_last| < max(v, 0)}, whose
+    slices are empty where v < 0; otherwise the subgraph {x_last < v} is
+    used and the mirror term is dropped.  The lower leaf of a two-leaf body
+    has the same value by symmetry.
     """
     if config is None:
         config = QuadratureConfig.for_profile(profile)
@@ -218,7 +219,7 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
     def core_mirror(rho):
         rho = max(rho, 1e-300)
         t, _ = offsets(rho)
-        heights = vs + profile_values(profile, t)
+        heights = vs + np.maximum(profile_values(profile, t), 0.0)
         if rho * 1e8 < float(np.min(heights)):
             # deep-core asymptote gap(T) = T^-(n+a)/(n+a) + O(T^-(n+a+2));
             # the direct form would underflow against rho^-(1+a)
@@ -229,9 +230,11 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
     def plain(rho):
         t, _ = offsets(rho)
         vt = profile_values(profile, t)
-        part = F.value((vs - vt) / rho) - regularizer
         if two_leaf:
-            part = part + F.gap((vs + vt) / rho)
+            vt = np.maximum(vt, 0.0)
+            part = F.value((vs - vt) / rho) - regularizer + F.gap((vs + vt) / rho)
+        else:
+            part = F.value((vs - vt) / rho) - regularizer
         return float(np.sum(wang * part))
 
     def log_band(lo, hi):

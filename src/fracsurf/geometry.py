@@ -20,7 +20,8 @@ class Body:
     """Base variant; subclasses implement the membership test.
 
     Bodies combine as point sets: ``a & b`` is the intersection, ``~a`` the
-    complement and ``a - b`` the difference ``a & ~b``.
+    complement and ``a - b`` the difference ``a & ~b``.  ``scaled(factor)``
+    gives the body factor * a as a variant of the same kind.
     """
 
     def contains(self, points: np.ndarray) -> np.ndarray:
@@ -50,6 +51,9 @@ class TwoLeaf(Body):
         rad = np.linalg.norm(p[..., :-1], axis=-1)
         return np.abs(p[..., -1]) < profile_values(self.profile, rad)
 
+    def scaled(self, factor: float) -> "TwoLeaf":
+        return TwoLeaf(self.profile.dilated(1.0 / factor))
+
 
 @dataclass(frozen=True)
 class Subgraph(Body):
@@ -61,6 +65,9 @@ class Subgraph(Body):
         p = np.asarray(points, dtype=float)
         rad = np.linalg.norm(p[..., :-1], axis=-1)
         return p[..., -1] < profile_values(self.profile, rad)
+
+    def scaled(self, factor: float) -> "Subgraph":
+        return Subgraph(self.profile.dilated(1.0 / factor))
 
 
 def Cone(epsilon: float) -> TwoLeaf:
@@ -81,6 +88,9 @@ class Ball(Body):
         p = np.asarray(points, dtype=float)
         return np.linalg.norm(p, axis=-1) < self.radius
 
+    def scaled(self, factor: float) -> "Ball":
+        return Ball(factor * self.radius)
+
 
 @dataclass(frozen=True)
 class Complement(Body):
@@ -88,6 +98,9 @@ class Complement(Body):
 
     def contains(self, points):
         return ~self.inner.contains(points)
+
+    def scaled(self, factor: float) -> "Complement":
+        return Complement(self.inner.scaled(factor))
 
 
 @dataclass(frozen=True)
@@ -98,17 +111,15 @@ class Intersection(Body):
     def contains(self, points):
         return self.first.contains(points) & self.second.contains(points)
 
+    def scaled(self, factor: float) -> "Intersection":
+        return Intersection(self.first.scaled(factor), self.second.scaled(factor))
 
-@dataclass(frozen=True)
-class Scaled(Body):
-    """x is a member iff x / factor is a member of the inner body."""
 
-    inner: Body
-    factor: float
-
-    def contains(self, points):
-        p = np.asarray(points, dtype=float)
-        return self.inner.contains(p / self.factor)
+def Scaled(body: Body, factor: float) -> Body:
+    """factor * body: x is a member iff x / factor is a member of body."""
+    if not factor > 0:
+        raise ValueError("scale factor must be positive")
+    return body.scaled(float(factor))
 
 
 @dataclass(frozen=True)
@@ -188,8 +199,8 @@ def boundary_sample(body: Body, n: int, spec: SampleSpec = SampleSpec()):
 
     Supported variants: TwoLeaf and Subgraph (upper leaf along the first
     horizontal axis, radii where the profile is not smooth excluded, such as
-    the apex of a cone) and Ball.  Combined, scaled and box bodies have no
-    canonical parametrization here.
+    the apex of a cone) and Ball.  Complements, intersections and boxes have
+    no canonical parametrization here.
     """
     d = n + 1
     out = []

@@ -24,6 +24,7 @@ under x' -> -x'); negative arguments are folded through that symmetry.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,6 +65,9 @@ class RadialProfile:
     accessors below fold negative arguments and mixed-sign steps through
     evenness and call them; ``profile_values``, ``profile_slopes`` and
     ``profile_bends`` are the array entry points.
+
+    Each family is closed under ``shifted(h)``, the graph lowered by h, and
+    ``dilated(f)``, the rescaled graph v(f r) / f.
     """
 
     kind = "abstract"
@@ -97,9 +101,6 @@ class RadialProfile:
         if r <= 0.0 and b <= 0.0:
             return float(self._bends(abs(r), -h))
         return (self.chord(r, h) - self.first_derivative(r)) / h
-
-    def smooth_at(self, r: float) -> bool:
-        return True
 
 
 class PiecewisePolyProfile(RadialProfile):
@@ -194,13 +195,25 @@ class PiecewisePolyProfile(RadialProfile):
         # the even extension has a corner at the axis unless the slope is 0
         return bool(r != 0.0 or self._slopes(0.0) == 0.0)
 
+    def shifted(self, height: float) -> "PiecewisePolyProfile":
+        return PiecewisePolyProfile(self.knots, [(a, (cs[0] - height,) + cs[1:])
+                                                 for a, cs in self.pieces])
+
+    def dilated(self, factor: float) -> "PiecewisePolyProfile":
+        # v(f r) / f: in the piece-local t = r - a / f the t^k coefficient
+        # gains f^(k - 1); a power-of-two factor rescales exactly
+        f = float(factor)
+        return PiecewisePolyProfile(
+            [k / f for k in self.knots],
+            [(a / f, tuple(c * f ** (k - 1) for k, c in enumerate(cs)))
+             for a, cs in self.pieces])
+
 
 class ConstantProfile(PiecewisePolyProfile):
     kind = "constant"
 
     def __init__(self, level: float):
         super().__init__((), ((0.0, (float(level),)),))
-        self.level = float(level)
 
 
 class LinearProfile(PiecewisePolyProfile):
@@ -210,11 +223,11 @@ class LinearProfile(PiecewisePolyProfile):
 
     def __init__(self, gradient: float):
         super().__init__((), ((0.0, (0.0, float(gradient))),))
-        self.gradient = float(gradient)
 
 
 class SqrtProfile(RadialProfile):
-    """v(r) = scale * sqrt(r); chord and bend have exact algebraic forms.
+    """v(r) = scale * sqrt(r) + offset; chord and bend have exact algebraic
+    forms, in which the offset cancels.
 
     At the cusp r = 0 the slope is inf and the curvature and bends -inf
     (for a positive scale), without a floating-point warning.
@@ -222,11 +235,12 @@ class SqrtProfile(RadialProfile):
 
     kind = "sqrt"
 
-    def __init__(self, scale: float = 1.0):
+    def __init__(self, scale: float = 1.0, offset: float = 0.0):
         self.scale = float(scale)
+        self.offset = float(offset)
 
     def _values(self, r):
-        return self.scale * np.sqrt(r)
+        return self.scale * np.sqrt(r) + self.offset
 
     def _slopes(self, r):
         with np.errstate(divide="ignore"):
@@ -249,6 +263,13 @@ class SqrtProfile(RadialProfile):
     def smooth_at(self, r):
         return r != 0.0
 
+    def shifted(self, height: float) -> "SqrtProfile":
+        return SqrtProfile(self.scale, self.offset - height)
+
+    def dilated(self, factor: float) -> "SqrtProfile":
+        f = float(factor)
+        return SqrtProfile(self.scale / math.sqrt(f), self.offset / f)
+
 
 class BumpProfile(PiecewisePolyProfile):
     """amplitude * (1 - (r/width)^2)^3 on [0, width], zero beyond.
@@ -263,8 +284,6 @@ class BumpProfile(PiecewisePolyProfile):
         w = float(width)
         coeffs = (a, 0.0, -3.0 * a / w ** 2, 0.0, 3.0 * a / w ** 4, 0.0, -a / w ** 6)
         super().__init__((w,), ((0.0, coeffs), (0.0, (0.0,))))
-        self.amplitude = a
-        self.width = w
 
 
 class RampBumpProfile(PiecewisePolyProfile):
@@ -283,9 +302,6 @@ class RampBumpProfile(PiecewisePolyProfile):
         coeffs = (0.0, 0.0, a / w ** 2, 0.0, -3.0 * a / w ** 4, 0.0,
                   3.0 * a / w ** 6, 0.0, -a / w ** 8)
         super().__init__((w,), ((0.0, coeffs), (0.0, (0.0,))))
-        self.amplitude = float(amplitude)
-        self.width = w
-        self.peak_radius = 0.5 * w
 
 
 class BarrierProfile(PiecewisePolyProfile):
@@ -332,72 +348,20 @@ class SampledProfile(PiecewisePolyProfile):
         # scipy stores piece i highest power first, in powers of x - r[i]
         cubics = list(zip(r[:-1], interp.c[::-1].T))
         super().__init__(r[1:], cubics + [(r[-1], (v[-1], interp(r[-1], 1)))])
-        self.r_max = float(r[-1])
         self.nodes = r
         self.node_values = v
 
 
-class VerticalShiftProfile(RadialProfile):
-    """inner(r) - shift; differences and derivatives pass through."""
-
-    kind = "shifted"
-
-    def __init__(self, inner: RadialProfile, shift: float):
-        self.inner = inner
-        self.shift = float(shift)
-
-    def _values(self, r):
-        return self.inner._values(r) - self.shift
-
-    def _slopes(self, r):
-        return self.inner._slopes(r)
-
-    def _curves(self, r):
-        return self.inner._curves(r)
-
-    def _chords(self, r, h):
-        return self.inner._chords(r, h)
-
-    def _bends(self, r, h):
-        return self.inner._bends(r, h)
-
-    def smooth_at(self, r):
-        return self.inner.smooth_at(r)
+def VerticalShiftProfile(profile: RadialProfile, shift: float) -> RadialProfile:
+    """profile(r) - shift, a profile of the same family."""
+    return profile.shifted(float(shift))
 
 
-class DilatedGraphProfile(RadialProfile):
-    """Graph rescaling u_R(r) = u(R r) / R.
-
-    Chords transport exactly: the divided difference of u_R over step h
-    equals the divided difference of u over step R h, so no accuracy is
-    lost in the rescaled evaluations.
-    """
-
-    kind = "dilated"
-
-    def __init__(self, inner: RadialProfile, factor: float):
-        if not factor > 0:
-            raise ValueError("dilation factor must be positive")
-        self.inner = inner
-        self.factor = float(factor)
-
-    def _values(self, r):
-        return self.inner._values(self.factor * r) / self.factor
-
-    def _slopes(self, r):
-        return self.inner._slopes(self.factor * r)
-
-    def _curves(self, r):
-        return self.factor * self.inner._curves(self.factor * r)
-
-    def _chords(self, r, h):
-        return self.inner._chords(self.factor * r, self.factor * h)
-
-    def _bends(self, r, h):
-        return self.factor * self.inner._bends(self.factor * r, self.factor * h)
-
-    def smooth_at(self, r):
-        return self.inner.smooth_at(self.factor * r)
+def DilatedGraphProfile(profile: RadialProfile, factor: float) -> RadialProfile:
+    """The graph rescaling u_R(r) = u(R r) / R, a profile of the same family."""
+    if not factor > 0:
+        raise ValueError("dilation factor must be positive")
+    return profile.dilated(float(factor))
 
 
 def profile_values(profile: RadialProfile, radii) -> np.ndarray:

@@ -78,7 +78,7 @@ class SlideOutcome:
 
 def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: float,
           config: QuadratureConfig | None = None, r_max: float = 100.0,
-          iterations: int = SLIDE_ITERATIONS, floor: float = SLIDE_FLOOR) -> SlideOutcome:
+          floor: float = SLIDE_FLOOR) -> SlideOutcome:
     """Bisect the barrier height down onto the rescaled candidate.
 
     The candidate profile is evaluated through the shrink factor
@@ -115,7 +115,7 @@ def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: floa
 
     lo, hi = floor, start
     escape_streak = 0
-    for _ in range(iterations):
+    for _ in range(SLIDE_ITERATIONS):
         mid = 0.5 * (lo + hi)
         if contained(mid):
             # no failure radius at an accepted level; the escape count only

@@ -6,7 +6,8 @@ from scipy import special
 
 from fracsurf import (BarrierProfile, ConstantProfile, DilatedGraphProfile,
                       LinearProfile, NonSmoothPointError, QuadratureConfig,
-                      RampBumpProfile, SampledProfile, SqrtProfile, angular_rule,
+                      RampBumpProfile, SampledProfile, SqrtProfile, TwoLeaf,
+                      VerticalShiftProfile, angular_rule, direct_curvature,
                       graph_curvature, subgraph_curvature, two_leaf_curvature)
 
 
@@ -219,3 +220,20 @@ def test_bump_peak_sign_matches_the_ball_convention():
     assert peak.value > 0.0
     far = subgraph_curvature(RampBumpProfile(0.4, 2.0), 50.0, 1, 0.5)
     assert abs(far.value) < abs(peak.value) / 10.0
+
+
+def test_two_leaf_neck_reads_negative_heights_as_empty_slices():
+    """The barrier lowered by 0.6 is negative on [0, ~1.19], where the
+    two-leaf body {|x_last| < max(v, 0)} has empty slices.  Reading those
+    heights as reversed intervals gave 4.65409 +- 6.5e-4 at n = 1; the
+    Monte Carlo oracle, which classifies points by membership, disagrees
+    with that beyond both error bars."""
+    prof = VerticalShiftProfile(BarrierProfile(0.5), 0.6)
+    assert prof.value(0.0) < 0.0 < prof.value(3.0)
+    flat = two_leaf_curvature(prof, 3.0, 1, 0.5)
+    assert abs(flat.value - 4.572957444124378) <= flat.total_error
+    spatial = two_leaf_curvature(prof, 3.0, 2, 0.5)
+    assert abs(spatial.value - 2.065469406540798) <= spatial.total_error
+    mc = direct_curvature(TwoLeaf(prof), np.array([3.0, prof.value(3.0)]), 1, 0.5,
+                          QuadratureConfig(oracle_samples=4_000_000), seed=11)
+    assert abs(mc.value - flat.value) <= mc.total_error + flat.total_error

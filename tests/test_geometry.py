@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ BODIES = {
     "Cone": Cone(0.3),
     "Ball": Ball(2.0),
     "HalfSpace": HalfSpace(0.5),
+    "ScaledTwoLeaf": Scaled(TwoLeaf(BarrierProfile(0.1)), 3.0),
 }
 
 
@@ -140,13 +143,40 @@ def test_graph_cusp_excluded_from_samples():
     assert all(np.all(np.isfinite(s.normal)) for s in samples)
 
 
+SCALABLE = {
+    **BODIES,
+    "Barrier": TwoLeaf(BarrierProfile(0.2)),
+    "SqrtSubgraph": Subgraph(SqrtProfile(1.0, 0.5)),
+    "Complement": ~TwoLeaf(BarrierProfile(0.1)),
+    "Intersection": Ball(2.0) & HalfSpace(0.5),
+    "Box": Box((-1.0, -0.5), (2.0, 0.5)),
+}
+
+
 def test_scaled_membership_is_exact():
+    """lam * body, built by the variant itself: x is a member iff x / lam
+    is a member of the body, on seeded points off every boundary."""
+    pts = np.concatenate([[[0.5, 0.15], [3.0, 0.55], [3.0, 0.65], [0.5, 0.25]],
+                          np.random.default_rng(33).uniform(-4.0, 4.0, (4000, 2))])
+    for (name, body), lam in itertools.product(SCALABLE.items(), (0.5, 1.0, 2.0, 3.0)):
+        scaled = Scaled(body, lam)
+        assert type(scaled) is type(body), name
+        np.testing.assert_array_equal(scaled.contains(lam * pts), body.contains(pts),
+                                      err_msg=f"{name} x{lam}")
+
+
+def test_scaled_graph_body_is_a_graph_body():
+    assert Scaled(Ball(1.0), 2.0) == Ball(2.0)
     base = TwoLeaf(BarrierProfile(0.2))
-    pts = np.array([[0.5, 0.15], [3.0, 0.55], [3.0, 0.65], [0.5, 0.25]])
-    for lam in (0.5, 1.0, 2.0):
-        scaled = Scaled(base, lam)
-        np.testing.assert_array_equal(scaled.contains(lam * pts),
-                                      base.contains(pts))
+    got = boundary_sample(Scaled(base, 2.0), 2, SampleSpec(count=9, r_max=8.0))
+    want = boundary_sample(base, 2, SampleSpec(count=9, r_max=4.0))
+    assert [s.radius for s in got] == [2.0 * s.radius for s in want]
+    for s, w in zip(got, want):
+        np.testing.assert_allclose(s.point, 2.0 * w.point, rtol=1e-15)
+        np.testing.assert_allclose(s.normal, w.normal, rtol=1e-15)
+    for bad in (0.0, -2.0, float("nan")):
+        with pytest.raises(ValueError):
+            Scaled(base, bad)
 
 
 def test_complement_negates():
@@ -160,7 +190,7 @@ def test_wrapper_bodies_refuse_boundary_sampling():
     with pytest.raises(UnsupportedGeometryError):
         boundary_sample(Complement(Ball(1.0)), 1)
     with pytest.raises(UnsupportedGeometryError):
-        boundary_sample(Scaled(Ball(1.0), 2.0), 1)
+        boundary_sample(Scaled(~Ball(1.0), 2.0), 1)
     with pytest.raises(UnsupportedGeometryError):
         boundary_sample(Ball(1.0) & HalfSpace(0.0), 1)
     with pytest.raises(UnsupportedGeometryError):

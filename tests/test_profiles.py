@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 from fractions import Fraction
 
@@ -152,21 +153,40 @@ def test_piecewise_poly_c2_smoothness_query():
                                                  rel=1e-9, abs=1e-12)
 
 
+STEPS = [(0.5, 0.3), (1.3, -0.2), (4.0, 1e-3), (0.9, 1.6)]
+
+
 def test_dilated_profile_is_scaling():
-    base = BarrierProfile(0.2)
-    lam = 2.0
-    prof = DilatedGraphProfile(base, 1.0 / lam)
-    for r in (0.5, 1.3, 4.0):
-        assert prof.value(r) == pytest.approx(lam * base.value(r / lam), rel=1e-14)
-        assert prof.first_derivative(r) == pytest.approx(
-            base.first_derivative(r / lam), rel=1e-14)
+    """u(f r) / f, of the input's own family: values, slopes, chords and
+    bends transported through the dilation."""
+    for base, f in itertools.product(ARRAY_FAMILIES.values(), (0.5, 3.0)):
+        prof = DilatedGraphProfile(base, f)
+        assert type(prof) in (PiecewisePolyProfile, SqrtProfile)
+        assert isinstance(base, type(prof))
+        for r, h in STEPS:
+            assert prof.value(r) == pytest.approx(base.value(f * r) / f, rel=1e-13, abs=1e-15)
+            assert prof.first_derivative(r) == pytest.approx(
+                base.first_derivative(f * r), rel=1e-13, abs=1e-15)
+            assert prof.chord(r, h) == pytest.approx(base.chord(f * r, f * h),
+                                                     rel=1e-12, abs=1e-14)
+            assert prof.bend(r, h) == pytest.approx(f * base.bend(f * r, f * h),
+                                                    rel=1e-9, abs=1e-9)
+    with pytest.raises(ValueError):
+        DilatedGraphProfile(BarrierProfile(0.2), 0.0)
 
 
 def test_vertical_shift_passthrough():
-    prof = VerticalShiftProfile(SqrtProfile(1.0), 0.4)
-    assert prof.value(4.0) == pytest.approx(2.0 - 0.4)
-    assert prof.first_derivative(4.0) == pytest.approx(0.25)
-    assert prof.bend(4.0, 0.1) == pytest.approx(SqrtProfile(1.0).bend(4.0, 0.1))
+    """v - 0.4, of the input's own family: values drop by the shift, and
+    slopes, chords and bends stay bit for bit."""
+    for base in ARRAY_FAMILIES.values():
+        prof = VerticalShiftProfile(base, 0.4)
+        assert isinstance(base, type(prof))
+        for r, h in STEPS:
+            assert prof.value(r) == pytest.approx(base.value(r) - 0.4, rel=1e-15, abs=1e-15)
+            assert prof.first_derivative(r) == base.first_derivative(r)
+            assert prof.chord(r, h) == base.chord(r, h)
+            assert prof.bend(r, h) == base.bend(r, h)
+    assert VerticalShiftProfile(SqrtProfile(1.0), 0.4).value(4.0) == 2.0 - 0.4
 
 
 def test_sampled_profile_interpolates_and_extrapolates():
@@ -226,12 +246,15 @@ def test_sampled_profile_reproduces_lines_exactly():
         assert prof.first_derivative(x) == pytest.approx(0.25, abs=1e-10)
 
 
-ARRAY_FAMILIES = ALL_SMOOTH + [
-    SampledProfile(np.linspace(0.0, 4.0, 17), 1.0 + np.linspace(0.0, 4.0, 17) ** 2 / 8.0),
-    VerticalShiftProfile(BarrierProfile(0.3), 0.1),
-    DilatedGraphProfile(BarrierProfile(0.2), 0.5),
-    DilatedGraphProfile(RampBumpProfile(0.4, 2.0), 3.0),
-]
+ARRAY_FAMILIES = {p.kind: p for p in ALL_SMOOTH} | {
+    "sampled": SampledProfile(np.linspace(0.0, 4.0, 17),
+                              1.0 + np.linspace(0.0, 4.0, 17) ** 2 / 8.0),
+    "shifted": BarrierProfile(0.3).shifted(0.1),
+    "dilated0": BarrierProfile(0.2).dilated(0.5),
+    "dilated1": RampBumpProfile(0.4, 2.0).dilated(3.0),
+    "shifted-sqrt": SqrtProfile(1.0).shifted(0.4),
+    "dilated-sqrt": SqrtProfile(2.0).dilated(3.0),
+}
 
 
 def assert_within_ulps(got, ref, ulps=4, size=None):
@@ -350,10 +373,12 @@ class SqrtReference:
 
     def __init__(self, profile):
         self.scale = profile.scale
+        self.offset = profile.offset
 
     def point(self, r):
         s = self.scale
-        return (s * math.sqrt(r), 0), (0.5 * s / math.sqrt(r) if r else math.inf, 0)
+        return ((s * math.sqrt(r) + self.offset, 0),
+                (0.5 * s / math.sqrt(r) if r else math.inf, 0))
 
     def curve(self, r):
         return (-0.25 * self.scale * r ** -1.5 if r else -math.inf), 0
@@ -365,11 +390,9 @@ class SqrtReference:
 
 
 def reference_for(profile):
-    for family, reference in ((PiecewisePolyProfile, PiecewiseReference),
-                              (SqrtProfile, SqrtReference)):
-        if isinstance(profile, family):
-            return reference(profile)
-    return None
+    if isinstance(profile, SqrtProfile):
+        return SqrtReference(profile)
+    return PiecewiseReference(profile)
 
 
 def as_floats(pairs):
@@ -413,48 +436,33 @@ def reference_bends(profile, radii, steps):
     return as_floats(out)
 
 
-@pytest.mark.parametrize("profile", ARRAY_FAMILIES, ids=lambda p: p.kind)
+@pytest.mark.parametrize("profile", ARRAY_FAMILIES.values(), ids=list(ARRAY_FAMILIES))
 def test_array_values_match_scalar_reference(profile):
     """Array values and slopes against references formed one radius at a
-    time; the wrappers against their scaling identities."""
+    time."""
     rng = np.random.default_rng(21)
     rs = np.concatenate([rng.uniform(-8.0, 8.0, 500), [0.0, 1.0, 2.0, 3.0, 4.0, 1e6]])
     if isinstance(profile, PiecewisePolyProfile):
         rs = np.concatenate([rs, np.nextafter(profile.knots, 0.0), profile.knots])
     values, slopes = profile_values(profile, rs), profile_slopes(profile, rs)
-    if reference_for(profile) is None:
-        f = getattr(profile, "factor", 1.0)
-        shift = getattr(profile, "shift", 0.0)
-        assert_within_ulps(values, profile_values(profile.inner, f * rs) / f - shift)
-        assert_within_ulps(slopes, profile_slopes(profile.inner, f * rs))
-    else:
-        (v, v_size), (g, g_size) = reference_points(profile, rs)
-        assert_within_ulps(values, v, size=v_size)
-        assert_within_ulps(slopes, g, size=g_size)
+    (v, v_size), (g, g_size) = reference_points(profile, rs)
+    assert_within_ulps(values, v, size=v_size)
+    assert_within_ulps(slopes, g, size=g_size)
     grid = rs[:100].reshape(10, 10)
     assert profile_values(profile, grid).shape == (10, 10)
     assert profile_slopes(profile, grid).shape == (10, 10)
 
 
-@pytest.mark.parametrize("profile", ARRAY_FAMILIES, ids=lambda p: p.kind)
+@pytest.mark.parametrize("profile", ARRAY_FAMILIES.values(), ids=list(ARRAY_FAMILIES))
 def test_array_bends_match_scalar_reference(profile):
     """Array chords and bends against references formed one step at a time
     (within-piece steps to a few ulps; steps across a knot to their error
-    bound, which the cancellation of a bend there makes loose); the
-    wrappers against their scaling identities."""
+    bound, which the cancellation of a bend there makes loose)."""
     rng = np.random.default_rng(22)
     r, h = seeded_steps(profile, rng)
     right = (r >= 0.0) & (r + h >= 0.0) & (h != 0.0)
     ra, ha = r[right], h[right]
     chords = profile._chords(ra, ha)
-    if reference_for(profile) is None:
-        f = getattr(profile, "factor", 1.0)
-        inner = profile.inner
-        assert_within_ulps(chords, inner._chords(f * ra, f * ha))
-        assert_within_ulps(profile_bends(profile, r, h), f * profile_bends(inner, f * r, f * h))
-        assert_within_ulps(profile_bends(profile, 2.5, h[:48]),
-                           f * profile_bends(inner, 2.5 * f, f * h[:48]))
-        return
     reference = reference_for(profile)
     ref, size = as_floats(reference.step(float(a), float(b))[0] for a, b in zip(ra, ha))
     assert_within_ulps(chords, ref, size=size)
