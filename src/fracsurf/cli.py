@@ -24,7 +24,7 @@ from .barrier import sweep_cone_constant, verify_barrier
 from .blowdown import flatness_certificate, holder_rescaling_check
 from .curvature import QuadratureConfig, graph_curvature
 from .errors import FracsurfError
-from .geometry import Ball, Box, Cone, HalfSpace, Subgraph, TwoLeaf
+from .geometry import Ball, Box, Cone, HalfSpace, Scaled, Subgraph, TwoLeaf
 from .oracle import direct_curvature, relative_perimeter
 from .profiles import BarrierProfile, profile_from_config
 from .sliding import (VERDICT_UNBOUNDED, rescale_for_slide, slide)
@@ -246,8 +246,9 @@ def cmd_perimeter(sections, out_dir, n, alpha, seed) -> int:
     lines = ["scale,value,err"]
     rows = []
     for scale in cfgmod.parse_floats(sec["scales"]):
+        scaled = Scaled(body, scale)
         window = Box((-w * scale,) * (n + 1), (w * scale,) * (n + 1))
-        res = relative_perimeter(body.scaled(scale), window, n, alpha, samples=samples,
+        res = relative_perimeter(scaled, window, n, alpha, samples=samples,
                                  seed=cfgmod.derived_seed(seed, "perimeter", scale))
         lines.append(_csv_line(scale, res.value, res.error))
         rows.append({"scale": float(scale), "value": res.value, "err": res.error})

@@ -214,6 +214,11 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
             part = (F.value(wl + dd) - regularizer) / rho
             if small.any():
                 part = np.where(small, ddr * F.deriv(wl + 0.5 * dd), part)
+        if two_leaf:
+            # wl + dd is (v(s) - v(t)) / rho; an empty slice reads as height 0
+            empty = vs - rho * (wl + dd) < 0.0
+            if empty.any():
+                part = np.where(empty, (F.value(vs / rho) - regularizer) / rho, part)
         return float(np.sum(wang * part))
 
     def core_mirror(rho):

@@ -342,6 +342,13 @@ def test_perimeter_outputs(small_config, tmp_path):
         assert row["err"] > 0.0
 
 
+def test_perimeter_names_a_nonpositive_scale(tmp_path, capsys):
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text(SMALL_INI.replace("scales = 1.0,2.0", "scales = 0.0,1.0"))
+    assert run_cli("perimeter", cfg, tmp_path / "peri") == 1
+    assert "scale factor must be positive" in capsys.readouterr().err
+
+
 def test_missing_config_exits_1(tmp_path, capsys):
     assert main(["curvature", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "x")]) == 1

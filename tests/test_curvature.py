@@ -223,11 +223,12 @@ def test_bump_peak_sign_matches_the_ball_convention():
 
 
 def test_two_leaf_neck_reads_negative_heights_as_empty_slices():
-    """The barrier lowered by 0.6 is negative on [0, ~1.19], where the
+    """The barrier lowered by 0.6 is negative on [0, ~1.463], where the
     two-leaf body {|x_last| < max(v, 0)} has empty slices.  Reading those
-    heights as reversed intervals gave 4.65409 +- 6.5e-4 at n = 1; the
-    Monte Carlo oracle, which classifies points by membership, disagrees
-    with that beyond both error bars."""
+    heights as reversed intervals gave 4.65409 +- 6.5e-4 at n = 1 and r = 3;
+    the Monte Carlo oracle, which classifies points by membership, disagrees
+    with that beyond both error bars.  At r = 1.5 the crossing lies inside
+    the stabilized core, which read 28.9708 there."""
     prof = VerticalShiftProfile(BarrierProfile(0.5), 0.6)
     assert prof.value(0.0) < 0.0 < prof.value(3.0)
     flat = two_leaf_curvature(prof, 3.0, 1, 0.5)
@@ -237,3 +238,9 @@ def test_two_leaf_neck_reads_negative_heights_as_empty_slices():
     mc = direct_curvature(TwoLeaf(prof), np.array([3.0, prof.value(3.0)]), 1, 0.5,
                           QuadratureConfig(oracle_samples=4_000_000), seed=11)
     assert abs(mc.value - flat.value) <= mc.total_error + flat.total_error
+    assert 1.5 - 1.463 < QuadratureConfig.for_profile(prof).pv_inner_radius
+    near = two_leaf_curvature(prof, 1.5, 1, 0.5)
+    assert abs(near.value - 27.68773523644817) <= near.total_error
+    mc = direct_curvature(TwoLeaf(prof), np.array([1.5, prof.value(1.5)]), 1, 0.5,
+                          QuadratureConfig(oracle_samples=4_000_000), seed=11)
+    assert abs(mc.value - near.value) <= mc.total_error + near.total_error

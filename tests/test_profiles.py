@@ -158,19 +158,21 @@ STEPS = [(0.5, 0.3), (1.3, -0.2), (4.0, 1e-3), (0.9, 1.6)]
 
 def test_dilated_profile_is_scaling():
     """u(f r) / f, of the input's own family: values, slopes, chords and
-    bends transported through the dilation."""
+    bends transported through the dilation.  Dilating by a power of two
+    rescales every coefficient exactly; f = 3 rounds them."""
     for base, f in itertools.product(ARRAY_FAMILIES.values(), (0.5, 3.0)):
         prof = DilatedGraphProfile(base, f)
         assert type(prof) in (PiecewisePolyProfile, SqrtProfile)
         assert isinstance(base, type(prof))
+        rel = 1e-14 if f == 0.5 else 1e-13
         for r, h in STEPS:
-            assert prof.value(r) == pytest.approx(base.value(f * r) / f, rel=1e-13, abs=1e-15)
+            assert prof.value(r) == pytest.approx(base.value(f * r) / f, rel=rel, abs=0.0)
             assert prof.first_derivative(r) == pytest.approx(
-                base.first_derivative(f * r), rel=1e-13, abs=1e-15)
+                base.first_derivative(f * r), rel=rel, abs=0.0)
             assert prof.chord(r, h) == pytest.approx(base.chord(f * r, f * h),
-                                                     rel=1e-12, abs=1e-14)
+                                                     rel=rel, abs=0.0)
             assert prof.bend(r, h) == pytest.approx(f * base.bend(f * r, f * h),
-                                                    rel=1e-9, abs=1e-9)
+                                                    rel=rel, abs=0.0)
     with pytest.raises(ValueError):
         DilatedGraphProfile(BarrierProfile(0.2), 0.0)
 
