@@ -178,12 +178,13 @@ def _evaluate_boundary(epsilon, n, alpha, config, count):
     return pts, failed
 
 
-def _positivity_probe(epsilon, n, alpha, config, count):
+def _positivity_probe(epsilon, n, alpha, config, count, notes):
     try:
         pts, failed = _evaluate_boundary(epsilon, n, alpha, config, count)
-    except FracsurfError:
-        # an invalid barrier at this height reads as "not positive"; any
-        # other exception is a fault and propagates
+    except FracsurfError as exc:
+        # an invalid barrier at this height reads as "not positive", with its
+        # reason in the notes; any other exception is a fault and propagates
+        notes.append(f"positivity probe at epsilon = {epsilon!r} failed: {exc}")
         return None, True
     margin = min(p.value - p.error for p in pts)
     return margin, failed
@@ -231,7 +232,7 @@ def verify_barrier(epsilon: float, n: int, alpha: float,
         probe_count = max(64, min_samples // 2)
         for _ in range(EPS0_STEPS):
             mid = 0.5 * (lo + hi)
-            margin, bad = _positivity_probe(mid, n, alpha, config, probe_count)
+            margin, bad = _positivity_probe(mid, n, alpha, config, probe_count, notes)
             if margin is not None and not bad and margin > 0.0:
                 lo = mid
             else:
@@ -241,7 +242,7 @@ def verify_barrier(epsilon: float, n: int, alpha: float,
     shrink_ok = None
     if check_shrink:
         margin, bad = _positivity_probe(0.5 * epsilon, n, alpha, config,
-                                        max(64, min_samples // 2))
+                                        max(64, min_samples // 2), notes)
         shrink_ok = bool(margin is not None and not bad and margin > 0.0)
         if verdict == VERDICT_POSITIVE and not shrink_ok:
             notes.append("positivity did not persist at half the height scale")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidEpsilonError, InvalidExponentError
 from .geometry import Subgraph
-from .profiles import (DilatedGraphProfile, RadialProfile, SampledProfile,
+from .profiles import (DilatedGraphProfile, RadialProfile, SampledProfile, profile_extremes,
                        profile_slopes, profile_values, sublinearity_modulus)
 
 
@@ -50,7 +50,8 @@ def flatness_certificate(profile: RadialProfile, envelope: RadialProfile,
 
     The predicted first passing radius comes from the envelope modulus at
     slack epsilon/2: R_pred = 2 C_(eps/2) / eps, the radius at which the
-    envelope bound C + (eps/2) r divided by R dips under eps on [0, 1].
+    envelope bound C + (eps/2) r divided by R dips under eps on [0, 1].  An
+    envelope that is not sublinear has no such radius and is rejected.
     """
     eps = float(epsilon)
     if not 0.0 < eps < 0.25:
@@ -59,18 +60,18 @@ def flatness_certificate(profile: RadialProfile, envelope: RadialProfile,
     R = float(R)
     if not R > 0:
         raise ValueError("rescaling radius must be positive")
-    grid = np.linspace(0.0, 1.0, 2001)
     # raw u(R r)/R, no vertical translation: a nonzero apex height must
-    # count against flatness (it decays like u(0)/R under the rescaling)
-    w = profile_values(profile, R * grid) / R
+    # count against flatness (it decays like u(0)/R under the rescaling);
+    # its extremes on [0, 1] sit at the profile's extremes on [0, R]
+    radii, _ = profile_extremes(profile, R)
+    w = profile_values(profile, radii) / R
     sup = float(np.max(w))
     inf = float(np.min(w))
     passed = sup <= eps and inf >= -eps
     violator = None
     if not passed:
-        violator = float(grid[int(np.argmax(np.abs(w)))])
-    modulus = sublinearity_modulus(envelope, 0.5 * eps,
-                                   r_max=max(400.0, 4.0 * R))
+        violator = float(radii[int(np.argmax(np.abs(w)))] / R)
+    modulus = sublinearity_modulus(envelope, 0.5 * eps)
     r_pred = 2.0 * modulus.constant / eps
     return FlatnessReport(R=R, epsilon=eps, R_eps_predicted=float(r_pred),
                           passed=passed, violator=violator, sup=sup, inf=inf)

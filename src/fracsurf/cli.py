@@ -102,6 +102,8 @@ def cmd_curvature(sections, out_dir, n, alpha, seed) -> int:
             "error_core": float(res.error_core),
             "error_midfield": float(res.error_midfield),
             "error_tail": float(res.error_tail),
+            "outer_radius": float(res.outer_radius),
+            "warnings": list(res.warnings),
             "config_hash": digest,
         })
         csv_lines.append(_csv_line(float(r), float(height), float(res.value),
@@ -192,11 +194,10 @@ def cmd_cone_sweep(sections, out_dir, n, alpha, seed) -> int:
 def cmd_slide(sections, out_dir, n, alpha, seed) -> int:
     sec = sections["slide"]
     eps0 = float(sec["eps0"])
-    r_max = float(sec["r_max"])
     envelope = _prefixed_profile(sec, "envelope")
     candidate = _prefixed_profile(sec, "candidate")
-    plan = rescale_for_slide(envelope, eps0, r_max=r_max)
-    outcome = slide(candidate, plan.lam, eps0, n, alpha, r_max=r_max)
+    plan = rescale_for_slide(envelope, eps0)
+    outcome = slide(candidate, plan.lam, eps0, n, alpha)
     payload = {
         "lambda": outcome.lam,
         "eps_star": outcome.eps_star,
@@ -267,9 +268,12 @@ _HANDLERS = {
     "perimeter": cmd_perimeter,
 }
 
-# the other commands build their own quadrature settings, so a quadrature key
-# in their section would reach resolved.ini and config_hash without effect
-_READS_QUADRATURE = ("curvature", "barrier-verify")
+# a key its command does not read would reach resolved.ini and config_hash
+# without effect: the quadrature keys where a command builds its own
+# settings, and the retired grid window of slide
+_QUADRATURE_KEYS = tuple(f.name for f in fields(QuadratureConfig))
+_UNREAD_KEYS = {"cone-sweep": _QUADRATURE_KEYS, "slide": _QUADRATURE_KEYS + ("r_max",),
+                "blowdown": _QUADRATURE_KEYS, "perimeter": _QUADRATURE_KEYS}
 
 
 def main(argv=None) -> int:
@@ -292,10 +296,9 @@ def main(argv=None) -> int:
     overrides = {"seed": args.seed, "threads": args.threads}
     try:
         sections = cfgmod.resolve(args.command, args.config, overrides)
-        if args.command not in _READS_QUADRATURE:
-            for f in fields(QuadratureConfig):
-                if f.name in sections[args.command]:
-                    raise ValueError(f"{args.command} does not read the quadrature key {f.name!r}")
+        for key in _UNREAD_KEYS.get(args.command, ()):
+            if key in sections[args.command]:
+                raise ValueError(f"{args.command} does not read the key {key!r}")
         run = sections["run"]
         n = int(run["n"])
         alpha = float(run["alpha"])

@@ -44,7 +44,6 @@ COMMAND_DEFAULTS = {
         "envelope_level": "1.0",
         "candidate_kind": "constant",
         "candidate_level": "0.01",
-        "r_max": "100.0",
     },
     "blowdown": {
         "kind": "sqrt",

@@ -15,11 +15,11 @@ class UnsupportedGeometryError(FracsurfError):
 
 
 class InvalidEnvelopeError(FracsurfError):
-    """Growth envelope is non-positive somewhere on the sample grid."""
+    """Growth envelope is non-positive somewhere on r > 0."""
 
 
 class NotSublinearError(FracsurfError):
-    """Growth envelope fails the sublinearity test on the sample grid."""
+    """Growth envelope outgrows every line C + delta*r: not sublinear."""
 
 
 class InitialInclusionError(FracsurfError):

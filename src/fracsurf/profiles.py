@@ -23,6 +23,7 @@ under x' -> -x'); negative arguments are folded through that symmetry.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -30,9 +31,8 @@ from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize_scalar
 
-from .errors import InvalidEnvelopeError
+from .errors import InvalidEnvelopeError, NotSublinearError
 
 
 def _poly_divided(coeffs, a, b):
@@ -67,7 +67,10 @@ class RadialProfile:
     ``profile_bends`` are the array entry points.
 
     Each family is closed under ``shifted(h)``, the graph lowered by h, and
-    ``dilated(f)``, the rescaled graph v(f r) / f.
+    ``dilated(f)``, the rescaled graph v(f r) / f.  Each is also, piece by
+    piece, a polynomial in x = r ** (1 / root): ``pieces`` lists (anchor,
+    coeffs), the coefficients of t^0, t^1, ... in t = x - anchor, and piece
+    i covers [knots[i-1], knots[i]).
     """
 
     kind = "abstract"
@@ -114,6 +117,7 @@ class PiecewisePolyProfile(RadialProfile):
     """
 
     kind = "piecewise"
+    root = 1
 
     def __init__(self, knots: Sequence[float], pieces: Sequence[tuple]):
         assert len(pieces) == len(knots) + 1
@@ -234,10 +238,13 @@ class SqrtProfile(RadialProfile):
     """
 
     kind = "sqrt"
+    root = 2
+    knots = ()
 
     def __init__(self, scale: float = 1.0, offset: float = 0.0):
         self.scale = float(scale)
         self.offset = float(offset)
+        self.pieces = [(0.0, (self.offset, self.scale))]
 
     def _values(self, r):
         return self.scale * np.sqrt(r) + self.offset
@@ -412,6 +419,53 @@ def profile_bends(profile: RadialProfile, radius, steps) -> np.ndarray:
     return out
 
 
+def _piece_poly(profile: RadialProfile, lo: float, root: int) -> np.ndarray:
+    # the piece covering [lo, next knot) as coefficients, highest power first,
+    # in s = x - x(lo), x = r ** (1 / root): expanded at the interval's left end;
+    # a leading zero keeps its derivative a nonempty array
+    anchor, coeffs = profile.pieces[bisect.bisect_right(profile.knots, lo)]
+    b = lo ** (1.0 / root)
+    inner = [1.0, b - anchor] if root == profile.root else [1.0, 2.0 * b, b * b - anchor]
+    out = np.array([0.0, coeffs[-1]])
+    for c in coeffs[-2::-1]:
+        out = np.convolve(out, inner)
+        out[-1] += c
+    return out
+
+
+def profile_extremes(profile: RadialProfile, hi: float = math.inf, tilt: float = 0.0,
+                     over: RadialProfile | None = None):
+    """Radii in [0, hi] holding the max and min of (v(r) - tilt r) / over(r),
+    and its limit as r -> inf (+-inf, a ratio of leading coefficients, or 0).
+
+    The radii are 0, a finite hi, the knots, and the real parts of the roots
+    of G'U - GU' between knots (G the piece of v - tilt r, U that of
+    ``over``, default 1, positive).  Complex roots count too, so a double
+    root that rounding splits into a complex pair keeps its radius.  Read
+    heights with ``profile_values``.
+    """
+    over = ConstantProfile(1.0) if over is None else over
+    root = max(profile.root, over.root)
+    line = LinearProfile(tilt)
+
+    def pair(lo):
+        g = np.polysub(_piece_poly(profile, lo, root), _piece_poly(line, lo, root))
+        return g, _piece_poly(over, lo, root)
+
+    knots = sorted(set(profile.knots) | set(over.knots))
+    edges = [0.0] + [k for k in knots if 0.0 < k < hi] + [hi]
+    radii = edges[:] if math.isfinite(hi) else edges[:-1]
+    for lo, up in zip(edges, edges[1:]):
+        g, u = pair(lo)
+        s = np.roots(np.polysub(np.convolve(np.polyder(g), u), np.convolve(g, np.polyder(u)))).real
+        r = (lo ** (1.0 / root) + s[s > 0.0]) ** root
+        radii.extend(r[r < up])
+    g, u = (np.trim_zeros(p, "f") for p in pair(max([0.0] + knots)))
+    growth = len(g) - len(u)
+    limit = 0.0 if growth < 0 or not len(g) else g[0] / u[0] * (math.inf if growth else 1.0)
+    return np.unique(radii), float(limit)
+
+
 PROFILE_CSV_HEADER = "r,value"
 
 
@@ -461,53 +515,33 @@ class ModulusReport:
     constant: float
     location: float
     delta: float
-    r_max: float
-    sublinear: bool
 
 
 MODULUS_FLOOR = 1e-9
 
 
-def sublinearity_modulus(envelope: RadialProfile, delta: float,
-                         r_max: float = 100.0) -> ModulusReport:
-    """Smallest grid-verified C with phi(r) <= C + delta*r on [0, r_max].
+def sublinearity_modulus(envelope: RadialProfile, delta: float) -> ModulusReport:
+    """Smallest C with phi(r) <= C + delta*r for every r >= 0.
 
     ``envelope`` is the profile phi claimed to bound candidate set heights;
-    whether it actually grows sublinearly is *tested*, not trusted.
-    Evaluates max(phi(r) - delta*r) on a 0.25-spaced grid, clamped below at
-    a positive floor.  If the maximum sits at the grid edge and the
-    difference is still strictly climbing there, the envelope fails the
-    sublinearity test and the report says so (the constant is still the
-    honest grid value).  phi must be positive at every positive grid radius.
+    whether it actually grows sublinearly is *tested*, not trusted.  C is
+    the exact maximum of phi(r) - delta*r, clamped below at a positive
+    floor; phi must be positive for r > 0.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    grid = np.arange(0.0, r_max + 1e-9, 0.25)
-    vals = profile_values(envelope, grid)
-    if np.any(vals[1:] <= 0.0):
-        bad = grid[1:][vals[1:] <= 0.0][0]
-        raise InvalidEnvelopeError(
-            f"envelope {envelope.kind!r} is non-positive at r = {bad}")
-    diff = vals - delta * grid
+    radii, limit = profile_extremes(envelope)
+    vals = profile_values(envelope, radii)
+    bad = radii[np.where(radii > 0.0, vals <= 0.0, vals < 0.0)]
+    if len(bad) or limit < 0.0:
+        raise InvalidEnvelopeError(f"envelope {envelope.kind!r} is non-positive at "
+                                   f"r = {bad[0] if len(bad) else np.inf}")
+    radii, limit = profile_extremes(envelope, tilt=delta)
+    diff = profile_values(envelope, radii) - delta * radii
     i = int(np.argmax(diff))
-    constant = float(diff[i])
-    location = float(grid[i])
-    if 0 < i < len(grid) - 1:
-        # the grid undershoots an interior peak; polish it against the
-        # profile so downstream rescalings built on C stay containing
-        opt = minimize_scalar(
-            lambda r: delta * r - envelope.value(r),
-            bounds=(float(grid[i - 1]), float(grid[i + 1])), method="bounded",
-            options={"xatol": 1e-10})
-        if -float(opt.fun) > constant:
-            constant = -float(opt.fun)
-            location = float(opt.x)
-    constant = max(constant, MODULUS_FLOOR)
-    sublinear = True
-    if i == len(grid) - 1 and len(grid) >= 2:
-        climb = diff[-1] - diff[-2]
-        if climb > 0.0:
-            sublinear = False
-    return ModulusReport(constant=constant, location=location,
-                         delta=float(delta), r_max=float(r_max),
-                         sublinear=sublinear)
+    if limit > diff[i]:
+        raise NotSublinearError(
+            f"envelope {envelope.kind!r} minus {delta!r} r grows without bound; "
+            "no constant C bounds it")
+    return ModulusReport(constant=max(float(diff[i]), MODULUS_FLOOR),
+                         location=float(radii[i]), delta=float(delta))

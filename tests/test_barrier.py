@@ -123,8 +123,23 @@ def test_positivity_probe_reads_invalid_barriers_as_not_positive(monkeypatch):
     def invalid(*args, **kwargs):
         raise InvalidCutoffError("blend fails its C^2 check")
 
+    evaluate = barrier_mod._evaluate_boundary
     monkeypatch.setattr(barrier_mod, "_evaluate_boundary", invalid)
-    assert barrier_mod._positivity_probe(0.2, 1, 0.5, None, 16) == (None, True)
+    notes = []
+    assert barrier_mod._positivity_probe(0.2, 1, 0.5, None, 16, notes) == (None, True)
+    assert notes == ["positivity probe at epsilon = 0.2 failed: blend fails its C^2 check"]
+
+    # through verify_barrier: only the probes at other heights fail, and
+    # each failure leaves its height and reason in the report
+    def invalid_below(epsilon, *args):
+        if epsilon < 0.2:
+            invalid()
+        return evaluate(epsilon, *args)
+
+    monkeypatch.setattr(barrier_mod, "_evaluate_boundary", invalid_below)
+    rep = verify_barrier(0.2, 1, 0.5, min_samples=16, bisect_eps0=False)
+    assert rep.shrink_consistent is False
+    assert "positivity probe at epsilon = 0.1 failed: blend fails its C^2 check" in rep.notes
 
 
 def test_positivity_probe_lets_faults_propagate(monkeypatch):
@@ -134,7 +149,7 @@ def test_positivity_probe_lets_faults_propagate(monkeypatch):
 
     monkeypatch.setattr(barrier_mod, "_evaluate_boundary", broken)
     with pytest.raises(RuntimeError, match="fault in the evaluation"):
-        barrier_mod._positivity_probe(0.2, 1, 0.5, None, 16)
+        barrier_mod._positivity_probe(0.2, 1, 0.5, None, 16, [])
 
 
 def test_verify_barrier_reads_invalid_barriers_as_inconclusive(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from fracsurf import (Ball, BumpProfile, ConstantProfile, InvalidEpsilonError,
                       InvalidExponentError, LinearProfile,
-                      PiecewisePolyProfile, SqrtProfile, Subgraph,
+                      PiecewisePolyProfile, RampBumpProfile, SqrtProfile, Subgraph,
                       VerticalShiftProfile,
                       blowdown_rescale, flatness_certificate,
                       holder_rescaling_check, rescaled_profile)
@@ -101,6 +101,15 @@ def test_flatness_linear_growth_never_passes():
         assert not rep.passed
         assert rep.sup == pytest.approx((1.0 + R) / R)
         assert rep.violator == pytest.approx(1.0)
+
+
+def test_flatness_sees_a_bump_between_sample_radii():
+    # height 50 at r = 0.02, so 0.5 at the rescaled radius 2e-4, then 0
+    rep = flatness_certificate(RampBumpProfile(50.0, 0.04), SQRT_ENV, 0.1, 100.0)
+    assert not rep.passed
+    assert rep.sup == pytest.approx(0.5, rel=1e-12)
+    assert rep.violator == pytest.approx(2e-4, rel=1e-12)
+    assert rep.inf == pytest.approx(0.0, abs=1e-15)
 
 
 def test_flatness_epsilon_window():

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from fracsurf.cli import main
 
@@ -102,7 +103,9 @@ def test_curvature_outputs(small_config, tmp_path):
     for rec in records:
         assert sorted(rec.keys()) == ["config_hash", "error_core",
                                       "error_midfield", "error_tail",
-                                      "point", "value"]
+                                      "outer_radius", "point", "value",
+                                      "warnings"]
+        assert rec["warnings"] == []
     hashes = {rec["config_hash"] for rec in records}
     assert len(hashes) == 1
     assert "out" not in (out / "resolved.ini").read_text().splitlines()
@@ -124,6 +127,34 @@ truncation_radius = 500
     assert "truncation_radius = 500.0" in lines
     # the INI sets no pivot; it comes from the barrier height scale
     assert "pv_inner_radius = 0.05" in lines
+
+
+def test_curvature_warnings_reach_points_json(tmp_path):
+    cfg = tmp_path / "warn.ini"
+    cfg.write_text("""\
+[curvature]
+epsilon = 0.2
+points = 2.5
+truncation_radius = 10
+max_subdivisions = 2
+""")
+    out = tmp_path / "warn"
+    assert run_cli("curvature", cfg, out) == 0
+    (record,) = json.loads((out / "points.json").read_text())
+    assert record["warnings"] == ["tail-above-target", "quadrature-above-target"]
+    assert record["outer_radius"] == 1000.0
+
+
+def test_retired_slide_r_max_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "rmax.ini"
+    cfg.write_text("""\
+[slide]
+r_max = 100.0
+""")
+    out = tmp_path / "rmax"
+    assert run_cli("slide", cfg, out) == 1
+    assert "'r_max'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_quadrature_key_in_a_command_that_ignores_it_exits_1(tmp_path, capsys):
@@ -246,7 +277,9 @@ candidate_path = {csv_path}
     assert run_cli("slide", cfg, out) == 2
     payload = json.loads((out / "outcome.json").read_text())
     assert payload["verdict"] == "UNBOUNDED_TOUCH_SEQUENCE"
-    assert payload["eps_star"] == pytest.approx(0.010215625, rel=1e-6)
+    # the candidate's terminal slope, which its ratio to the cone approaches
+    assert payload["eps_star"] == pytest.approx(PchipInterpolator(r, u)(120.0, 1), rel=1e-12)
+    assert payload["touch_point"] is None
     assert payload["H_at_touch"] is None
 
 
@@ -267,6 +300,18 @@ candidate_level = 0.0
 """)
     assert run_cli("slide", cfg, tmp_path / "affine") == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_blowdown_linear_envelope_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "affine.ini"
+    cfg.write_text("""\
+[blowdown]
+envelope_kind = affine
+envelope_offset = 1.0
+envelope_slope = 1.0
+""")
+    assert run_cli("blowdown", cfg, tmp_path / "affine") == 1
+    assert "grows without bound" in capsys.readouterr().err
 
 
 def test_blowdown_report_schema(small_config, tmp_path):

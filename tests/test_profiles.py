@@ -9,11 +9,11 @@ from scipy.interpolate import PchipInterpolator
 
 from fracsurf import (BarrierProfile, BumpProfile, ConstantProfile,
                       DilatedGraphProfile, InvalidEnvelopeError, LinearProfile,
-                      PiecewisePolyProfile, RampBumpProfile, SampledProfile,
+                      NotSublinearError, PiecewisePolyProfile, RampBumpProfile, SampledProfile,
                       SqrtProfile, VerticalShiftProfile,
                       profile_from_config, profile_from_csv, profile_to_csv,
                       profile_values, sublinearity_modulus)
-from fracsurf.profiles import profile_bends, profile_slopes
+from fracsurf.profiles import profile_bends, profile_extremes, profile_slopes
 
 ALL_SMOOTH = [
     ConstantProfile(0.7),
@@ -551,7 +551,6 @@ def test_modulus_constant_envelope():
     env = ConstantProfile(1.0)
     rep = sublinearity_modulus(env, 0.00625)
     assert rep.constant == pytest.approx(1.0)
-    assert rep.sublinear
 
 
 def test_modulus_sqrt_envelope():
@@ -559,27 +558,21 @@ def test_modulus_sqrt_envelope():
     rep = sublinearity_modulus(env, 0.5)
     # max of sqrt(r) - r/2 sits at r = 1 with value 1/2
     assert rep.constant == pytest.approx(0.5, abs=1e-6)
-    assert rep.location == pytest.approx(1.0, abs=0.25)
-    assert rep.sublinear
+    assert rep.location == pytest.approx(1.0, rel=1e-9)
 
 
-def test_modulus_edge_peak_is_flagged_conservatively():
+def test_modulus_finds_a_peak_at_any_radius():
     env = SqrtProfile(1.0)
     rep = sublinearity_modulus(env, 0.05)
-    # peak of sqrt(r) - r/20 sits exactly at the window edge r = 100; the
-    # grid cannot certify anything beyond the window, so the check must
-    # refuse rather than extrapolate
-    assert rep.constant == pytest.approx(5.0, abs=1e-6)
-    assert rep.location == pytest.approx(100.0)
-    assert not rep.sublinear
+    # sqrt(r) - r/20 peaks at r = 100 with value 5; no window cuts it off
+    assert rep.constant == pytest.approx(5.0, rel=1e-12)
+    assert rep.location == pytest.approx(100.0, rel=1e-12)
 
 
 def test_modulus_flags_linear_growth():
     env = PiecewisePolyProfile((), [(0.0, (1.0, 1.0))])
-    rep = sublinearity_modulus(env, 0.5)
-    assert rep.constant == pytest.approx(51.0)
-    assert rep.location == pytest.approx(100.0)
-    assert not rep.sublinear
+    with pytest.raises(NotSublinearError):
+        sublinearity_modulus(env, 0.5)
 
 
 def test_modulus_nonincreasing_in_delta():
@@ -593,3 +586,59 @@ def test_modulus_rejects_nonpositive_envelope():
     env = ConstantProfile(-1.0)
     with pytest.raises(InvalidEnvelopeError):
         sublinearity_modulus(env, 0.5)
+    # 1 - 80 t + 800 t^2 on [0.1, 0.2] reaches -1 at r = 0.15, between the knots
+    dip = PiecewisePolyProfile((0.1, 0.2), [(0.0, (1.0,)), (0.1, (1.0, -80.0, 800.0)),
+                                            (0.2, (1.0,))])
+    assert dip.value(0.15) == pytest.approx(-1.0)
+    with pytest.raises(InvalidEnvelopeError, match="0.15"):
+        sublinearity_modulus(dip, 0.5)
+
+
+
+EXTREME_CASES = [
+    (RampBumpProfile(0.7, 1.3), 0.0, None),
+    (BarrierProfile(0.3), 0.1, None),
+    (SqrtProfile(2.0, -0.5), 0.3, None),
+    (SampledProfile(np.linspace(0.0, 6.0, 13), np.cos(np.linspace(0.0, 6.0, 13))), 0.05, None),
+    (SqrtProfile(0.12), 0.0, BarrierProfile(1.0)),
+    (BumpProfile(0.4, 2.5).dilated(0.7), 0.0, BarrierProfile(1.0)),
+    (PiecewisePolyProfile((0.1, 0.2), [(0.0, (1.0,)), (0.1, (1.0, -80.0, 800.0)),
+                                       (0.2, (1.0,))]), 0.02, BarrierProfile(1.0)),
+]
+
+
+@pytest.mark.parametrize("profile,tilt,over", EXTREME_CASES,
+                         ids=["rampbump", "tilted-barrier", "tilted-sqrt", "tilted-sampled",
+                              "sqrt-over-barrier", "dilated-bump-over-barrier",
+                              "dip-over-barrier"])
+def test_extremes_bound_a_dense_sampling(profile, tilt, over):
+    """Max and min over the returned radii match 2e6 samples of [0, 12]."""
+    radii, _ = profile_extremes(profile, 12.0, tilt, over)
+    assert radii[0] == 0.0 and radii[-1] == 12.0
+
+    def expr(r):
+        den = 1.0 if over is None else profile_values(over, r)
+        return (profile_values(profile, r) - tilt * r) / den
+
+    dense = expr(np.linspace(0.0, 12.0, 2_000_001))
+    at = expr(radii)
+    scale = np.max(np.abs(dense))
+    # the dense maximum can only sit below the exact one, by O(spacing^2)
+    assert at.max() >= dense.max() - 1e-12 * scale
+    assert at.min() <= dense.min() + 1e-12 * scale
+    assert at.max() <= dense.max() + 1e-8 * scale
+    assert at.min() >= dense.min() - 1e-8 * scale
+
+
+@pytest.mark.parametrize("profile,tilt,over,limit", [
+    (SqrtProfile(1.0), 0.05, None, -math.inf),
+    (PiecewisePolyProfile((), [(0.0, (1.0, 1.0))]), 0.5, None, math.inf),
+    (PiecewisePolyProfile((), [(0.0, (1.0, 1.0))]), 1.0, None, 1.0),
+    (LinearProfile(0.3), 0.0, BarrierProfile(1.0), 0.3),
+    (ConstantProfile(2.0), 0.0, BarrierProfile(1.0), 0.0),
+    (SqrtProfile(1.0), 0.0, BarrierProfile(1.0), 0.0),
+    (PiecewisePolyProfile((), [(0.0, (0.0, 0.0, -1.0))]), 0.0, BarrierProfile(1.0), -math.inf),
+], ids=["sqrt-tilted", "affine-outgrows-tilt", "affine-matches-tilt", "linear-over-barrier",
+        "constant-over-barrier", "sqrt-over-barrier", "quadratic-over-barrier"])
+def test_extremes_limit_from_the_last_pieces(profile, tilt, over, limit):
+    assert profile_extremes(profile, tilt=tilt, over=over)[1] == limit

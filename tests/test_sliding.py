@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
-from fracsurf import (ConstantProfile, InitialInclusionError, LinearProfile,
-                      NotSublinearError, PiecewisePolyProfile, SampledProfile,
-                      SqrtProfile, rescale_for_slide, slide)
+from fracsurf import (ConstantProfile, InitialInclusionError, InvalidEnvelopeError,
+                      LinearProfile, NotSublinearError, PiecewisePolyProfile,
+                      RampBumpProfile, SampledProfile, SqrtProfile,
+                      rescale_for_slide, slide)
 
 CONSTANT_ENV = ConstantProfile(1.0)
 SQRT_ENV = SqrtProfile(1.0)
@@ -27,6 +29,15 @@ def test_plan_for_sqrt_envelope_hits_the_tangency_exactly():
 def test_plan_rejects_linear_growth():
     with pytest.raises(NotSublinearError):
         rescale_for_slide(PiecewisePolyProfile((), [(0.0, (1.0, 1.0))]), 0.05)
+
+
+def test_plan_rejects_an_envelope_that_dips_between_knots():
+    # 1 - 80 t + 800 t^2 on [0.1, 0.2] reaches -1 at r = 0.15, between the knots
+    env = PiecewisePolyProfile((0.1, 0.2), [(0.0, (1.0,)), (0.1, (1.0, -80.0, 800.0)),
+                                            (0.2, (1.0,))])
+    assert env.value(0.15) == pytest.approx(-1.0)
+    with pytest.raises(InvalidEnvelopeError, match="0.15"):
+        rescale_for_slide(env, 0.05)
 
 
 def test_plan_rejects_nonpositive_eps0():
@@ -67,19 +78,39 @@ def test_sqrt_candidate_touches_in_the_blend():
     plan = rescale_for_slide(SQRT_ENV, 0.48)
     out = slide(SqrtProfile(1.0), plan.lam, plan.eps0, 1, 0.5)
     assert out.verdict == "TOUCH_FOUND"
-    assert out.eps_star == pytest.approx(0.13077964455680918, rel=1e-6)
-    assert 1.0 < out.touch_radius < 2.0
+    # sup of 0.12 sqrt(r) / u(r) over the blend, from a bounded
+    # minimize_scalar on [1, 2] at xatol 1e-12 and a 2e6-point evaluation
+    assert out.eps_star == pytest.approx(0.1308112969215282, rel=1e-12)
+    assert out.touch_radius == pytest.approx(1.261445, abs=1e-6)
     assert out.curvature_at_touch > 0.0
 
 
 def test_escaping_candidate_is_reported_unbounded():
     r = np.linspace(0.0, 120.0, 2401)
     u = np.maximum(0.0, 0.02 * r - 0.1 * np.sqrt(r))
-    out = slide(SampledProfile(r, u), 1.0, 0.05, 1, 0.5, r_max=100.0)
+    out = slide(SampledProfile(r, u), 1.0, 0.05, 1, 0.5)
     assert out.verdict == "UNBOUNDED_TOUCH_SEQUENCE"
-    assert out.touch_radius == pytest.approx(100.0)
-    assert out.eps_star == pytest.approx(0.010215624999999999, rel=1e-9)
+    # past its last node the candidate continues with the terminal slope,
+    # which its ratio to the cone r approaches from below
+    assert out.eps_star == pytest.approx(PchipInterpolator(r, u)(120.0, 1), rel=1e-12)
+    assert out.touch_radius is None
     assert out.curvature_at_touch is None
+
+
+def test_bump_between_old_grid_nodes_is_not_contained():
+    # peaks at 1.0 at r = 0.01, where the half-height barrier is 0.25
+    with pytest.raises(InitialInclusionError):
+        slide(RampBumpProfile(1.0, 0.02), 1.0, 0.5, 1, 0.5)
+
+
+def test_bump_touches_exactly_at_its_peak():
+    # the unit barrier is 1 on [0, 1], so the first contact is the bump's
+    # peak: height 0.01 at half its width
+    out = slide(RampBumpProfile(0.01, 0.33), 1.0, 0.05, 1, 0.5)
+    assert out.verdict == "TOUCH_FOUND"
+    assert out.eps_star == pytest.approx(0.01, rel=1e-12)
+    assert out.touch_radius == pytest.approx(0.165, rel=1e-12)
+    assert out.touch_point[1] == pytest.approx(0.01, rel=1e-12)
 
 
 def test_eps_star_never_exceeds_half_the_start():
