@@ -22,17 +22,8 @@ from .oracle import direct_curvature
 from .profiles import BarrierProfile
 
 
-@dataclass(frozen=True)
-class BarrierBody:
-    profile: BarrierProfile
-    body: TwoLeaf
-    epsilon: float
-    n: int
-    alpha: float
-
-
-def build_barrier(epsilon: float, n: int, alpha: float) -> BarrierBody:
-    """Construct the barrier and verify the blend is C^2 at both knots."""
+def build_barrier(epsilon: float) -> BarrierProfile:
+    """Construct the barrier profile and verify the blend is C^2 at both knots."""
     if not 0.0 < epsilon:
         raise ValueError("epsilon must be positive")
     prof = BarrierProfile(epsilon)
@@ -43,8 +34,7 @@ def build_barrier(epsilon: float, n: int, alpha: float) -> BarrierBody:
         if abs(ds) > 1e-5 * epsilon or abs(dc) > 1e-3 * epsilon:
             raise InvalidCutoffError(
                 f"blend fails C^2 check at r = {knot}: slope jump {ds}, curvature jump {dc}")
-    return BarrierBody(profile=prof, body=TwoLeaf(prof), epsilon=float(epsilon),
-                       n=int(n), alpha=float(alpha))
+    return prof
 
 
 @dataclass(frozen=True)
@@ -128,6 +118,8 @@ class BarrierSamplePoint:
     radius: float
     value: float
     error: float
+    outer_radius: float
+    warnings: tuple
 
 
 @dataclass(frozen=True)
@@ -163,19 +155,16 @@ def _sample_radii(count: int) -> SampleSpec:
 
 
 def _evaluate_boundary(epsilon, n, alpha, config, count):
-    barrier = build_barrier(epsilon, n, alpha)
-    spec = _sample_radii(count)
-    samples = boundary_sample(barrier.body, n, spec)
-    cfg = config if config is not None else QuadratureConfig.for_profile(barrier.profile)
+    profile = build_barrier(epsilon)
     pts = []
-    failed = False
-    for bs in samples:
-        res = two_leaf_curvature(barrier.profile, bs.radius, n, alpha, cfg)
+    for bs in boundary_sample(TwoLeaf(profile), n, _sample_radii(count)):
+        res = two_leaf_curvature(profile, bs.radius, n, alpha, config)
         pts.append(BarrierSamplePoint(point=tuple(float(c) for c in bs.point),
                                       radius=bs.radius, value=res.value,
-                                      error=res.total_error))
-        failed = failed or bool(res.warnings)
-    return pts, failed
+                                      error=res.total_error,
+                                      outer_radius=float(res.outer_radius),
+                                      warnings=res.warnings))
+    return pts, any(p.warnings for p in pts)
 
 
 def _positivity_probe(epsilon, n, alpha, config, count, notes):

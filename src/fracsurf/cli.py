@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Six subcommands: curvature, barrier-verify, cone-sweep, slide, blowdown,
-perimeter.  Every run writes its outputs plus the fully resolved
-configuration into the output directory; reruns with the same inputs are
-byte-identical.  Exit status: 0 when the run completed with a positive or
-neutral outcome, 2 when the outcome is inconclusive or the mechanism under
-test did not close, 1 on any error.
+perimeter.  Each handler reads its section once and returns its exit status
+and its files; ``main`` writes them together with ``resolved.ini``, the
+record of every key the run read.  A key the user set that the run never
+read is an error, and any error leaves no output directory.  Reruns with
+the same inputs are byte-identical.  Exit status: 0 when the run completed
+with a positive or neutral outcome, 2 when the outcome is inconclusive or
+the mechanism under test did not close, 1 on any error.
 """
 
 from __future__ import annotations
@@ -24,78 +26,68 @@ from .barrier import sweep_cone_constant, verify_barrier
 from .blowdown import flatness_certificate, holder_rescaling_check
 from .curvature import QuadratureConfig, graph_curvature
 from .errors import FracsurfError
-from .geometry import Ball, Box, Cone, HalfSpace, Scaled, Subgraph, TwoLeaf
+from .geometry import Ball, Box, Scaled, Subgraph, TwoLeaf
 from .oracle import direct_curvature, relative_perimeter
 from .profiles import BarrierProfile, profile_from_config
 from .sliding import (VERDICT_UNBOUNDED, rescale_for_slide, slide)
 
 
-def _prefixed_profile(section: dict, prefix: str):
-    """The profile whose keys carry ``prefix_`` (envelope, candidate)."""
-    return profile_from_config({k.removeprefix(prefix + "_"): v for k, v in section.items()
-                                if k.startswith(prefix + "_")})
-
-
 def _quadrature_from(section: dict, profile=None) -> QuadratureConfig:
-    cfg = QuadratureConfig.for_profile(profile) if profile is not None else QuadratureConfig()
+    """The quadrature settings, each read from and recorded in ``section``."""
     kwargs = {f.name: type(f.default)(float(section[f.name]))
               for f in fields(QuadratureConfig) if section.get(f.name, "").strip()}
-    return replace(cfg, **kwargs) if kwargs else cfg
-
-
-def _record_quadrature(section: dict, cfg: QuadratureConfig) -> None:
+    cfg = replace(QuadratureConfig.for_profile(profile), **kwargs)
     for f in fields(QuadratureConfig):
         section[f.name] = repr(getattr(cfg, f.name))
+    return cfg
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _csv_line(*vals) -> str:
     return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in vals)
 
 
-def cmd_curvature(sections, out_dir, n, alpha, seed) -> int:
+def cmd_curvature(sections, n, alpha, seed):
     sec = sections["curvature"]
     geometry = sec["geometry"].strip().lower()
     method = sec["method"].strip().lower()
     points = cfgmod.parse_floats(sec["points"])
-
+    complement = cfgmod.parse_bool(sec.get("complement", "false"))
+    if method not in ("formula", "direct"):
+        raise ValueError(f"unknown method {method!r}")
     profile = None
-    if geometry in ("twoleaf", "subgraph"):
+    if geometry == "ball":
+        radius = float(sec.get("radius", 1.0))
+        body = Ball(radius)
+    elif geometry in ("twoleaf", "subgraph"):
         profile = profile_from_config(sec)
+        body = TwoLeaf(profile) if geometry == "twoleaf" else Subgraph(profile)
+    else:
+        raise ValueError(f"unknown geometry {geometry!r}")
+    if method == "formula" and (profile is None or complement):
+        raise ValueError("method = formula covers two-leaf and subgraph bodies only, "
+                         "not a ball or a complement; use method = direct")
+    if complement:
+        body = ~body
     cfg = _quadrature_from(sec, profile)
-    _record_quadrature(sec, cfg)
     digest = cfgmod.config_hash(sections)
-
-    def eval_one(i, r):
-        if geometry in ("twoleaf", "subgraph"):
-            height = profile.value(r)
-            point = [r] + [0.0] * (n - 1) + [height]
-            if method == "formula":
-                res = graph_curvature(profile, r, n, alpha, cfg,
-                                      two_leaf=(geometry == "twoleaf"))
-            elif method == "direct":
-                body = TwoLeaf(profile) if geometry == "twoleaf" else Subgraph(profile)
-                res = direct_curvature(body, np.array(point), n, alpha, cfg,
-                                       seed=cfgmod.derived_seed(seed, "curvature", i))
-            else:
-                raise ValueError(f"unknown method {method!r}")
-        else:
-            if method != "direct":
-                raise ValueError(f"geometry {geometry!r} has no closed quadrature; use method=direct")
-            body, point = _direct_body_point(sec, geometry, r, n)
-            res = direct_curvature(body, np.array(point), n, alpha, cfg,
-                                   seed=cfgmod.derived_seed(seed, "curvature", i))
-            height = point[-1]
-        return point, height, res
-
-    results = [eval_one(i, r) for i, r in enumerate(points)]
 
     records = []
     csv_lines = ["r,height,H,err_total"]
-    for (point, height, res), r in zip(results, points):
+    for i, r in enumerate(points):
+        point = np.zeros(n + 1)
+        if profile is None:  # a polar angle on the ball
+            point[0], point[-1] = radius * math.cos(r), radius * math.sin(r)
+        else:
+            point[0], point[-1] = r, profile.value(r)
+        if method == "formula":
+            res = graph_curvature(profile, r, n, alpha, cfg, two_leaf=(geometry == "twoleaf"))
+        else:
+            res = direct_curvature(body, point, n, alpha, cfg,
+                                   seed=cfgmod.derived_seed(seed, "curvature", i))
         records.append({
             "point": [float(c) for c in point],
             "value": float(res.value),
@@ -106,56 +98,26 @@ def cmd_curvature(sections, out_dir, n, alpha, seed) -> int:
             "warnings": list(res.warnings),
             "config_hash": digest,
         })
-        csv_lines.append(_csv_line(float(r), float(height), float(res.value),
+        csv_lines.append(_csv_line(float(r), float(point[-1]), float(res.value),
                                    float(res.total_error)))
-    _write_json(out_dir / "points.json", records)
-    (out_dir / "sweep.csv").write_text("\n".join(csv_lines) + "\n")
-    cfgmod.write_resolved(sections, out_dir)
-    return 0
+    return 0, {"points.json": _json(records), "sweep.csv": "\n".join(csv_lines) + "\n"}
 
 
-def _direct_body_point(sec, geometry, r, n):
-    d = n + 1
-    if geometry == "ball":
-        radius = float(sec.get("radius", 1.0))
-        body = Ball(radius)
-        point = [0.0] * d
-        point[0] = radius * math.cos(r)
-        point[-1] = radius * math.sin(r)
-    elif geometry == "halfspace":
-        height = float(sec.get("height", 0.0))
-        body = HalfSpace(height)
-        point = [0.0] * d
-        point[0] = r
-        point[-1] = height
-    elif geometry == "cone":
-        eps = float(sec["epsilon"])
-        body = Cone(eps)
-        point = [0.0] * d
-        point[0] = r
-        point[-1] = eps * r
-    else:
-        raise ValueError(f"unknown geometry {geometry!r}")
-    if cfgmod.parse_bool(sec.get("complement", "false")):
-        body = ~body
-    return body, point
-
-
-def cmd_barrier_verify(sections, out_dir, n, alpha, seed) -> int:
+def cmd_barrier_verify(sections, n, alpha, seed):
     sec = sections["barrier-verify"]
     eps = float(sec["epsilon"])
     samples = int(float(sec["samples"]))
-    cfg = _quadrature_from(sec, BarrierProfile(eps))
-    _record_quadrature(sec, cfg)
-    report = verify_barrier(eps, n, alpha, config=cfg, seed=seed,
-                            min_samples=samples,
-                            bisect_eps0=cfgmod.parse_bool(sec["bisect"]),
-                            check_shrink=cfgmod.parse_bool(sec["check_shrink"]))
+    bisect = cfgmod.parse_bool(sec["bisect"])
+    check_shrink = cfgmod.parse_bool(sec["check_shrink"])
+    report = verify_barrier(eps, n, alpha, config=_quadrature_from(sec, BarrierProfile(eps)),
+                            seed=seed, min_samples=samples, bisect_eps0=bisect,
+                            check_shrink=check_shrink)
     payload = {
         "epsilon": report.epsilon,
         "n": report.n,
         "alpha": report.alpha,
-        "samples": [{"point": list(p.point), "H": p.value, "err": p.error}
+        "samples": [{"point": list(p.point), "H": p.value, "err": p.error,
+                     "outer_radius": p.outer_radius, "warnings": list(p.warnings)}
                     for p in report.samples],
         "min_margin": report.min_margin,
         "verdict": report.verdict,
@@ -167,35 +129,30 @@ def cmd_barrier_verify(sections, out_dir, n, alpha, seed) -> int:
         "shrink_consistent": report.shrink_consistent,
         "notes": list(report.notes),
     }
-    _write_json(out_dir / "report.json", payload)
-    cfgmod.write_resolved(sections, out_dir)
-    return 0 if report.verdict == "POSITIVE" else 2
+    return 0 if report.verdict == "POSITIVE" else 2, {"report.json": _json(payload)}
 
 
-def cmd_cone_sweep(sections, out_dir, n, alpha, seed) -> int:
+def cmd_cone_sweep(sections, n, alpha, seed):
     sec = sections["cone-sweep"]
     epsilons = cfgmod.parse_floats(sec["epsilons"])
     report = sweep_cone_constant(epsilons, n, alpha, seed=seed)
     lines = ["epsilon,M,err"]
     for entry in report.entries:
         lines.append(_csv_line(entry.epsilon, entry.value, entry.error))
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
     payload = {
         "entries": [{"epsilon": e.epsilon, "M": e.value, "err": e.error,
                      "rays": [list(t) for t in e.entries]} for e in report.entries],
         "blow_up_trend": report.blow_up_trend,
         "monotone": report.monotone,
     }
-    _write_json(out_dir / "report.json", payload)
-    cfgmod.write_resolved(sections, out_dir)
-    return 0
+    return 0, {"sweep.csv": "\n".join(lines) + "\n", "report.json": _json(payload)}
 
 
-def cmd_slide(sections, out_dir, n, alpha, seed) -> int:
+def cmd_slide(sections, n, alpha, seed):
     sec = sections["slide"]
     eps0 = float(sec["eps0"])
-    envelope = _prefixed_profile(sec, "envelope")
-    candidate = _prefixed_profile(sec, "candidate")
+    envelope = profile_from_config(sec, "envelope_")
+    candidate = profile_from_config(sec, "candidate_")
     plan = rescale_for_slide(envelope, eps0)
     outcome = slide(candidate, plan.lam, eps0, n, alpha)
     payload = {
@@ -208,15 +165,13 @@ def cmd_slide(sections, out_dir, n, alpha, seed) -> int:
         "verdict": outcome.verdict,
         "interpretation": outcome.interpretation,
     }
-    _write_json(out_dir / "outcome.json", payload)
-    cfgmod.write_resolved(sections, out_dir)
-    return 2 if outcome.verdict == VERDICT_UNBOUNDED else 0
+    return 2 if outcome.verdict == VERDICT_UNBOUNDED else 0, {"outcome.json": _json(payload)}
 
 
-def cmd_blowdown(sections, out_dir, n, alpha, seed) -> int:
+def cmd_blowdown(sections, n, alpha, seed):
     sec = sections["blowdown"]
     profile = profile_from_config(sec)
-    envelope = _prefixed_profile(sec, "envelope")
+    envelope = profile_from_config(sec, "envelope_")
     eps = float(sec["epsilon"])
     R = float(sec["R"])
     beta = float(sec["beta"])
@@ -228,17 +183,14 @@ def cmd_blowdown(sections, out_dir, n, alpha, seed) -> int:
         "passed": report.passed,
         "violator": report.violator,
     }
-    _write_json(out_dir / "report.json", payload)
     lines = ["R,beta,lhs,rhs"]
     for rr in cfgmod.parse_floats(sec["holder_R"]):
         h = holder_rescaling_check(profile, rr, beta)
         lines.append(_csv_line(h.R, h.beta, h.lhs, h.rhs))
-    (out_dir / "holder.csv").write_text("\n".join(lines) + "\n")
-    cfgmod.write_resolved(sections, out_dir)
-    return 0
+    return 0, {"report.json": _json(payload), "holder.csv": "\n".join(lines) + "\n"}
 
 
-def cmd_perimeter(sections, out_dir, n, alpha, seed) -> int:
+def cmd_perimeter(sections, n, alpha, seed):
     sec = sections["perimeter"]
     profile = profile_from_config(sec)
     body = TwoLeaf(profile)
@@ -253,10 +205,7 @@ def cmd_perimeter(sections, out_dir, n, alpha, seed) -> int:
                                  seed=cfgmod.derived_seed(seed, "perimeter", scale))
         lines.append(_csv_line(scale, res.value, res.error))
         rows.append({"scale": float(scale), "value": res.value, "err": res.error})
-    (out_dir / "perimeter.csv").write_text("\n".join(lines) + "\n")
-    _write_json(out_dir / "report.json", {"rows": rows})
-    cfgmod.write_resolved(sections, out_dir)
-    return 0
+    return 0, {"perimeter.csv": "\n".join(lines) + "\n", "report.json": _json({"rows": rows})}
 
 
 _HANDLERS = {
@@ -267,13 +216,6 @@ _HANDLERS = {
     "blowdown": cmd_blowdown,
     "perimeter": cmd_perimeter,
 }
-
-# a key its command does not read would reach resolved.ini and config_hash
-# without effect: the quadrature keys where a command builds its own
-# settings, and the retired grid window of slide
-_QUADRATURE_KEYS = tuple(f.name for f in fields(QuadratureConfig))
-_UNREAD_KEYS = {"cone-sweep": _QUADRATURE_KEYS, "slide": _QUADRATURE_KEYS + ("r_max",),
-                "blowdown": _QUADRATURE_KEYS, "perimeter": _QUADRATURE_KEYS}
 
 
 def main(argv=None) -> int:
@@ -293,26 +235,25 @@ def main(argv=None) -> int:
         sub.add_parser(name, parents=[common])
     args = parser.parse_args(argv)
 
-    overrides = {"seed": args.seed, "threads": args.threads}
     try:
-        sections = cfgmod.resolve(args.command, args.config, overrides)
-        for key in _UNREAD_KEYS.get(args.command, ()):
-            if key in sections[args.command]:
-                raise ValueError(f"{args.command} does not read the key {key!r}")
+        sections = cfgmod.resolve(args.command, args.config, {"seed": args.seed})
         run = sections["run"]
-        n = int(run["n"])
-        alpha = float(run["alpha"])
-        seed = int(run["seed"])
         # destination directory and the ignored worker count change neither
         # values nor bytes, so they stay out of the resolved config and its hash
         run.pop("threads", None)
-        out_dir = Path(args.out or run.pop("out", None) or f"runs/{args.command}")
+        out = run.pop("out", None)
+        code, files = _HANDLERS[run["command"]](sections, int(run["n"]),
+                                                 float(run["alpha"]), int(run["seed"]))
+        unread = cfgmod.unread(sections)
+        if unread:
+            raise ValueError(f"{args.command} does not read the key {unread[0]!r}")
+        files["resolved.ini"] = cfgmod.canonical_text(cfgmod.record(sections))
+        out_dir = Path(args.out or out or f"runs/{args.command}")
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[args.command](sections, out_dir, n, alpha, seed)
-    except FracsurfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError, TypeError) as exc:
+        for name, text in files.items():
+            (out_dir / name).write_text(text)
+        return code
+    except (FracsurfError, ValueError, KeyError, OSError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,24 +1,26 @@
 """Run configuration: INI parsing, defaults, canonical serialization, hashing.
 
-Every command materializes its full effective configuration (defaults, file
-values, command-line overrides, and any values computed at run time such as
-the quadrature pivot) into one canonical INI text.  That text is written
-beside the outputs and its digest is stamped into the result records, so a
-result can always be traced to the exact knobs that produced it and reruns
-are byte-identical.
+A command sees two sections, ``[run]`` and its own; an INI file may hold
+other commands' sections, which are ignored, but a section named neither
+``run`` nor a command is an error.  Each section notes the keys the command
+reads.  The record of a run is exactly those keys with their values
+(defaults, file values, command-line overrides, and values computed at run
+time such as the quadrature pivot), in one canonical INI text.  That text
+is written beside the outputs as ``resolved.ini`` and its md5 is stamped
+into the result records, so a result can always be traced to the exact
+knobs that produced it and reruns are byte-identical.  A key the user set
+that the command never read has no effect and makes the run fail.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from pathlib import Path
 
 RUN_DEFAULTS = {
     "n": "1",
     "alpha": "0.5",
     "seed": "0",
-    "threads": "1",
 }
 
 COMMAND_DEFAULTS = {
@@ -63,23 +65,58 @@ COMMAND_DEFAULTS = {
 }
 
 
+class Section(dict):
+    """Defaults overlaid by the user's keys, noting every key read.
+
+    ``given`` holds the keys the user set and ``used`` the keys read through
+    ``[]`` or ``get``; ``in``, ``items()`` and ``pop`` mark nothing.
+    """
+
+    def __init__(self, defaults: dict, given: dict):
+        super().__init__(defaults)
+        self.update(given)
+        self.given = set(given)
+        self.used = set()
+
+    def __getitem__(self, key):
+        self.used.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.used.add(key)
+        return super().get(key, default)
+
+
 def resolve(command: str, config_path: str | None, overrides: dict) -> dict:
-    """Merge defaults, file values, and CLI overrides into plain dicts."""
-    sections = {"run": dict(RUN_DEFAULTS), command: dict(COMMAND_DEFAULTS[command])}
-    sections["run"]["command"] = command
+    """The ``run`` section and the command's own, each a :class:`Section`."""
+    given = {"run": {}, command: {}}
     if config_path:
         parser = configparser.ConfigParser()
         parser.optionxform = str
         with open(config_path, "r") as fh:
             parser.read_file(fh)
         for sec in parser.sections():
-            target = sections.setdefault(sec, {})
-            for key, val in parser.items(sec):
-                target[key] = val
-    for key, val in overrides.items():
-        if val is not None:
-            sections["run"][key] = str(val)
+            if sec != "run" and sec not in COMMAND_DEFAULTS:
+                raise ValueError(f"unknown section [{sec}]")
+            if sec in given:
+                given[sec].update(parser.items(sec))
+    given["run"].update((key, str(val)) for key, val in overrides.items() if val is not None)
+    sections = {"run": Section(RUN_DEFAULTS, given["run"]),
+                command: Section(COMMAND_DEFAULTS[command], given[command])}
+    sections["run"]["command"] = command
     return sections
+
+
+def record(sections: dict) -> dict:
+    """The keys each section was read for that have a value."""
+    return {name: {key: sec[key] for key in sec.used if key in sec}
+            for name, sec in sections.items()}
+
+
+def unread(sections: dict) -> list:
+    """The keys the user set, still present, that nothing read."""
+    return [key for sec in sections.values() for key in sorted(sec.given - sec.used)
+            if key in sec]
 
 
 def canonical_text(sections: dict) -> str:
@@ -93,7 +130,8 @@ def canonical_text(sections: dict) -> str:
 
 
 def config_hash(sections: dict) -> str:
-    return hashlib.md5(canonical_text(sections).encode()).hexdigest()
+    """md5 of the run's record, the text of its ``resolved.ini``."""
+    return hashlib.md5(canonical_text(record(sections)).encode()).hexdigest()
 
 
 def derived_seed(base: int, *tags) -> int:
@@ -105,12 +143,6 @@ def derived_seed(base: int, *tags) -> int:
     text = ":".join([str(int(base))] + [repr(t) for t in tags])
     digest = hashlib.md5(text.encode()).hexdigest()
     return int(digest[:16], 16)
-
-
-def write_resolved(sections: dict, out_dir: Path) -> str:
-    text = canonical_text(sections)
-    (out_dir / "resolved.ini").write_text(text)
-    return hashlib.md5(text.encode()).hexdigest()
 
 
 def parse_floats(text: str) -> list:

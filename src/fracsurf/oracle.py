@@ -53,7 +53,7 @@ def _check_on_boundary(body: Body, point: np.ndarray) -> None:
 
 def direct_curvature(body: Body, point, n: int, alpha: float,
                      config: QuadratureConfig | None = None,
-                     seed: int = 0, inner_radius: float | None = None) -> CurvatureResult:
+                     seed: int = 0) -> CurvatureResult:
     """Shell-stratified antipodal Monte Carlo estimate of the curvature.
 
     Error accounting: the Monte Carlo standard error lands in
@@ -70,7 +70,7 @@ def direct_curvature(body: Body, point, n: int, alpha: float,
         raise InvalidPointError(f"expected a point in R^{d}, got shape {point.shape}")
     _check_on_boundary(body, point)
 
-    r_lo = inner_radius if inner_radius is not None else 1e-3 * max(1.0, float(np.linalg.norm(point)))
+    r_lo = 1e-3 * max(1.0, float(np.linalg.norm(point)))
     r_hi = 100.0 * config.truncation_radius
     n_shells = max(1, int(math.ceil(math.log(r_hi / r_lo) / math.log(_SHELL_RATIO))))
     edges = r_lo * _SHELL_RATIO ** np.arange(n_shells + 1)

@@ -485,28 +485,29 @@ def profile_to_csv(profile: RadialProfile, radii) -> str:
     return "\n".join(lines) + "\n"
 
 
-def profile_from_config(options: dict) -> RadialProfile:
-    """Build a profile from flat config options (kind plus parameters)."""
-    kind = options.get("kind", "").strip().lower()
+def profile_from_config(options: dict, prefix: str = "") -> RadialProfile:
+    """Build a profile from flat config options (kind plus parameters, each
+    key read as ``prefix + key``)."""
+    def num(key, default):
+        return float(options.get(prefix + key, default))
+
+    kind = options.get(prefix + "kind", "").strip().lower()
     if kind == "constant":
-        return ConstantProfile(float(options.get("level", 1.0)))
+        return ConstantProfile(num("level", 1.0))
     if kind == "linear":
-        return LinearProfile(float(options.get("slope", 0.1)))
+        return LinearProfile(num("slope", 0.1))
     if kind == "affine":
-        return PiecewisePolyProfile((), ((0.0, (float(options.get("offset", 1.0)),
-                                                float(options.get("slope", 1.0)))),))
+        return PiecewisePolyProfile((), ((0.0, (num("offset", 1.0), num("slope", 1.0))),))
     if kind == "sqrt":
-        return SqrtProfile(float(options.get("scale", 1.0)))
+        return SqrtProfile(num("scale", 1.0))
     if kind == "bump":
-        return BumpProfile(float(options.get("amplitude", 1.0)),
-                           float(options.get("width", 1.0)))
+        return BumpProfile(num("amplitude", 1.0), num("width", 1.0))
     if kind == "rampbump":
-        return RampBumpProfile(float(options.get("amplitude", 1.0)),
-                               float(options.get("width", 1.0)))
+        return RampBumpProfile(num("amplitude", 1.0), num("width", 1.0))
     if kind == "barrier":
-        return BarrierProfile(float(options["epsilon"]))
+        return BarrierProfile(float(options[prefix + "epsilon"]))
     if kind == "csv":
-        return profile_from_csv(options["path"])
+        return profile_from_csv(options[prefix + "path"])
     raise ValueError(f"unknown profile kind {kind!r}")
 
 

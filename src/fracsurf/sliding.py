@@ -107,8 +107,7 @@ def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: floa
     touch_radius = float(radii[idx])
     touch_point = (touch_radius,) + (0.0,) * (n - 1) + (rescaled.value(touch_radius),)
     barrier = BarrierProfile(eps_star)
-    res = two_leaf_curvature(barrier, touch_radius, n, alpha,
-                             config or QuadratureConfig.for_profile(barrier))
+    res = two_leaf_curvature(barrier, touch_radius, n, alpha, config)
     return SlideOutcome(
         lam=lam, eps_star=eps_star, floor=floor, verdict=VERDICT_TOUCH,
         touch_radius=touch_radius, touch_point=touch_point,

@@ -12,12 +12,12 @@ from fracsurf import (BarrierProfile, CurvatureResult, HomogeneityViolationError
 
 def test_build_barrier_rejects_nonpositive_epsilon():
     with pytest.raises(ValueError):
-        build_barrier(0.0, 1, 0.5)
+        build_barrier(0.0)
 
 
 def test_broken_blend_is_caught(monkeypatch):
     """The C^2 gate passes the true blend and fires on a slope jump."""
-    assert build_barrier(0.2, 1, 0.5).epsilon == 0.2
+    assert build_barrier(0.2).epsilon == 0.2
 
     class KinkedProfile(BarrierProfile):
         def first_derivative(self, r):
@@ -26,7 +26,7 @@ def test_broken_blend_is_caught(monkeypatch):
 
     monkeypatch.setattr(barrier_mod, "BarrierProfile", KinkedProfile)
     with pytest.raises(InvalidCutoffError):
-        build_barrier(0.2, 1, 0.5)
+        build_barrier(0.2)
 
 
 def test_cone_constant_regression_and_ray_agreement():
@@ -49,9 +49,8 @@ def test_cone_constant_grows_as_the_slope_shrinks():
 def test_homogeneity_guard_fires_on_inconsistent_samples(monkeypatch):
     real = barrier_mod.direct_curvature
 
-    def skewed(body, point, n, alpha, config=None, seed=0, inner_radius=None):
-        res = real(body, point, n, alpha, config, seed=seed,
-                   inner_radius=inner_radius)
+    def skewed(body, point, n, alpha, config=None, seed=0):
+        res = real(body, point, n, alpha, config, seed=seed)
         bump = 100.0 if float(np.linalg.norm(point)) > 6.0 else 0.0
         return CurvatureResult(value=res.value + bump,
                                error_core=res.error_core,
@@ -117,6 +116,9 @@ def test_verify_barrier_goes_inconclusive_when_quadrature_is_starved():
                          bisect_eps0=False, check_shrink=False)
     assert rep.verdict == "INCONCLUSIVE"
     assert any("error target" in note for note in rep.notes)
+    # each sample names its own misses, so the report shows which radii failed
+    assert any("quadrature-above-target" in p.warnings for p in rep.samples)
+    assert all(p.outer_radius >= cfg.truncation_radius for p in rep.samples)
 
 
 def test_positivity_probe_reads_invalid_barriers_as_not_positive(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -339,6 +340,9 @@ def test_barrier_verify_positive_exits_0(small_config, tmp_path):
     assert payload["min_margin"] > 0.0
     assert payload["far_agrees"] is True
     assert payload["notes"] == []
+    for sample in payload["samples"]:
+        assert sorted(sample.keys()) == ["H", "err", "outer_radius", "point", "warnings"]
+        assert sample["warnings"] == []
 
 
 def test_barrier_verify_with_default_shrink_check_writes_report(small_config, tmp_path):
@@ -370,6 +374,7 @@ max_subdivisions = 2
     assert run_cli("barrier-verify", cfg, out) == 2
     payload = json.loads((out / "report.json").read_text())
     assert payload["verdict"] == "INCONCLUSIVE"
+    assert any("quadrature-above-target" in s["warnings"] for s in payload["samples"])
 
 
 def test_perimeter_outputs(small_config, tmp_path):
@@ -438,3 +443,106 @@ def test_defaults_need_no_config(tmp_path):
     out = tmp_path / "defaults"
     assert main(["blowdown", "--out", str(out)]) == 0
     assert (out / "report.json").exists()
+
+
+def test_foreign_sections_are_not_recorded(small_config, tmp_path):
+    out = tmp_path / "slide"
+    assert run_cli("slide", small_config, out) == 0
+    text = (out / "resolved.ini").read_text()
+    assert [line for line in text.splitlines() if line.startswith("[")] == ["[run]", "[slide]"]
+    assert "level = 0.3" not in text
+
+
+@pytest.mark.parametrize("ini, key", [
+    ("[slide]\neps_0 = 0.01\ncandidate_levl = 0.3\n", "candidate_levl"),
+    ("[run]\nalhpa = 0.4\n", "alhpa"),
+])
+def test_misspelled_key_exits_1_and_writes_nothing(ini, key, tmp_path, capsys):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "typo"
+    assert run_cli("slide", cfg, out) == 1
+    assert f"slide does not read the key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_misspelled_section_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "section.ini"
+    cfg.write_text("[slides]\neps0 = 0.01\n")
+    out = tmp_path / "section"
+    assert run_cli("slide", cfg, out) == 1
+    assert "[slides]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unread_defaults_are_not_recorded_and_the_hash_is_the_record(tmp_path):
+    cfg = tmp_path / "constant.ini"
+    cfg.write_text("[curvature]\nkind = constant\nlevel = 0.3\npoints = 1.5\n")
+    out = tmp_path / "constant"
+    assert run_cli("curvature", cfg, out) == 0
+    resolved = (out / "resolved.ini").read_bytes()
+    assert b"level = 0.3" in resolved
+    assert b"epsilon" not in resolved
+    (record,) = json.loads((out / "points.json").read_text())
+    assert record["config_hash"] == hashlib.md5(resolved).hexdigest()
+
+
+@pytest.mark.parametrize("command, ini", [
+    ("blowdown", "[blowdown]\nbeta = 1.5\n"),
+    ("slide", "[slide]\ncandidate_level = 5.0\n"),
+])
+def test_failed_run_writes_nothing(command, ini, tmp_path, capsys):
+    cfg = tmp_path / "fail.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "fail"
+    assert run_cli(command, cfg, out) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_threads_and_out_are_accepted_and_unrecorded(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nthreads = 4\nout = {tmp_path / 'from_ini'}\n")
+    assert main(["slide", "--config", str(cfg)]) == 0
+    assert run_cli("slide", cfg, tmp_path / "from_flag") == 0
+    for out in (tmp_path / "from_ini", tmp_path / "from_flag"):
+        text = (out / "resolved.ini").read_text()
+        assert "threads" not in text
+        assert "out =" not in text
+
+
+@pytest.mark.parametrize("geometry", ["cone", "halfspace"])
+def test_retired_geometry_names_exit_1(geometry, tmp_path, capsys):
+    cfg = tmp_path / "retired.ini"
+    cfg.write_text(f"[curvature]\ngeometry = {geometry}\nmethod = direct\npoints = 1.0\n")
+    out = tmp_path / "retired"
+    assert run_cli("curvature", cfg, out) == 1
+    assert f"unknown geometry {geometry!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_formula_on_a_complement_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "formula.ini"
+    cfg.write_text("[curvature]\ncomplement = true\npoints = 1.0\n")
+    assert run_cli("curvature", cfg, tmp_path / "formula") == 1
+    assert "use method = direct" in capsys.readouterr().err
+
+
+# values of the straight cone {|z| < 0.5 |x'|} complemented (n = 2, seed 7)
+# and of the half-space {z < 0.3} (n = 1), as the retired geometry names
+# `cone` and `halfspace` computed them before both became graph bodies
+@pytest.mark.parametrize("run, body, values", [
+    ("n = 2\nalpha = 0.5\nseed = 7\n",
+     "geometry = twoleaf\nkind = linear\nslope = 0.5\ncomplement = true\n"
+     "points = 1.0,2.0\noracle_samples = 20000\n",
+     [0.7999519545609373, 1.2359877750525243]),
+    ("n = 1\nalpha = 0.5\n",
+     "geometry = subgraph\nkind = constant\nlevel = 0.3\npoints = 1.5\n", [0.0]),
+])
+def test_graph_bodies_reproduce_the_cone_and_half_space(run, body, values, tmp_path):
+    cfg = tmp_path / "graph.ini"
+    cfg.write_text(f"[run]\n{run}\n[curvature]\nmethod = direct\n{body}")
+    out = tmp_path / "graph"
+    assert run_cli("curvature", cfg, out) == 0
+    records = json.loads((out / "points.json").read_text())
+    assert [rec["value"] for rec in records] == values
