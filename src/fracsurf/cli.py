@@ -107,11 +107,11 @@ def cmd_barrier_verify(sections, n, alpha, seed):
     sec = sections["barrier-verify"]
     eps = float(sec["epsilon"])
     samples = int(float(sec["samples"]))
-    bisect = cfgmod.parse_bool(sec["bisect"])
-    check_shrink = cfgmod.parse_bool(sec["check_shrink"])
-    report = verify_barrier(eps, n, alpha, config=_quadrature_from(sec, BarrierProfile(eps)),
-                            seed=seed, min_samples=samples, bisect_eps0=bisect,
-                            check_shrink=check_shrink)
+    cfg = _quadrature_from(sec, BarrierProfile(eps))
+    report = verify_barrier(eps, n, alpha, config=cfg, seed=seed,
+                            min_samples=samples,
+                            bisect_eps0=cfgmod.parse_bool(sec["bisect"]),
+                            check_shrink=cfgmod.parse_bool(sec["check_shrink"]))
     payload = {
         "epsilon": report.epsilon,
         "n": report.n,
