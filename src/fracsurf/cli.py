@@ -162,6 +162,8 @@ def cmd_slide(sections, n, alpha, seed):
         "touch_point": list(outcome.touch_point) if outcome.touch_point else None,
         "H_at_touch": outcome.curvature_at_touch,
         "err": outcome.curvature_error,
+        "outer_radius": outcome.outer_radius,
+        "warnings": list(outcome.warnings),
         "verdict": outcome.verdict,
         "interpretation": outcome.interpretation,
     }

@@ -30,6 +30,14 @@ Assembly splits at a pivot radius delta:
   * tail beyond R: bounded in closed form and escalated (R grows tenfold,
     the new annulus is integrated) until the bound is a small share of the
     value or the escalation budget is exhausted.
+
+At n = 1 the two directions c = +-1 put the offset radius at t = |s +- rho|,
+so A(rho) bends exactly where t meets a profile knot, a zero crossing of v
+(two-leaf only: the slice height is max(v, 0)) or the axis.  The midfield
+and every tail band hand those rho inside them to QUADPACK as breakpoints.
+For n >= 2 the fixed angular rule makes the computed A(rho) bend where each
+node's offset meets a knot, at no radius common to all nodes, so those bands
+stay whole.
 """
 
 from __future__ import annotations
@@ -43,7 +51,8 @@ from scipy import integrate, special
 
 from .errors import NonSmoothPointError
 from .kernelfn import SliceIntegral
-from .profiles import BarrierProfile, RadialProfile, profile_bends, profile_values
+from .profiles import (BarrierProfile, RadialProfile, profile_bends, profile_values,
+                       profile_zeros)
 
 # Lipschitz probe grid for the tail bound: dense through the near field,
 # decades out to 1e8 to catch slopes that keep growing
@@ -63,7 +72,8 @@ class QuadratureConfig:
     target_tolerance: absolute error floor the tail bound must reach when
         the value itself is near zero.
     max_subdivisions: adaptive-interval budget per quadrature call, also the
-        cap on the number of tail escalations.
+        cap on the number of tail escalations.  Breakpoints count against
+        it: a band whose breakpoints do not fit is integrated whole.
     oracle_samples: Monte Carlo budget used by the sampling cross-check.
     angular_order: Gauss-Jacobi node count for n >= 2 (even; n = 1 uses the
         exact two-direction rule).
@@ -242,9 +252,20 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
             part = F.value((vs - vt) / rho) - regularizer
         return float(np.sum(wang * part))
 
+    # at n = 1, the rho where |s +- rho| meets a knot, a two-leaf zero
+    # crossing or the axis (module docstring)
+    bends = []
+    if n == 1:
+        edges = np.concatenate((profile.knots, profile_zeros(profile) if two_leaf else []))
+        radii = np.concatenate(([s], np.abs(edges - s), edges + s))
+        bends = np.log(np.unique(radii[radii > 0.0])).tolist()
+
     def log_band(lo, hi):
-        return _quad(lambda u: plain(math.exp(u)) * math.exp(-alpha * u),
-                     math.log(lo), math.log(hi), **quad_kw)
+        lo, hi = math.log(lo), math.log(hi)
+        points = [u for u in bends if lo < u < hi]
+        # QUADPACK's breakpoint routine needs fewer breakpoints than its budget
+        kw = dict(quad_kw, points=points) if 0 < len(points) < quad_kw["limit"] else quad_kw
+        return _quad(lambda u: plain(math.exp(u)) * math.exp(-alpha * u), lo, hi, **kw)
 
     core_val, core_err = _quad(core_graph, 0.0, delta,
                                weight="alg", wvar=(-alpha, 0.0), **quad_kw)

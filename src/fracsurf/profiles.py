@@ -433,6 +433,26 @@ def _piece_poly(profile: RadialProfile, lo: float, root: int) -> np.ndarray:
     return out
 
 
+def _poly_roots(polys):
+    """``np.roots`` of each polynomial (highest power first), bit for bit:
+    zeros trimmed at both ends, a zero root per trailing zero, and the
+    companion matrices of one degree stacked into one ``eigvals`` call."""
+    trimmed = []
+    for p in polys:
+        nz = np.flatnonzero(p)
+        trimmed.append((p[nz[0]:nz[-1] + 1], len(p) - 1 - nz[-1]) if len(nz) else (p[:1], 0))
+    roots = [np.zeros(tail) for _, tail in trimmed]
+    for deg in {len(p) - 1 for p, _ in trimmed} - {0}:
+        idx = [i for i, (p, _) in enumerate(trimmed) if len(p) - 1 == deg]
+        lead = np.array([trimmed[i][0] for i in idx])
+        comp = np.zeros((len(idx), deg, deg))
+        comp[:, 0, :] = -lead[:, 1:] / lead[:, :1]
+        comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        for i, vals in zip(idx, np.linalg.eigvals(comp)):
+            roots[i] = np.concatenate((vals, roots[i]))
+    return roots
+
+
 def profile_extremes(profile: RadialProfile, hi: float = math.inf, tilt: float = 0.0,
                      over: RadialProfile | None = None):
     """Radii in [0, hi] holding the max and min of (v(r) - tilt r) / over(r),
@@ -455,15 +475,32 @@ def profile_extremes(profile: RadialProfile, hi: float = math.inf, tilt: float =
     knots = sorted(set(profile.knots) | set(over.knots))
     edges = [0.0] + [k for k in knots if 0.0 < k < hi] + [hi]
     radii = edges[:] if math.isfinite(hi) else edges[:-1]
-    for lo, up in zip(edges, edges[1:]):
+    polys = []
+    for lo in edges[:-1]:
         g, u = pair(lo)
-        s = np.roots(np.polysub(np.convolve(np.polyder(g), u), np.convolve(g, np.polyder(u)))).real
+        polys.append(np.polysub(np.convolve(np.polyder(g), u), np.convolve(g, np.polyder(u))))
+    for lo, up, s in zip(edges, edges[1:], _poly_roots(polys)):
+        s = s.real
         r = (lo ** (1.0 / root) + s[s > 0.0]) ** root
         radii.extend(r[r < up])
     g, u = (np.trim_zeros(p, "f") for p in pair(max([0.0] + knots)))
     growth = len(g) - len(u)
     limit = 0.0 if growth < 0 or not len(g) else g[0] / u[0] * (math.inf if growth else 1.0)
     return np.unique(radii), float(limit)
+
+
+def profile_zeros(profile: RadialProfile) -> np.ndarray:
+    """Radii r >= 0 where v(r) = 0: the real roots of each piece on its own
+    interval between knots.  A double root gives a radius where v only
+    touches 0; one that rounding splits into a complex pair gives none."""
+    edges = [0.0] + [k for k in profile.knots if k > 0.0] + [math.inf]
+    polys = [_piece_poly(profile, lo, profile.root) for lo in edges[:-1]]
+    radii = []
+    for lo, up, s in zip(edges, edges[1:], _poly_roots(polys)):
+        s = s.real[(s.imag == 0.0) & (s.real >= 0.0)]
+        r = (lo ** (1.0 / profile.root) + s) ** profile.root
+        radii.extend(r[r < up])
+    return np.unique(radii)
 
 
 PROFILE_CSV_HEADER = "r,value"

@@ -62,6 +62,8 @@ class SlideOutcome:
     touch_point: tuple | None = None
     curvature_at_touch: float | None = None
     curvature_error: float | None = None
+    outer_radius: float | None = None
+    warnings: tuple = ()
 
 
 def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: float,
@@ -112,6 +114,7 @@ def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: floa
         lam=lam, eps_star=eps_star, floor=floor, verdict=VERDICT_TOUCH,
         touch_radius=touch_radius, touch_point=touch_point,
         curvature_at_touch=float(res.value), curvature_error=float(res.total_error),
+        outer_radius=res.outer_radius, warnings=res.warnings,
         interpretation=(
             "the barrier cannot shrink past this height without contacting the "
             "candidate; at the contact radius the barrier curvature is strictly "

@@ -247,9 +247,11 @@ def test_slide_touch_outcome_schema(small_config, tmp_path):
     assert run_cli("slide", small_config, out) == 0
     payload = json.loads((out / "outcome.json").read_text())
     assert sorted(payload.keys()) == ["H_at_touch", "eps_star", "err", "floor",
-                                      "interpretation", "lambda",
-                                      "touch_point", "verdict"]
+                                      "interpretation", "lambda", "outer_radius",
+                                      "touch_point", "verdict", "warnings"]
     assert payload["verdict"] == "TOUCH_FOUND"
+    assert payload["warnings"] == []
+    assert payload["outer_radius"] >= 1e3
     assert payload["lambda"] == pytest.approx(0.00625)
     assert payload["eps_star"] == pytest.approx(0.000625, rel=1e-6)
     assert payload["H_at_touch"] > 0.0
@@ -282,6 +284,7 @@ candidate_path = {csv_path}
     assert payload["eps_star"] == pytest.approx(PchipInterpolator(r, u)(120.0, 1), rel=1e-12)
     assert payload["touch_point"] is None
     assert payload["H_at_touch"] is None
+    assert payload["outer_radius"] is None and payload["warnings"] == []
 
 
 def test_slide_linear_envelope_exits_1(tmp_path, capsys):

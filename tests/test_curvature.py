@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fracsurf import (BarrierProfile, ConstantProfile, DilatedGraphProfile,
+from fracsurf import (BarrierProfile, ConstantProfile, CurvatureResult, DilatedGraphProfile,
                       LinearProfile, NonSmoothPointError, QuadratureConfig,
                       RampBumpProfile, SampledProfile, SqrtProfile, TwoLeaf,
                       VerticalShiftProfile, angular_rule, direct_curvature,
@@ -244,3 +244,87 @@ def test_two_leaf_neck_reads_negative_heights_as_empty_slices():
     mc = direct_curvature(TwoLeaf(prof), np.array([1.5, prof.value(1.5)]), 1, 0.5,
                           QuadratureConfig(oracle_samples=4_000_000), seed=11)
     assert abs(mc.value - near.value) <= mc.total_error + near.total_error
+
+
+# n = 1 values before the midfield and tail bands were split at the radii
+# where the integrand bends: (profile, radius, value, core + midfield error)
+_BASE = BarrierProfile(0.2)
+_TWIN = DilatedGraphProfile(_BASE, 0.5)
+_NECK = VerticalShiftProfile(BarrierProfile(0.5), 0.6)
+UNSPLIT_N1 = {
+    "barrier-r0": (_BASE, 0.0, 13.170276431506522, 2.781146029783777e-12),
+    "barrier-r0.5": (_BASE, 0.5, 13.033290930350187, 1.1924404123090497e-12),
+    "barrier-r1.5": (_BASE, 1.5, 9.117624660608332, 7.406371239544058e-12),
+    "barrier-r3": (_BASE, 3.0, 7.604470272237073, 3.161866823263314e-12),
+    "barrier-r50": (_BASE, 50.0, 1.8672437999666258, 1.4555048212372602e-12),
+    "twin-r0": (_TWIN, 0.0, 9.312603237745908, 2.3608315604339797e-12),
+    "twin-r1": (_TWIN, 1.0, 9.215739860949663, 4.557894979526541e-12),
+    "twin-r3": (_TWIN, 3.0, 6.446945688754896, 1.3570266364749772e-12),
+    "twin-r6": (_TWIN, 6.0, 5.3774241079339085, 3.6284930340440416e-12),
+    "twin-r100": (_TWIN, 100.0, 1.3203218993774153, 7.744179828394492e-13),
+    "slab": (ConstantProfile(0.5), 2.0, 9.58416336569958, 3.8358827943556534e-13),
+    "cone": (LinearProfile(0.5), 1.0, 5.253301791672312, 4.330695164843239e-12),
+    "sqrt": (SqrtProfile(1.0), 4.0, 4.595444381151187, 3.908098048798333e-12),
+    "neck-r3": (_NECK, 3.0, 4.572957444124378, 4.217182430296655e-12),
+    "neck-r1.5": (_NECK, 1.5, 27.68773523644817, 1.6806995200231774e-11),
+}
+
+
+@pytest.mark.parametrize("profile,r,value,err", UNSPLIT_N1.values(), ids=UNSPLIT_N1.keys())
+def test_n1_split_stays_within_the_unsplit_errors(profile, r, value, err):
+    res = two_leaf_curvature(profile, r, 1, 0.5)
+    assert res.warnings == ()
+    assert abs(res.value - value) <= err + res.error_core + res.error_midfield
+
+
+@pytest.mark.parametrize("profile,r,unsplit_calls", [
+    (BarrierProfile(0.2), 1.5, 987),
+    # split at the knots alone, the neck still takes 1491 calls
+    (_NECK, 3.0, 1890),
+], ids=["barrier", "neck"])
+def test_n1_split_halves_the_slice_integral_calls(monkeypatch, profile, r, unsplit_calls):
+    # unsplit_calls: SliceIntegral.gap calls with every band integrated whole
+    from fracsurf.kernelfn import SliceIntegral
+    calls = []
+    gap = SliceIntegral.gap
+    monkeypatch.setattr(SliceIntegral, "gap", lambda self, x: calls.append(1) or gap(self, x))
+    res = two_leaf_curvature(profile, r, 1, 0.5)
+    assert res.warnings == ()
+    assert 0 < len(calls) < unsplit_calls / 2
+
+
+# the unsplit results at r = 2.5, whose five bend radii 0.5, 1.5, 2.5, 3.5
+# and 4.5 need a budget of at least 6 intervals
+ABOVE_BOTH = ("tail-above-target", "quadrature-above-target")
+UNSPLIT_STARVED = {
+    # budget: (value, error_midfield, error_tail, outer_radius, warnings)
+    1: (8.285681292356248, 2.355028720057699, 0.1499510108856172, 1e4, ABOVE_BOTH),
+    2: (8.329696110131549, 2.3550287200576996, 0.047418673184325265, 1e5, ABOVE_BOTH),
+    3: (8.342352568325575, 0.7358998507321542, 0.014995101088561719, 1e6, ABOVE_BOTH),
+    4: (8.346762052934102, 0.025529224919693356, 0.004741867318432527, 1e7, ABOVE_BOTH),
+    5: (8.348155905770964, 0.02479282870690658, 0.0014995101088561718, 1e8,
+        ("quadrature-above-target",)),
+}
+
+
+@pytest.mark.parametrize("budget", range(1, 9))
+def test_breakpoints_count_against_the_subdivision_budget(budget):
+    res = two_leaf_curvature(BarrierProfile(0.2), 2.5, 1, 0.5,
+                             QuadratureConfig(max_subdivisions=budget))
+    if budget in UNSPLIT_STARVED:
+        value, mid, tail, outer, warnings = UNSPLIT_STARVED[budget]
+        assert repr(res) == repr(CurvatureResult(value, 2.9561005043764606e-15, mid, tail,
+                                                 outer, warnings))
+    else:
+        # against the default budget's unsplit value and its core + midfield error
+        assert res.warnings == ()
+        assert abs(res.value - 8.348177726760493) <= (
+            2.9561005043764606e-15 + 7.577862528406239e-12 + res.error_core + res.error_midfield)
+
+
+def test_n2_neck_is_not_split():
+    res = two_leaf_curvature(_NECK, 3.0, 2, 0.5)
+    assert repr(res) == (
+        "CurvatureResult(value=2.065469406540798, error_core=1.529843240871797e-14, "
+        "error_midfield=4.912292578425311e-06, error_tail=0.0001706763083025736, "
+        "outer_radius=100000000000.0, warnings=())")

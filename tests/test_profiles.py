@@ -13,7 +13,8 @@ from fracsurf import (BarrierProfile, BumpProfile, ConstantProfile,
                       SqrtProfile, VerticalShiftProfile,
                       profile_from_config, profile_from_csv, profile_to_csv,
                       profile_values, sublinearity_modulus)
-from fracsurf.profiles import profile_bends, profile_extremes, profile_slopes
+from fracsurf.profiles import (_piece_poly, _poly_roots, profile_bends, profile_extremes,
+                               profile_slopes, profile_zeros)
 
 ALL_SMOOTH = [
     ConstantProfile(0.7),
@@ -642,3 +643,66 @@ def test_extremes_bound_a_dense_sampling(profile, tilt, over):
         "constant-over-barrier", "sqrt-over-barrier", "quadratic-over-barrier"])
 def test_extremes_limit_from_the_last_pieces(profile, tilt, over, limit):
     assert profile_extremes(profile, tilt=tilt, over=over)[1] == limit
+
+
+def _extreme_polys(profile, tilt, over):
+    # G'U - GU' on each interval between knots, built as profile_extremes does
+    over = ConstantProfile(1.0) if over is None else over
+    root = max(profile.root, over.root)
+    knots = sorted(set(profile.knots) | set(over.knots))
+    polys = []
+    for lo in [0.0] + [k for k in knots if k > 0.0]:
+        g = np.polysub(_piece_poly(profile, lo, root), _piece_poly(LinearProfile(tilt), lo, root))
+        u = _piece_poly(over, lo, root)
+        polys.append(np.polysub(np.convolve(np.polyder(g), u), np.convolve(g, np.polyder(u))))
+        polys.append(_piece_poly(profile, lo, profile.root))
+    return polys
+
+
+def _runaway():
+    r = np.linspace(0.0, 120.0, 2401)
+    return SampledProfile(r, np.maximum(0.0, 0.02 * r - 0.1 * np.sqrt(r)))
+
+
+@pytest.mark.parametrize("profile,tilt,over",
+                         EXTREME_CASES + [(_runaway(), 0.0, BarrierProfile(1.0))],
+                         ids=["rampbump", "tilted-barrier", "tilted-sqrt", "tilted-sampled",
+                              "sqrt-over-barrier", "dilated-bump-over-barrier",
+                              "dip-over-barrier", "runaway-over-barrier"])
+def test_batched_roots_are_those_of_np_roots(profile, tilt, over):
+    polys = _extreme_polys(profile, tilt, over)
+    polys += [np.array([0.0, 0.0]), np.array([0.0, 2.0, -1.0, 0.0, 0.0]), np.array([3.0])]
+    got = _poly_roots(polys)
+    assert len(got) == len(polys)
+    for p, roots in zip(polys, got):
+        want = np.roots(p)
+        assert roots.shape == want.shape
+        assert np.array_equal(roots.real, want.real) and np.array_equal(roots.imag, want.imag)
+
+
+def test_zero_crossing_of_the_neck():
+    # brentq on the blend piece at xtol 1e-15
+    zeros = profile_zeros(VerticalShiftProfile(BarrierProfile(0.5), 0.6))
+    assert zeros.shape == (1,)
+    assert zeros[0] == pytest.approx(1.4633902492654618, rel=1e-12, abs=0.0)
+
+
+def test_zero_crossing_of_a_shifted_sqrt_is_exact():
+    assert profile_zeros(SqrtProfile(1.0).shifted(0.5)).tolist() == [0.25]
+
+
+@pytest.mark.parametrize("profile", [BarrierProfile(0.2), BarrierProfile(1.0).dilated(0.5),
+                                     ConstantProfile(0.7), ConstantProfile(-0.7)])
+def test_positive_and_constant_profiles_have_no_crossings(profile):
+    assert profile_zeros(profile).tolist() == []
+
+
+def test_dip_between_knots_gives_both_crossings():
+    # 1 - 80 t + 800 t^2 on [0.1, 0.2], t = r - 0.1, is zero at t = (80 -+ sqrt(3200)) / 1600
+    dip = PiecewisePolyProfile((0.1, 0.2), [(0.0, (1.0,)), (0.1, (1.0, -80.0, 800.0)),
+                                            (0.2, (1.0,))])
+    expected = [0.1 + (80.0 - math.sqrt(3200.0)) / 1600.0,
+                0.1 + (80.0 + math.sqrt(3200.0)) / 1600.0]
+    zeros = profile_zeros(dip)
+    assert zeros == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert np.all(profile_values(dip, [0.1, 0.15, 0.2]) * [1, -1, 1] > 0.0)
