@@ -10,9 +10,8 @@ estimates used in the blow-down analysis.
 from .barrier import (BarrierReport, ConeConstantReport, ConeSweepReport,
                       build_barrier, cone_constant, sweep_cone_constant,
                       verify_barrier)
-from .blowdown import (FlatnessReport, HolderReport, blowdown_rescale,
-                       flatness_certificate, holder_rescaling_check,
-                       rescaled_profile)
+from .blowdown import (FlatnessReport, HolderReport, flatness_certificate,
+                       holder_rescaling_check)
 from .config import derived_seed
 from .curvature import (CurvatureResult, QuadratureConfig, angular_rule,
                         graph_curvature, subgraph_curvature,
@@ -32,9 +31,8 @@ from .oracle import (EnergyResult, PerimeterResult, direct_curvature,
 from .profiles import (BarrierProfile, BumpProfile, ConstantProfile,
                        DilatedGraphProfile, LinearProfile, ModulusReport,
                        PiecewisePolyProfile, RadialProfile, RampBumpProfile,
-                       SampledProfile, SqrtProfile, VerticalShiftProfile,
-                       profile_from_config, profile_from_csv, profile_to_csv,
-                       profile_values, sublinearity_modulus)
+                       SampledProfile, SqrtProfile, profile_from_config,
+                       profile_from_csv, profile_values, sublinearity_modulus)
 from .sliding import (RescalePlan, SlideOutcome, VERDICT_CONFIRMED,
                       VERDICT_TOUCH, VERDICT_UNBOUNDED, rescale_for_slide,
                       slide)
@@ -91,9 +89,7 @@ __all__ = [
     "VERDICT_CONFIRMED",
     "VERDICT_TOUCH",
     "VERDICT_UNBOUNDED",
-    "VerticalShiftProfile",
     "angular_rule",
-    "blowdown_rescale",
     "boundary_sample",
     "build_barrier",
     "cone_constant",
@@ -105,11 +101,9 @@ __all__ = [
     "interaction_energy",
     "profile_from_config",
     "profile_from_csv",
-    "profile_to_csv",
     "profile_values",
     "relative_perimeter",
     "rescale_for_slide",
-    "rescaled_profile",
     "slide",
     "subgraph_curvature",
     "sublinearity_modulus",

@@ -14,23 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidEpsilonError, InvalidExponentError
-from .geometry import Subgraph
-from .profiles import (DilatedGraphProfile, RadialProfile, SampledProfile, profile_extremes,
-                       profile_slopes, profile_values, sublinearity_modulus)
-
-
-def blowdown_rescale(body: Subgraph, factor: float) -> Subgraph:
-    """View the subgraph at scale ``factor``: translate the boundary through
-    the origin, then shrink space by the factor."""
-    if not isinstance(body, Subgraph):
-        raise TypeError("blowdown rescaling is defined for subgraph bodies")
-    return Subgraph(rescaled_profile(body.profile, factor))
-
-
-def rescaled_profile(profile: RadialProfile, factor: float) -> RadialProfile:
-    """u(R r)/R - u(0)/R: the graph translated through the origin, then
-    rescaled by R = factor."""
-    return DilatedGraphProfile(profile.shifted(profile.value(0.0)), factor)
+from .profiles import (RadialProfile, SampledProfile, profile_extremes, profile_slopes,
+                       profile_values, sublinearity_modulus)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,8 @@ class Section(dict):
     """Defaults overlaid by the user's keys, noting every key read.
 
     ``given`` holds the keys the user set and ``used`` the keys read through
-    ``[]`` or ``get``; ``in``, ``items()`` and ``pop`` mark nothing.
+    ``[]`` or ``get``; ``in``, ``items()`` and ``pop`` mark nothing.  ``get``
+    stores the default it returns, so the record of the run holds it too.
     """
 
     def __init__(self, defaults: dict, given: dict):
@@ -84,7 +85,7 @@ class Section(dict):
 
     def get(self, key, default=None):
         self.used.add(key)
-        return super().get(key, default)
+        return self.setdefault(key, default)
 
 
 def resolve(command: str, config_path: str | None, overrides: dict) -> dict:

@@ -44,15 +44,14 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, special
 
 from .errors import NonSmoothPointError
 from .kernelfn import SliceIntegral
-from .profiles import (BarrierProfile, RadialProfile, profile_bends, profile_values,
-                       profile_zeros)
+from .profiles import BarrierProfile, RadialProfile, profile_values, profile_zeros
 
 # Lipschitz probe grid for the tail bound: dense through the near field,
 # decades out to 1e8 to catch slopes that keep growing
@@ -97,12 +96,11 @@ class QuadratureConfig:
             raise ValueError("angular_order must be even and >= 2")
 
     @classmethod
-    def for_profile(cls, profile: RadialProfile, **overrides) -> "QuadratureConfig":
+    def for_profile(cls, profile: RadialProfile) -> "QuadratureConfig":
         """Default config, with the pivot tied to the barrier height scale."""
-        cfg = cls(**overrides)
-        if isinstance(profile, BarrierProfile) and "pv_inner_radius" not in overrides:
-            cfg = replace(cfg, pv_inner_radius=min(0.1, 0.5 * profile.epsilon))
-        return cfg
+        if isinstance(profile, BarrierProfile):
+            return cls(pv_inner_radius=min(0.1, 0.5 * profile.epsilon))
+        return cls()
 
 
 @dataclass(frozen=True)
@@ -130,10 +128,7 @@ def angular_rule(n: int, order: int):
         return np.array([1.0, -1.0]), np.array([1.0, 1.0])
     expo = 0.5 * (n - 3)
     nodes, weights = special.roots_jacobi(order, expo, expo)
-    if n == 2:
-        sphere = 2.0
-    else:
-        sphere = 2.0 * math.pi ** (0.5 * (n - 1)) / math.gamma(0.5 * (n - 1))
+    sphere = 2.0 * math.pi ** (0.5 * (n - 1)) / math.gamma(0.5 * (n - 1))
     return nodes, sphere * weights
 
 
@@ -215,7 +210,8 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
         q = a_coef / ts
         dt = rho * q
         one_m_cq = (dt + two_s_sin2 - cj * rho) / ts
-        ddr = -dvs * one_m_cq / ts - q * q * profile_bends(profile, s, dt)
+        # dt = t - s, so the step ends at t >= 0; the clip undoes rounding
+        ddr = -dvs * one_m_cq / ts - q * q * profile._bends(s, np.maximum(dt, -s))
         dd = ddr * rho
         small = np.abs(dd) < 1e-6
         if small.all():

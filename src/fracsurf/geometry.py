@@ -27,9 +27,6 @@ class Body:
     def contains(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def contains_one(self, point) -> bool:
-        return bool(self.contains(np.asarray(point, dtype=float)[None, :])[0])
-
     def __and__(self, other: "Body") -> "Body":
         return Intersection(self, other)
 

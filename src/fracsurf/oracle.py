@@ -128,7 +128,6 @@ class EnergyResult:
     error: float
     near_cut: float
     far_cut: float
-    truncated: bool
 
 
 def interaction_energy(first: Body, second: Body, window: Box, n: int, alpha: float,
@@ -139,7 +138,7 @@ def interaction_energy(first: Body, second: Body, window: Box, n: int, alpha: fl
     The base point runs uniformly over ``window``; the offset is drawn from
     the kernel-weighted radial law between the near and far cuts, both tied
     to the window diameter so rescaled inputs rescale the estimate exactly.
-    Offsets outside the cut annulus are the flagged truncation.
+    Offsets outside the cut annulus are left out of the estimate.
     """
     d = n + 1
     if window.dim != d:
@@ -170,8 +169,7 @@ def interaction_energy(first: Body, second: Body, window: Box, n: int, alpha: fl
     value = scale * float(np.mean(vals))
     # three standard errors, same one-sided reading as everywhere else
     err = 3.0 * scale * float(np.std(vals, ddof=1)) / math.sqrt(samples)
-    return EnergyResult(value=value, error=err, near_cut=near, far_cut=far,
-                        truncated=True)
+    return EnergyResult(value=value, error=err, near_cut=near, far_cut=far)
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,12 @@ class RadialProfile:
 
     Each family implements five one-sided array accessors: ``_values``,
     ``_slopes`` and ``_curves`` for r >= 0, and ``_chords`` and ``_bends``
-    for r >= 0, r + h >= 0, h != 0.  They take arrays of one shape, or
-    plain floats, and run the same numpy code on both.  The public scalar
-    accessors below fold negative arguments and mixed-sign steps through
-    evenness and call them; ``profile_values``, ``profile_slopes`` and
-    ``profile_bends`` are the array entry points.
+    for r >= 0, r + h >= 0 (at h = 0, their limits).  They take arrays of
+    one shape, or plain floats, and run the same numpy code on both.  The
+    public scalar accessors below fold negative arguments and mixed-sign
+    steps through evenness and call them; ``profile_values`` and
+    ``profile_slopes`` are the array entry points.  The curvature core
+    steps only from r >= 0 to r + h >= 0 and calls ``_bends`` directly.
 
     Each family is closed under ``shifted(h)``, the graph lowered by h, and
     ``dilated(f)``, the rescaled graph v(f r) / f.  Each is also, piece by
@@ -184,9 +185,11 @@ class PiecewisePolyProfile(RadialProfile):
                 u1 = np.clip(edges[i + 1] - r, lo, hi)
                 t = r - anchor
                 total = total + _poly_divided(cs[1:], t + u0, t + u1)[0] * (u1 - u0)
-            across = total / np.abs(h)
+            # a zero step crosses no knot; dividing it by 1 keeps it finite
+            step = np.where(crossing, h, 1.0)
+            across = total / np.abs(step)
             chord = np.where(crossing, across, chord)
-            bend = np.where(crossing, (across - self._slopes(r)) / h, bend)
+            bend = np.where(crossing, (across - self._slopes(r)) / step, bend)
         return chord, bend
 
     def _chords(self, r, h):
@@ -359,11 +362,6 @@ class SampledProfile(PiecewisePolyProfile):
         self.node_values = v
 
 
-def VerticalShiftProfile(profile: RadialProfile, shift: float) -> RadialProfile:
-    """profile(r) - shift, a profile of the same family."""
-    return profile.shifted(float(shift))
-
-
 def DilatedGraphProfile(profile: RadialProfile, factor: float) -> RadialProfile:
     """The graph rescaling u_R(r) = u(R r) / R, a profile of the same family."""
     if not factor > 0:
@@ -385,38 +383,6 @@ def profile_slopes(profile: RadialProfile, radii) -> np.ndarray:
     r = np.asarray(radii, dtype=float)
     g = profile._slopes(np.abs(r))
     return np.where(r < 0.0, -g, g)
-
-
-def profile_bends(profile: RadialProfile, radius, steps) -> np.ndarray:
-    """Array ``bend``: the second divided difference at each (radius, step).
-
-    Steps on one side of the axis fold through evenness onto the family's
-    ``_bends``; zero steps and steps through the axis take the same forms
-    as the scalar ``bend``.
-    """
-    r, h = np.broadcast_arrays(np.asarray(radius, dtype=float),
-                               np.asarray(steps, dtype=float))
-    r = r.ravel()
-    h = h.ravel()
-    b = r + h
-    right = (r >= 0.0) & (b >= 0.0)
-    if right.all() and h.all():
-        return profile._bends(np.abs(r), h)
-    left = ~right & (r <= 0.0) & (b <= 0.0)
-    through = ~(right | left)
-    flat = h == 0.0
-    one_sided = ~(through | flat)
-    out = np.empty(r.shape)
-    if one_sided.any():
-        out[one_sided] = profile._bends(np.abs(r[one_sided]),
-                                        np.where(left, -h, h)[one_sided])
-    if flat.any():
-        out[flat] = 0.5 * profile._curves(np.abs(r[flat]))
-    if through.any():
-        r, h, b = r[through], h[through], b[through]
-        chord = (profile._values(np.abs(b)) - profile._values(np.abs(r))) / h
-        out[through] = (chord - profile_slopes(profile, r)) / h
-    return out
 
 
 def _piece_poly(profile: RadialProfile, lo: float, root: int) -> np.ndarray:
@@ -503,9 +469,6 @@ def profile_zeros(profile: RadialProfile) -> np.ndarray:
     return np.unique(radii)
 
 
-PROFILE_CSV_HEADER = "r,value"
-
-
 def profile_from_csv(path) -> SampledProfile:
     with open(path, "r", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -513,13 +476,6 @@ def profile_from_csv(path) -> SampledProfile:
         raise ValueError('profile CSV must start with header "r,value"')
     data = np.array([[float(a), float(b)] for a, b in rows[1:]])
     return SampledProfile(data[:, 0], data[:, 1])
-
-
-def profile_to_csv(profile: RadialProfile, radii) -> str:
-    lines = [PROFILE_CSV_HEADER]
-    for r in radii:
-        lines.append(f"{float(r)!r},{profile.value(float(r))!r}")
-    return "\n".join(lines) + "\n"
 
 
 def profile_from_config(options: dict, prefix: str = "") -> RadialProfile:

@@ -67,8 +67,7 @@ class SlideOutcome:
 
 
 def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: float,
-          config: QuadratureConfig | None = None,
-          floor: float = SLIDE_FLOOR) -> SlideOutcome:
+          config: QuadratureConfig | None = None) -> SlideOutcome:
     """Lower the barrier height onto the rescaled candidate.
 
     The rescaled candidate c(r) = lam * candidate(r / lam) lies strictly
@@ -76,6 +75,7 @@ def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: floa
     eps* = sup c/u, with u the unit barrier.  The supremum is the larger of
     the ratio's maximum over the radii where it can peak and its limit as
     r -> inf; a limit above every finite ratio is an escape to infinity.
+    Below ``SLIDE_FLOOR`` the barrier counts as flat.
     """
     if not lam > 0.0:
         raise ValueError("shrink factor must be positive")
@@ -92,15 +92,15 @@ def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: floa
         raise InitialInclusionError("rescaled candidate pokes out of the half-height barrier "
                                     f"at r = {radii[idx] if ratios[idx] >= limit else np.inf}")
 
-    if eps_star < floor:
+    if eps_star < SLIDE_FLOOR:
         return SlideOutcome(
-            lam=lam, eps_star=floor, floor=floor, verdict=VERDICT_CONFIRMED,
+            lam=lam, eps_star=SLIDE_FLOOR, floor=SLIDE_FLOOR, verdict=VERDICT_CONFIRMED,
             interpretation=("the candidate stayed inside every barrier down to the "
                             "height floor; nothing obstructs sliding it to the flat limit"))
 
     if limit > ratios[idx]:
         return SlideOutcome(
-            lam=lam, eps_star=eps_star, floor=floor, verdict=VERDICT_UNBOUNDED,
+            lam=lam, eps_star=eps_star, floor=SLIDE_FLOOR, verdict=VERDICT_UNBOUNDED,
             interpretation=(
                 "the candidate over the barrier only reaches its supremum as r -> inf, "
                 "so contact runs off to infinity as the barrier shrinks; the candidate "
@@ -111,7 +111,7 @@ def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: floa
     barrier = BarrierProfile(eps_star)
     res = two_leaf_curvature(barrier, touch_radius, n, alpha, config)
     return SlideOutcome(
-        lam=lam, eps_star=eps_star, floor=floor, verdict=VERDICT_TOUCH,
+        lam=lam, eps_star=eps_star, floor=SLIDE_FLOOR, verdict=VERDICT_TOUCH,
         touch_radius=touch_radius, touch_point=touch_point,
         curvature_at_touch=float(res.value), curvature_error=float(res.total_error),
         outer_radius=res.outer_radius, warnings=res.warnings,

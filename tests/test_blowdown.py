@@ -3,19 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from fracsurf import (Ball, BumpProfile, ConstantProfile, InvalidEpsilonError,
+from fracsurf import (BumpProfile, ConstantProfile, InvalidEpsilonError,
                       InvalidExponentError, LinearProfile,
                       PiecewisePolyProfile, RampBumpProfile, SqrtProfile, Subgraph,
-                      VerticalShiftProfile,
-                      blowdown_rescale, flatness_certificate,
-                      holder_rescaling_check, rescaled_profile)
+                      flatness_certificate, holder_rescaling_check)
 
 SQRT_ENV = SqrtProfile(1.0)
 
 
+def blowdown(body, R):
+    """The subgraph translated through the origin, then shrunk by R."""
+    p = body.profile
+    return Subgraph(p.shifted(p.value(0.0)).dilated(R))
+
+
 def test_blowdown_translates_then_shrinks():
-    body = Subgraph(VerticalShiftProfile(SqrtProfile(1.0), -1.0))  # sqrt(r) + 1
-    bd = blowdown_rescale(body, 10.0)
+    body = Subgraph(SqrtProfile(1.0).shifted(-1.0))  # sqrt(r) + 1
+    bd = blowdown(body, 10.0)
     # after dropping the apex height 1 the boundary is sqrt; at the reduced
     # scale the point (0.4, h) is inside iff 10 h < sqrt(10 * 0.4) = 2
     pts = np.array([[0.4, 0.19], [0.4, 0.21]])
@@ -23,8 +27,8 @@ def test_blowdown_translates_then_shrinks():
 
 
 def test_blowdown_identity_keeps_the_translated_graph():
-    body = Subgraph(VerticalShiftProfile(SqrtProfile(1.0), -1.0))
-    ident = blowdown_rescale(body, 1.0)
+    body = Subgraph(SqrtProfile(1.0).shifted(-1.0))
+    ident = blowdown(body, 1.0)
     pts = np.array([[4.0, 1.9], [4.0, 2.1]])
     np.testing.assert_array_equal(ident.contains(pts), [True, False])
 
@@ -33,23 +37,8 @@ def test_blowdown_fixes_half_spaces():
     hs = Subgraph(ConstantProfile(5.0))
     pts = np.array([[3.0, -0.01], [3.0, 0.01], [-7.0, -2.0]])
     for R in (1.0, 7.0, 120.0):
-        np.testing.assert_array_equal(blowdown_rescale(hs, R).contains(pts),
+        np.testing.assert_array_equal(blowdown(hs, R).contains(pts),
                                       [True, False, True])
-
-
-def test_rescaled_profiles_compose():
-    base = VerticalShiftProfile(SqrtProfile(1.0), -1.0)
-    twice = rescaled_profile(rescaled_profile(base, 4.0), 2.5)
-    once = rescaled_profile(base, 10.0)
-    rs = np.linspace(0.0, 5.0, 21)
-    for r in rs:
-        assert twice.value(float(r)) == pytest.approx(once.value(float(r)),
-                                                      rel=1e-12, abs=1e-15)
-
-
-def test_blowdown_requires_a_subgraph():
-    with pytest.raises(TypeError):
-        blowdown_rescale(Ball(1.0), 2.0)
 
 
 def test_flatness_sqrt_fails_below_the_predicted_radius():
@@ -85,7 +74,7 @@ def test_flatness_zero_profile_always_passes():
 def test_flatness_apex_height_counts_against_the_certificate():
     """The raw rescaling keeps the apex height u(0)/R; it must show up in
     the sup rather than being translated away."""
-    prof = VerticalShiftProfile(ConstantProfile(0.0), -1.0)  # u = 1
+    prof = ConstantProfile(0.0).shifted(-1.0)  # u = 1
     rep = flatness_certificate(prof, SQRT_ENV, 0.1, 5.0)
     assert not rep.passed
     assert rep.sup == pytest.approx(0.2)
@@ -95,7 +84,7 @@ def test_flatness_apex_height_counts_against_the_certificate():
 
 
 def test_flatness_linear_growth_never_passes():
-    prof = VerticalShiftProfile(LinearProfile(1.0), -1.0)  # u = 1 + r
+    prof = LinearProfile(1.0).shifted(-1.0)  # u = 1 + r
     for R in (10.0, 1000.0):
         rep = flatness_certificate(prof, SQRT_ENV, 0.1, R)
         assert not rep.passed

@@ -130,6 +130,21 @@ truncation_radius = 500
     assert "pv_inner_radius = 0.05" in lines
 
 
+def test_defaults_supplied_at_the_read_are_recorded(tmp_path):
+    cfg = tmp_path / "sqrt.ini"
+    cfg.write_text("[curvature]\ngeometry = subgraph\nkind = sqrt\npoints = 4.0\n")
+    out = tmp_path / "sqrt"
+    assert run_cli("curvature", cfg, out) == 0
+    lines = (out / "resolved.ini").read_text().splitlines()
+    assert "scale = 1.0" in lines
+    assert "complement = false" in lines
+    out = tmp_path / "blowdown"
+    assert main(["blowdown", "--out", str(out)]) == 0
+    lines = (out / "resolved.ini").read_text().splitlines()
+    assert "scale = 1.0" in lines
+    assert "envelope_scale = 1.0" in lines
+
+
 def test_curvature_warnings_reach_points_json(tmp_path):
     cfg = tmp_path / "warn.ini"
     cfg.write_text("""\

@@ -5,10 +5,12 @@ import pytest
 from scipy import special
 
 from fracsurf import (BarrierProfile, ConstantProfile, CurvatureResult, DilatedGraphProfile,
-                      LinearProfile, NonSmoothPointError, QuadratureConfig,
-                      RampBumpProfile, SampledProfile, SqrtProfile, TwoLeaf,
-                      VerticalShiftProfile, angular_rule, direct_curvature,
-                      graph_curvature, subgraph_curvature, two_leaf_curvature)
+                      LinearProfile, NonSmoothPointError, PiecewisePolyProfile,
+                      QuadratureConfig, RampBumpProfile, SampledProfile, SqrtProfile,
+                      TwoLeaf, angular_rule, direct_curvature, graph_curvature,
+                      subgraph_curvature, two_leaf_curvature)
+from fracsurf.cli import _quadrature_from
+from fracsurf.config import Section
 
 
 def sphere_area(n):
@@ -184,7 +186,8 @@ def test_config_validation():
 def test_config_pivot_tracks_barrier_height():
     assert QuadratureConfig.for_profile(BarrierProfile(0.1)).pv_inner_radius == 0.05
     assert QuadratureConfig.for_profile(ConstantProfile(0.1)).pv_inner_radius == 0.1
-    forced = QuadratureConfig.for_profile(BarrierProfile(0.1), pv_inner_radius=0.02)
+    # a pivot the INI sets wins over the barrier's
+    forced = _quadrature_from(Section({}, {"pv_inner_radius": "0.02"}), BarrierProfile(0.1))
     assert forced.pv_inner_radius == 0.02
 
 
@@ -229,7 +232,7 @@ def test_two_leaf_neck_reads_negative_heights_as_empty_slices():
     the Monte Carlo oracle, which classifies points by membership, disagrees
     with that beyond both error bars.  At r = 1.5 the crossing lies inside
     the stabilized core, which read 28.9708 there."""
-    prof = VerticalShiftProfile(BarrierProfile(0.5), 0.6)
+    prof = BarrierProfile(0.5).shifted(0.6)
     assert prof.value(0.0) < 0.0 < prof.value(3.0)
     flat = two_leaf_curvature(prof, 3.0, 1, 0.5)
     assert abs(flat.value - 4.572957444124378) <= flat.total_error
@@ -250,7 +253,7 @@ def test_two_leaf_neck_reads_negative_heights_as_empty_slices():
 # where the integrand bends: (profile, radius, value, core + midfield error)
 _BASE = BarrierProfile(0.2)
 _TWIN = DilatedGraphProfile(_BASE, 0.5)
-_NECK = VerticalShiftProfile(BarrierProfile(0.5), 0.6)
+_NECK = BarrierProfile(0.5).shifted(0.6)
 UNSPLIT_N1 = {
     "barrier-r0": (_BASE, 0.0, 13.170276431506522, 2.781146029783777e-12),
     "barrier-r0.5": (_BASE, 0.5, 13.033290930350187, 1.1924404123090497e-12),
@@ -327,4 +330,44 @@ def test_n2_neck_is_not_split():
     assert repr(res) == (
         "CurvatureResult(value=2.065469406540798, error_core=1.529843240871797e-14, "
         "error_midfield=4.912292578425311e-06, error_tail=0.0001706763083025736, "
+        "outer_radius=100000000000.0, warnings=())")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_core_steps_stay_on_one_side_of_the_axis(monkeypatch, n):
+    """The core asks each family's bends only for steps from s >= 0 to the
+    offset radius t >= 0, at the apex, at a knot, on the neck, and at
+    n = 1 on the square root."""
+    calls = []
+
+    def one_sided(cls):
+        bends = cls._bends
+
+        def checked(self, r, h):
+            assert np.all(r >= 0.0) and np.all(r + h >= 0.0)
+            calls.append(1)
+            return bends(self, r, h)
+        monkeypatch.setattr(cls, "_bends", checked)
+
+    one_sided(PiecewisePolyProfile)
+    one_sided(SqrtProfile)
+    points = [(BarrierProfile(0.2), 0.0), (BarrierProfile(0.2), 1.0), (_NECK, 1.5)]
+    if n == 1:
+        points.append((SqrtProfile(1.0), 4.0))
+    for profile, r in points:
+        count = len(calls)
+        assert math.isfinite(two_leaf_curvature(profile, r, n, 0.5).value)
+        assert len(calls) > count
+
+
+def test_zero_step_beside_a_knot_crossing_step():
+    """At s = 0.025 the core's quadrature evaluates rho = 2s, where the
+    c = -1 step to the offset radius is exactly 0 while the c = +1 step
+    crosses the knot at 0.05.  The zero step takes half the curvature, with
+    no 0 / 0 in the crossing branch; the value is pinned."""
+    r = np.linspace(0.0, 4.0, 81)
+    res = two_leaf_curvature(SampledProfile(r, 1.0 + r ** 2 / 8.0), 0.025, 1, 0.5)
+    assert repr(res) == (
+        "CurvatureResult(value=-0.5147538836058843, error_core=1.2569620639934725e-12, "
+        "error_midfield=1.7442083930202433e-13, error_tail=6.796990480876434e-05, "
         "outer_radius=100000000000.0, warnings=())")

@@ -26,8 +26,8 @@ def test_membership_flips_across_boundary(body, n):
     for s in boundary_sample(body, n, SampleSpec(count=24, r_max=6.0)):
         inside = s.point - 1e-6 * s.normal
         outside = s.point + 1e-6 * s.normal
-        assert body.contains_one(inside), f"inside probe failed at r={s.radius}"
-        assert not body.contains_one(outside), f"outside probe failed at r={s.radius}"
+        assert body.contains(inside[None])[0], f"inside probe failed at r={s.radius}"
+        assert not body.contains(outside[None])[0], f"outside probe failed at r={s.radius}"
 
 
 def test_two_leaf_membership_values():

@@ -10,11 +10,10 @@ from scipy.interpolate import PchipInterpolator
 from fracsurf import (BarrierProfile, BumpProfile, ConstantProfile,
                       DilatedGraphProfile, InvalidEnvelopeError, LinearProfile,
                       NotSublinearError, PiecewisePolyProfile, RampBumpProfile, SampledProfile,
-                      SqrtProfile, VerticalShiftProfile,
-                      profile_from_config, profile_from_csv, profile_to_csv,
+                      SqrtProfile, profile_from_config, profile_from_csv,
                       profile_values, sublinearity_modulus)
-from fracsurf.profiles import (_piece_poly, _poly_roots, profile_bends, profile_extremes,
-                               profile_slopes, profile_zeros)
+from fracsurf.profiles import (_piece_poly, _poly_roots, profile_extremes, profile_slopes,
+                               profile_zeros)
 
 ALL_SMOOTH = [
     ConstantProfile(0.7),
@@ -160,9 +159,10 @@ STEPS = [(0.5, 0.3), (1.3, -0.2), (4.0, 1e-3), (0.9, 1.6)]
 def test_dilated_profile_is_scaling():
     """u(f r) / f, of the input's own family: values, slopes, chords and
     bends transported through the dilation.  Dilating by a power of two
-    rescales every coefficient exactly; f = 3 rounds them."""
-    for base, f in itertools.product(ARRAY_FAMILIES.values(), (0.5, 3.0)):
-        prof = DilatedGraphProfile(base, f)
+    rescales every coefficient exactly; f = 3 rounds them, and so does
+    dilating by 4 and then by 2.5, which composes to f = 10."""
+    for base, f in itertools.product(ARRAY_FAMILIES.values(), (0.5, 3.0, 10.0)):
+        prof = base.dilated(4.0).dilated(2.5) if f == 10.0 else DilatedGraphProfile(base, f)
         assert type(prof) in (PiecewisePolyProfile, SqrtProfile)
         assert isinstance(base, type(prof))
         rel = 1e-14 if f == 0.5 else 1e-13
@@ -182,14 +182,14 @@ def test_vertical_shift_passthrough():
     """v - 0.4, of the input's own family: values drop by the shift, and
     slopes, chords and bends stay bit for bit."""
     for base in ARRAY_FAMILIES.values():
-        prof = VerticalShiftProfile(base, 0.4)
+        prof = base.shifted(0.4)
         assert isinstance(base, type(prof))
         for r, h in STEPS:
             assert prof.value(r) == pytest.approx(base.value(r) - 0.4, rel=1e-15, abs=1e-15)
             assert prof.first_derivative(r) == base.first_derivative(r)
             assert prof.chord(r, h) == base.chord(r, h)
             assert prof.bend(r, h) == base.bend(r, h)
-    assert VerticalShiftProfile(SqrtProfile(1.0), 0.4).value(4.0) == 2.0 - 0.4
+    assert SqrtProfile(1.0).shifted(0.4).value(4.0) == 2.0 - 0.4
 
 
 def test_sampled_profile_interpolates_and_extrapolates():
@@ -458,23 +458,27 @@ def test_array_values_match_scalar_reference(profile):
 
 @pytest.mark.parametrize("profile", ARRAY_FAMILIES.values(), ids=list(ARRAY_FAMILIES))
 def test_array_bends_match_scalar_reference(profile):
-    """Array chords and bends against references formed one step at a time
-    (within-piece steps to a few ulps; steps across a knot to their error
-    bound, which the cancellation of a bend there makes loose)."""
+    """One-sided array chords and bends (a zero step gives the bend's limit,
+    half the curvature), and the folded scalar bend on every step, against
+    references formed one step at a time (within-piece steps to a few ulps;
+    steps across a knot to their error bound, which the cancellation of a
+    bend there makes loose)."""
     rng = np.random.default_rng(22)
     r, h = seeded_steps(profile, rng)
-    right = (r >= 0.0) & (r + h >= 0.0) & (h != 0.0)
-    ra, ha = r[right], h[right]
+    right = (r >= 0.0) & (r + h >= 0.0)
+    ra, ha = r[right & (h != 0.0)], h[right & (h != 0.0)]
     chords = profile._chords(ra, ha)
     reference = reference_for(profile)
     ref, size = as_floats(reference.step(float(a), float(b))[0] for a, b in zip(ra, ha))
     assert_within_ulps(chords, ref, size=size)
+    ref, size = reference_bends(profile, r[right], h[right])
+    assert_within_ulps(profile._bends(r[right], h[right]), ref, size=size)
     ref, size = reference_bends(profile, r, h)
-    assert_within_ulps(profile_bends(profile, r, h), ref, size=size)
+    assert_within_ulps([profile.bend(float(a), float(b)) for a, b in zip(r, h)], ref, size=size)
     # one base radius against many steps, the shape the curvature core uses
-    steps = h[:48]
+    steps = h[:48][2.5 + h[:48] >= 0.0]
     ref, size = reference_bends(profile, np.full(steps.shape, 2.5), steps)
-    assert_within_ulps(profile_bends(profile, 2.5, steps), ref, size=size)
+    assert_within_ulps(profile._bends(2.5, steps), ref, size=size)
 
 
 def test_profile_values_matches_scalar_loop():
@@ -512,18 +516,21 @@ def test_within_piece_bend_is_exact_to_rounding():
         assert abs(prof.bend(r, h) - ref) <= 1e-12 * max(abs(ref), 0.2)
 
 
+def csv_text(profile, radii):
+    return "r,value\n" + "".join(f"{float(r)!r},{profile.value(float(r))!r}\n"
+                                 for r in radii)
+
+
 def test_csv_round_trip(tmp_path):
     prof = BarrierProfile(0.3)
     path = tmp_path / "prof.csv"
     radii = np.linspace(0.0, 6.0, 121)
-    text = profile_to_csv(prof, radii)
-    path.write_text(text)
-    assert text.splitlines()[0] == "r,value"
+    path.write_text(csv_text(prof, radii))
     back = profile_from_csv(path)
     for r in (0.4, 1.7, 3.3, 5.9):
         assert back.value(r) == pytest.approx(prof.value(r), rel=1e-6)
-    # sqrt heights come from numpy; the CSV must hold plain float reprs
-    path.write_text(profile_to_csv(SqrtProfile(1.0), radii))
+    # float reprs read back bit for bit
+    path.write_text(csv_text(SqrtProfile(1.0), radii))
     assert profile_from_csv(path).node_values.tolist() == np.sqrt(radii).tolist()
 
 
@@ -682,7 +689,7 @@ def test_batched_roots_are_those_of_np_roots(profile, tilt, over):
 
 def test_zero_crossing_of_the_neck():
     # brentq on the blend piece at xtol 1e-15
-    zeros = profile_zeros(VerticalShiftProfile(BarrierProfile(0.5), 0.6))
+    zeros = profile_zeros(BarrierProfile(0.5).shifted(0.6))
     assert zeros.shape == (1,)
     assert zeros[0] == pytest.approx(1.4633902492654618, rel=1e-12, abs=0.0)
 

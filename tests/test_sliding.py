@@ -6,6 +6,7 @@ from fracsurf import (ConstantProfile, InitialInclusionError, InvalidEnvelopeErr
                       LinearProfile, NotSublinearError, PiecewisePolyProfile,
                       RampBumpProfile, SampledProfile, SqrtProfile,
                       rescale_for_slide, slide)
+from fracsurf.sliding import SLIDE_FLOOR
 
 CONSTANT_ENV = ConstantProfile(1.0)
 SQRT_ENV = SqrtProfile(1.0)
@@ -147,9 +148,10 @@ def test_slide_parameter_validation():
 
 
 def test_floor_is_respected():
-    out = slide(ConstantProfile(0.0), 1.0, 0.05, 1, 0.5, floor=0.002)
+    # eps* = 5e-5 lies below the floor, which the outcome reports instead
+    out = slide(ConstantProfile(5e-5), 1.0, 0.05, 1, 0.5)
     assert out.verdict == "RIGIDITY_MECHANISM_CONFIRMED"
-    assert out.eps_star == 0.002
+    assert out.eps_star == SLIDE_FLOOR == 1e-4
 
 
 def test_outcome_carries_the_inputs():
