@@ -41,6 +41,16 @@ def test_blowdown_fixes_half_spaces():
                                       [True, False, True])
 
 
+def test_rescaled_profiles_compose():
+    base = SqrtProfile(1.0).shifted(-1.0)
+    twice = base.dilated(4.0).dilated(2.5)
+    once = base.dilated(10.0)
+    rs = np.linspace(0.0, 5.0, 21)
+    for r in rs:
+        assert twice.value(float(r)) == pytest.approx(once.value(float(r)),
+                                                      rel=1e-12, abs=1e-15)
+
+
 def test_flatness_sqrt_fails_below_the_predicted_radius():
     rep = flatness_certificate(SqrtProfile(1.0), SQRT_ENV, 0.1, 50.0)
     assert not rep.passed
