@@ -35,9 +35,14 @@ At n = 1 the two directions c = +-1 put the offset radius at t = |s +- rho|,
 so A(rho) bends exactly where t meets a profile knot, a zero crossing of v
 (two-leaf only: the slice height is max(v, 0)) or the axis.  The midfield
 and every tail band hand those rho inside them to QUADPACK as breakpoints.
-For n >= 2 the fixed angular rule makes the computed A(rho) bend where each
-node's offset meets a knot, at no radius common to all nodes, so those bands
-stay whole.
+For n >= 2 the midfield and tail bands are integrated in u = log rho by
+adaptive Gauss-Kronrod 21/10 panels, each pass evaluating A on the nodes of
+every new panel at once.  The fixed angular rule makes the computed A(rho)
+bend where some node's offset meets a knot, at no radius common to all
+nodes; of those only the kink of max(v, 0) is sharp, so two-leaf bands start
+from panel edges at rho = -s c_j +- sqrt(z^2 - s^2 (1 - c_j^2)), where node
+j's offset radius meets a zero crossing z.  Both kinds of edge count against
+the panel budget: a band whose edges do not fit starts whole.
 """
 
 from __future__ import annotations
@@ -61,6 +66,25 @@ _SLOPE_PROBE = np.concatenate([np.linspace(1e-6, 50.0, 2001),
 TAIL_SHARE = 2.5e-4
 ESCALATION_CAP_RADIUS = 1e12
 
+# Gauss-Kronrod 21/10 on [-1, 1] (QUADPACK's qk21): the Kronrod nodes from the
+# edge inward, mirrored about 0, so the Gauss-10 nodes sit at odd positions
+_XGK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+                 0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+                 0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+                 0.14887433898163122, 0.0])
+_WGK = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+                 0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+                 0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+                 0.14773910490133849, 0.1494455540029169])
+_WG = np.array([0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+                0.26926671930999635, 0.29552422471475287])
+_GK_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
+_GK_WEIGHTS = np.concatenate((_WGK, _WGK[-2::-1]))
+_G_WEIGHTS = np.concatenate((_WG, _WG[::-1]))
+# panels per integrand call and bisections per pass: at 48 angular nodes one
+# call stays near 16k elements
+_PANEL_BATCH = 16
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -70,9 +94,10 @@ class QuadratureConfig:
     truncation_radius: initial outer radius R; escalates tenfold as needed.
     target_tolerance: absolute error floor the tail bound must reach when
         the value itself is near zero.
-    max_subdivisions: adaptive-interval budget per quadrature call, also the
-        cap on the number of tail escalations.  Breakpoints count against
-        it: a band whose breakpoints do not fit is integrated whole.
+    max_subdivisions: panel budget per quadrature call (QUADPACK's
+        subintervals, or the n >= 2 Gauss-Kronrod panels of one band), also
+        the cap on the number of tail escalations.  Breakpoints and panel
+        edges count against it: a band whose edges do not fit starts whole.
     oracle_samples: Monte Carlo budget used by the sampling cross-check.
     angular_order: Gauss-Jacobi node count for n >= 2 (even; n = 1 uses the
         exact two-direction rule).
@@ -139,6 +164,46 @@ def _quad(func, lo, hi, **kw):
     return ret[0], ret[1]
 
 
+def _gk21(f, a, b):
+    """Kronrod value and error on each panel [a_i, b_i]: |K21 - G10|, floored
+    at 50 eps times the Kronrod integral of |f| as in QUADPACK."""
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
+    fx = np.concatenate([f(x[i:i + _PANEL_BATCH].ravel())
+                         for i in range(0, len(x), _PANEL_BATCH)]).reshape(x.shape)
+    kronrod = half * (fx @ _GK_WEIGHTS)
+    gauss = half * (fx[:, 1::2] @ _G_WEIGHTS)
+    floor = 50.0 * np.finfo(float).eps * half * (np.abs(fx) @ _GK_WEIGHTS)
+    return kronrod, np.maximum(np.abs(kronrod - gauss), floor)
+
+
+def _gk21_band(f, edges, limit):
+    """Adaptive Gauss-Kronrod 21/10 of the vectorized ``f`` from the panels
+    between ``edges``, to the absolute and relative target 1e-12.
+
+    Each pass bisects the fewest worst panels whose errors cover the excess
+    over the target, at most _PANEL_BATCH of them and never beyond ``limit``
+    panels, and evaluates all the new panels at once.
+    """
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
+    val, err = _gk21(f, a, b)
+    while True:
+        # written so that a nan error stops refining
+        excess = np.sum(err) - max(1e-12, 1e-12 * abs(np.sum(val)))
+        room = min(_PANEL_BATCH, limit - len(a))
+        if not (excess > 0.0 and room > 0):
+            return float(np.sum(val)), float(np.sum(err))
+        worst = np.argsort(err)[::-1][:room]
+        worst = worst[:np.searchsorted(np.cumsum(err[worst]), excess) + 1]
+        keep = np.ones(len(a), dtype=bool)
+        keep[worst] = False
+        mid = 0.5 * (a[worst] + b[worst])
+        new_a, new_b = np.concatenate((a[worst], mid)), np.concatenate((mid, b[worst]))
+        new_val, new_err = _gk21(f, new_a, new_b)
+        a, b = np.concatenate((a[keep], new_a)), np.concatenate((b[keep], new_b))
+        val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
+
+
 # max |v'| over _SLOPE_PROBE, per profile instance
 _PROBED_SLOPE = weakref.WeakKeyDictionary()
 
@@ -182,8 +247,8 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
     dvs = profile.first_derivative(s)
     delta = config.pv_inner_radius
     # QUADPACK's weighted routine rejects subdivision limits below 2
-    quad_kw = dict(epsabs=1e-12, epsrel=1e-12,
-                   limit=max(2, config.max_subdivisions))
+    limit = max(2, config.max_subdivisions)
+    quad_kw = dict(epsabs=1e-12, epsrel=1e-12, limit=limit)
 
     # everything below that does not depend on rho, once per point
     wl = -cj * dvs
@@ -200,7 +265,7 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
         else:
             # at the apex |x' + rho theta| = rho exactly; the squared form
             # underflows to 0 below rho ~ 1e-154 and leaves t + s = 0
-            t = np.full_like(cj, rho)
+            t = np.full(a_coef.shape, rho)
         return t, a_coef
 
     def core_graph(rho):
@@ -239,6 +304,7 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
         return float(np.sum(wang * F.gap(heights / rho))) * rho ** (-(1.0 + alpha))
 
     def plain(rho):
+        # A at one radius, or at a column of radii with a row of nodes each
         t, _ = offsets(rho)
         vt = profile_values(profile, t)
         if two_leaf:
@@ -246,21 +312,35 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
             part = F.value((vs - vt) / rho) - regularizer + F.gap((vs + vt) / rho)
         else:
             part = F.value((vs - vt) / rho) - regularizer
-        return float(np.sum(wang * part))
+        return np.sum(wang * part, axis=-1)
 
-    # at n = 1, the rho where |s +- rho| meets a knot, a two-leaf zero
-    # crossing or the axis (module docstring)
-    bends = []
+    # the rho where the integrand bends (module docstring): at n = 1 where
+    # |s +- rho| meets a knot, a two-leaf zero crossing or the axis; at
+    # n >= 2 where a node's offset radius meets a two-leaf zero crossing
+    radii = np.empty(0)
     if n == 1:
         edges = np.concatenate((profile.knots, profile_zeros(profile) if two_leaf else []))
         radii = np.concatenate(([s], np.abs(edges - s), edges + s))
-        bends = np.log(np.unique(radii[radii > 0.0])).tolist()
+    elif two_leaf:
+        z = profile_zeros(profile)[:, None]
+        disc = z * z - s * s * (1.0 - cj * cj)
+        real = disc >= 0.0
+        mid = np.broadcast_to(-s * cj, disc.shape)[real]
+        root = np.sqrt(disc[real])
+        radii = np.concatenate((mid - root, mid + root))
+    bends = np.log(np.unique(radii[radii > 0.0])).tolist()
 
     def log_band(lo, hi):
         lo, hi = math.log(lo), math.log(hi)
         points = [u for u in bends if lo < u < hi]
-        # QUADPACK's breakpoint routine needs fewer breakpoints than its budget
-        kw = dict(quad_kw, points=points) if 0 < len(points) < quad_kw["limit"] else quad_kw
+        # edges count against the panel budget (and QUADPACK's breakpoint
+        # routine needs fewer breakpoints than its budget)
+        if not 0 < len(points) < limit:
+            points = []
+        if n >= 2:
+            return _gk21_band(lambda u: plain(np.exp(u)[:, None]) * np.exp(-alpha * u),
+                              [lo, *points, hi], limit)
+        kw = dict(quad_kw, points=points) if points else quad_kw
         return _quad(lambda u: plain(math.exp(u)) * math.exp(-alpha * u), lo, hi, **kw)
 
     core_val, core_err = _quad(core_graph, 0.0, delta,

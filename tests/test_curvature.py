@@ -325,12 +325,59 @@ def test_breakpoints_count_against_the_subdivision_budget(budget):
             2.9561005043764606e-15 + 7.577862528406239e-12 + res.error_core + res.error_midfield)
 
 
-def test_n2_neck_is_not_split():
-    res = two_leaf_curvature(_NECK, 3.0, 2, 0.5)
-    assert repr(res) == (
-        "CurvatureResult(value=2.065469406540798, error_core=1.529843240871797e-14, "
-        "error_midfield=4.912292578425311e-06, error_tail=0.0001706763083025736, "
-        "outer_radius=100000000000.0, warnings=())")
+# references from tests/make_n2_references.py: every radial integral of the
+# point re-done by quad_vec at tolerance 1e-15, so |value - ref| is the
+# radial quadrature error alone.  (profile, radius, n, reference)
+N2_NECK = {
+    "neck-r3-n2": (_NECK, 3.0, 2, 2.065469526591369),
+    "neck-r2-n2": (_NECK, 2.0, 2, 7.1220257182226545),
+    "neck-r3-n3": (_NECK, 3.0, 3, -3.812725760341051),
+}
+
+
+@pytest.mark.parametrize("profile,r,n,ref", N2_NECK.values(), ids=N2_NECK.keys())
+def test_n2_neck_matches_its_reference(profile, r, n, ref):
+    """QUADPACK, with the bands whole, was off by 1.2e-7 at r = 3, n = 2
+    (2.065469406540798 +- 4.9e-6) and by 1.8e-6 at r = 2."""
+    res = two_leaf_curvature(profile, r, n, 0.5)
+    assert res.warnings == ()
+    assert abs(res.value - ref) <= res.error_core + res.error_midfield
+
+
+@pytest.mark.parametrize("n,ref", [(2, 14.156676534033055), (3, 17.926608941647046)])
+def test_n2_radial_error_covers_the_knotted_twin(n, ref):
+    """At r = 1 the twin's knots at 2 and 4 bend A(rho) at a radius for each
+    angular node.  QUADPACK gave 17.92660894215923 at n = 3, 5.1e-10 off
+    against a reported 1.47e-11, and 1.8e-10 off at n = 2 (references from
+    tests/make_n2_references.py)."""
+    res = two_leaf_curvature(BarrierProfile(0.2).dilated(0.5), 1.0, n, 0.5)
+    assert res.warnings == ()
+    assert abs(res.value - ref) <= res.error_core + res.error_midfield
+
+
+def test_starved_budget_inflates_errors_honestly_at_n2():
+    res = two_leaf_curvature(BarrierProfile(0.2), 2.5, 2, 0.5,
+                             QuadratureConfig(max_subdivisions=2))
+    assert "quadrature-above-target" in res.warnings
+    ref = two_leaf_curvature(BarrierProfile(0.2), 2.5, 2, 0.5)
+    assert abs(res.value - ref.value) <= res.total_error
+
+
+def test_n2_zero_crossing_edges_beyond_the_budget_start_the_band_whole(monkeypatch):
+    """At r = 3, n = 2 the offsets of 8 angular nodes cross the neck's zero
+    at 1.463 twice each inside the midfield: 16 edges, 17 panels."""
+    from fracsurf import curvature
+    starts = []
+    band = curvature._gk21_band
+    monkeypatch.setattr(curvature, "_gk21_band",
+                        lambda f, edges, limit: starts.append(len(edges) - 1)
+                        or band(f, edges, limit))
+    two_leaf_curvature(_NECK, 3.0, 2, 0.5)
+    assert starts[0] == 17
+    starts.clear()
+    res = two_leaf_curvature(_NECK, 3.0, 2, 0.5, QuadratureConfig(max_subdivisions=16))
+    assert starts[0] == 1
+    assert abs(res.value - N2_NECK["neck-r3-n2"][-1]) <= res.total_error
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
