@@ -31,18 +31,18 @@ Assembly splits at a pivot radius delta:
     the new annulus is integrated) until the bound is a small share of the
     value or the escalation budget is exhausted.
 
-At n = 1 the two directions c = +-1 put the offset radius at t = |s +- rho|,
-so A(rho) bends exactly where t meets a profile knot, a zero crossing of v
-(two-leaf only: the slice height is max(v, 0)) or the axis.  The midfield
-and every tail band hand those rho inside them to QUADPACK as breakpoints.
-For n >= 2 the midfield and tail bands are integrated in u = log rho by
-adaptive Gauss-Kronrod 21/10 panels, each pass evaluating A on the nodes of
-every new panel at once.  The fixed angular rule makes the computed A(rho)
-bend where some node's offset meets a knot, at no radius common to all
-nodes; of those only the kink of max(v, 0) is sharp, so two-leaf bands start
-from panel edges at rho = -s c_j +- sqrt(z^2 - s^2 (1 - c_j^2)), where node
-j's offset radius meets a zero crossing z.  Both kinds of edge count against
-the panel budget: a band whose edges do not fit starts whole.
+A(rho) bends where a node's offset radius |x' + rho theta_j| meets a kink
+radius k, at rho = -s c_j +- sqrt(k^2 - s^2 (1 - c_j^2)): one formula for
+every n, where n = 1 is the two nodes c = +-1 and the roots are |k -+ s|.
+At n = 1, k runs over the axis, the knots and the zero crossings of v
+(two-leaf only: the slice height is max(v, 0)), and QUADPACK takes the rho
+inside each band as breakpoints.  At n >= 2 the bands are integrated in
+u = log rho by adaptive Gauss-Kronrod 21/10 panels, each pass evaluating A
+on the nodes of every new panel at once; a knot bends A at a different rho
+for each node and only the kink of max(v, 0) is sharp, so k runs over the
+zero crossings alone.  Edges count against the panel budget, and at n >= 2
+take at most half of it, leaving the rest to bisect: a band whose edges do
+not fit starts whole.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ class QuadratureConfig:
     max_subdivisions: panel budget per quadrature call (QUADPACK's
         subintervals, or the n >= 2 Gauss-Kronrod panels of one band), also
         the cap on the number of tail escalations.  Breakpoints and panel
-        edges count against it: a band whose edges do not fit starts whole.
+        edges count against it (at n >= 2 they may take half of it, leaving
+        room to bisect): a band whose edges do not fit starts whole.
     oracle_samples: Monte Carlo budget used by the sampling cross-check.
     angular_order: Gauss-Jacobi node count for n >= 2 (even; n = 1 uses the
         exact two-direction rule).
@@ -257,19 +258,14 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
     two_s_sin2 = 2.0 * s * (1.0 - cj * cj)
 
     def offsets(rho):
+        # at the apex sqrt(rho * rho) is rho exactly while rho^2 stays a
+        # normal float, hence the cores' clamp at 1e-150
         a_coef = two_s_c + rho
-        if n == 1:
-            t = np.abs(s + cj * rho)
-        elif s > 0.0:
-            t = np.sqrt(s * s + rho * a_coef)
-        else:
-            # at the apex |x' + rho theta| = rho exactly; the squared form
-            # underflows to 0 below rho ~ 1e-154 and leaves t + s = 0
-            t = np.full(a_coef.shape, rho)
+        t = np.abs(s + cj * rho) if n == 1 else np.sqrt(s * s + rho * a_coef)
         return t, a_coef
 
     def core_graph(rho):
-        rho = max(rho, 1e-300)
+        rho = max(rho, 1e-150)
         t, a_coef = offsets(rho)
         ts = t + s
         q = a_coef / ts
@@ -293,7 +289,7 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
         return float(np.sum(wang * part))
 
     def core_mirror(rho):
-        rho = max(rho, 1e-300)
+        rho = max(rho, 1e-150)
         t, _ = offsets(rho)
         heights = vs + np.maximum(profile_values(profile, t), 0.0)
         if rho * 1e8 < float(np.min(heights)):
@@ -314,33 +310,30 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
             part = F.value((vs - vt) / rho) - regularizer
         return np.sum(wang * part, axis=-1)
 
-    # the rho where the integrand bends (module docstring): at n = 1 where
-    # |s +- rho| meets a knot, a two-leaf zero crossing or the axis; at
-    # n >= 2 where a node's offset radius meets a two-leaf zero crossing
-    radii = np.empty(0)
-    if n == 1:
-        edges = np.concatenate((profile.knots, profile_zeros(profile) if two_leaf else []))
-        radii = np.concatenate(([s], np.abs(edges - s), edges + s))
-    elif two_leaf:
-        z = profile_zeros(profile)[:, None]
-        disc = z * z - s * s * (1.0 - cj * cj)
-        real = disc >= 0.0
-        mid = np.broadcast_to(-s * cj, disc.shape)[real]
-        root = np.sqrt(disc[real])
-        radii = np.concatenate((mid - root, mid + root))
+    # the rho > 0 where a node's offset meets a kink radius (module
+    # docstring); at n = 1, sqrt(k^2) = k gives exactly s, |k - s| and k + s
+    kinks = [[0.0], profile.knots] if n == 1 else [[]]
+    if two_leaf:
+        kinks.append(profile_zeros(profile))
+    k = np.concatenate(kinks)[:, None]
+    disc = k * k - s * s * (1.0 - cj * cj)
+    real = disc >= 0.0
+    mid = np.broadcast_to(-s * cj, disc.shape)[real]
+    root = np.sqrt(disc[real])
+    radii = np.concatenate((mid - root, mid + root))
     bends = np.log(np.unique(radii[radii > 0.0])).tolist()
 
     def log_band(lo, hi):
         lo, hi = math.log(lo), math.log(hi)
         points = [u for u in bends if lo < u < hi]
-        # edges count against the panel budget (and QUADPACK's breakpoint
-        # routine needs fewer breakpoints than its budget)
-        if not 0 < len(points) < limit:
-            points = []
         if n >= 2:
+            # the edges take at most half the budget, leaving room to bisect
+            if 2 * (len(points) + 1) > limit:
+                points = []
             return _gk21_band(lambda u: plain(np.exp(u)[:, None]) * np.exp(-alpha * u),
                               [lo, *points, hi], limit)
-        kw = dict(quad_kw, points=points) if points else quad_kw
+        # QUADPACK's breakpoint routine needs fewer breakpoints than its budget
+        kw = dict(quad_kw, points=points) if 0 < len(points) < limit else quad_kw
         return _quad(lambda u: plain(math.exp(u)) * math.exp(-alpha * u), lo, hi, **kw)
 
     core_val, core_err = _quad(core_graph, 0.0, delta,

@@ -18,15 +18,6 @@ import numpy as np
 from scipy import special
 
 
-def _inverse_square(t):
-    # (1/t)^2 underflows silently where t*t would overflow; t = +-inf gives 0
-    out = np.zeros_like(t)
-    finite = np.isfinite(t)
-    r = 1.0 / t[finite]
-    out[finite] = r * r
-    return out
-
-
 class SliceIntegral:
     """Evaluator for F and its derivative at fixed (n, alpha).
 
@@ -35,8 +26,9 @@ class SliceIntegral:
         F(t) = sign(t) * B(1/2, (n+a)/2) * I_x(1/2, (n+a)/2) / 2,
         x = t^2 / (1 + t^2).
 
-    For |t| beyond ~1e150 the naive x overflows to nan, so the ratio is
-    formed as 1/(1 + t^-2) there; infinities map to the saturation value.
+    |t| is clamped at 1e150, beyond which t^2 would overflow.  That changes
+    no bit: from 1e150 on 1 + t^2 rounds to t^2, so x is exactly 1 and every
+    larger |t|, infinity included, maps to the saturation value.
     """
 
     def __init__(self, n: int, alpha: float):
@@ -52,18 +44,9 @@ class SliceIntegral:
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        big = np.abs(t) > 1e150
-        if big.any():
-            x = np.empty_like(t)
-            tf = t[~big]
-            x[~big] = tf * tf / (1.0 + tf * tf)
-            x[big] = 1.0 / (1.0 + _inverse_square(t[big]))
-        else:
-            x = t * t / (1.0 + t * t)
-        out = np.sign(t) * self.limit * special.betainc(0.5, self._b, x)
-        return float(out[0]) if scalar else out
+        a = np.minimum(np.abs(t), 1e150)
+        out = np.sign(t) * self.limit * special.betainc(0.5, self._b, a * a / (1.0 + a * a))
+        return float(out) if t.ndim == 0 else out
 
     __call__ = value
 
@@ -74,18 +57,15 @@ class SliceIntegral:
         stays accurate where x itself would round to 1.
         """
         t = np.abs(np.asarray(t, dtype=float))
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
         big = t > 1e150
         if big.any():
-            u = np.empty_like(t)
-            tf = t[~big]
-            u[~big] = 1.0 / (1.0 + tf * tf)
-            u[big] = _inverse_square(t[big])
+            # t^2 would overflow there; (1/t)^2 underflows silently, to 0 at inf
+            r = 1.0 / np.maximum(t, 1e150)
+            u = np.where(big, r * r, 1.0 / (1.0 + np.minimum(t, 1e150) ** 2))
         else:
             u = 1.0 / (1.0 + t * t)
         out = self.limit * special.betainc(self._b, 0.5, u)
-        return float(out[0]) if scalar else out
+        return float(out) if t.ndim == 0 else out
 
     def deriv(self, t):
         t = np.asarray(t, dtype=float)

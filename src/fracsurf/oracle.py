@@ -96,7 +96,7 @@ def direct_curvature(body: Body, point, n: int, alpha: float,
         vol = sphere / d * (b ** d - a ** d)
         w = 0.5 * (sp + sm) * rho ** (-(d + alpha)) * vol
         mean = float(np.mean(w))
-        var = float(np.var(w, ddof=1)) / pairs_per_shell if pairs_per_shell > 1 else 0.0
+        var = float(np.var(w, ddof=1)) / pairs_per_shell
         total += mean
         var_sum += var
         shell_means.append((a, b, mean, math.sqrt(var)))

@@ -380,6 +380,17 @@ def test_n2_zero_crossing_edges_beyond_the_budget_start_the_band_whole(monkeypat
     assert abs(res.value - N2_NECK["neck-r3-n2"][-1]) <= res.total_error
 
 
+@pytest.mark.parametrize("limit", range(17, 34))
+def test_n2_edges_leave_room_to_bisect(limit):
+    """The neck's 16 midfield edges start the band only when their 17 panels
+    take at most half the budget.  Starting from them at 17 panels left no
+    room to bisect: 2.8e-5 off the reference, with quadrature-above-target."""
+    res = two_leaf_curvature(_NECK, 3.0, 2, 0.5, QuadratureConfig(max_subdivisions=limit))
+    assert res.warnings == ()
+    assert abs(res.value - N2_NECK["neck-r3-n2"][-1]) <= res.error_core + res.error_midfield
+    assert res.error_core + res.error_midfield <= 1.1e-5
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_core_steps_stay_on_one_side_of_the_axis(monkeypatch, n):
     """The core asks each family's bends only for steps from s >= 0 to the

@@ -81,6 +81,41 @@ def test_saturation_and_infinities():
     assert f.value(0.0) == 0.0
 
 
+@pytest.mark.parametrize("n,alpha", [(1, 0.5), (2, 0.2), (3, 0.8)])
+def test_saturation_is_exact_beyond_the_clamp(n, alpha):
+    """From |t| = 1e150 on, where t^2 would overflow, F is exactly its limit."""
+    f = SliceIntegral(n, alpha)
+    big = np.array([1e150, np.nextafter(1e150, np.inf), 1.3e154, 1.4e154, 1e200, np.inf])
+    for t in big:
+        assert f.value(t) == f.limit and f.value(-t) == -f.limit
+    assert np.all(f.value(big) == f.limit) and np.all(f.value(-big) == -f.limit)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5])
+def test_gap_keeps_its_digits_past_the_square_overflow(alpha):
+    """gap(t) = t^-(1+a)/(1+a) + O(t^-(3+a)) at n = 1, on both sides of 1e150
+    (at n >= 2 that reference underflows)."""
+    f = SliceIntegral(1, alpha)
+    ts = np.array([1e149, 1e150, 1e151, 1e153])
+    ref = ts ** (-(1.0 + alpha)) / (1.0 + alpha)
+    assert f.gap(ts) == pytest.approx(ref, rel=1e-12)
+    for t, r in zip(ts, ref):
+        assert f.gap(t) == pytest.approx(r, rel=1e-12)
+        assert f.gap(-t) == pytest.approx(r, rel=1e-12)
+
+
+def test_scalars_give_floats_and_sequences_give_arrays():
+    f = SliceIntegral(2, 0.5)
+    for t in (0.7, np.float64(0.7), np.asarray(0.7), 1e200, np.asarray(np.inf)):
+        assert type(f.value(t)) is float
+        assert type(f.gap(t)) is float
+    assert f.value(np.asarray(0.7)) == f.value(0.7) == f.value([0.7])[0]
+    assert f.gap(np.asarray(1e200)) == f.gap(1e200) == f.gap([1e200, 1.0])[0]
+    for method in (f.value, f.gap):
+        out = method([0.7, 1e200])
+        assert isinstance(out, np.ndarray) and out.shape == (2,)
+
+
 def test_derivative_matches_difference_quotient():
     f = SliceIntegral(1, 0.5)
     for t in (-2.0, -0.3, 0.0, 0.7, 4.0):
