@@ -31,18 +31,19 @@ Assembly splits at a pivot radius delta:
     the new annulus is integrated) until the bound is a small share of the
     value or the escalation budget is exhausted.
 
-A(rho) bends where a node's offset radius |x' + rho theta_j| meets a kink
-radius k, at rho = -s c_j +- sqrt(k^2 - s^2 (1 - c_j^2)): one formula for
-every n, where n = 1 is the two nodes c = +-1 and the roots are |k -+ s|.
-At n = 1, k runs over the axis, the knots and the zero crossings of v
-(two-leaf only: the slice height is max(v, 0)), and QUADPACK takes the rho
-inside each band as breakpoints.  At n >= 2 the bands are integrated in
-u = log rho by adaptive Gauss-Kronrod 21/10 panels, each pass evaluating A
-on the nodes of every new panel at once; a knot bends A at a different rho
-for each node and only the kink of max(v, 0) is sharp, so k runs over the
-zero crossings alone.  Edges count against the panel budget, and at n >= 2
-take at most half of it, leaving the rest to bisect: a band whose edges do
-not fit starts whole.
+Node j's term w_j part_j(rho) of A bends where its offset radius
+|x' + rho theta_j| meets a kink radius k, at
+rho = -s c_j +- sqrt(k^2 - s^2 (1 - c_j^2)): one formula for every n, where
+n = 1 is the two nodes c = +-1 and the roots are |k -+ s|.  k runs over the
+axis, the knots and the zero crossings of v (two-leaf only: the slice height
+is max(v, 0)).  At n = 1 QUADPACK integrates A with the rho of both nodes
+inside each band as breakpoints.  At n >= 2 each node's term is integrated
+in u = log rho on its own panels, split at its own bends, by adaptive
+Gauss-Kronrod 21/10 that refines the panels of all nodes from one pool and
+evaluates every new panel at once.  Edges count against the panel budget,
+which at n >= 2 is per node; there a node's edges take at most half of it,
+leaving the rest to bisect.  A band, or at n >= 2 a node, whose edges do not
+fit starts whole.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ _WG = np.array([0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
 _GK_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
 _GK_WEIGHTS = np.concatenate((_WGK, _WGK[-2::-1]))
 _G_WEIGHTS = np.concatenate((_WG, _WG[::-1]))
-# panels per integrand call and bisections per pass: at 48 angular nodes one
-# call stays near 16k elements
+# panels of each angular node per integrand call, and bisections per node
+# per pass: at 48 nodes one call of 16 * 48 panels stays near 16k elements
 _PANEL_BATCH = 16
 
 
@@ -95,10 +96,11 @@ class QuadratureConfig:
     target_tolerance: absolute error floor the tail bound must reach when
         the value itself is near zero.
     max_subdivisions: panel budget per quadrature call (QUADPACK's
-        subintervals, or the n >= 2 Gauss-Kronrod panels of one band), also
-        the cap on the number of tail escalations.  Breakpoints and panel
-        edges count against it (at n >= 2 they may take half of it, leaving
-        room to bisect): a band whose edges do not fit starts whole.
+        subintervals, or at n >= 2 the Gauss-Kronrod panels of each angular
+        node in one band), also the cap on the number of tail escalations.
+        Breakpoints and panel edges count against it (at n >= 2 a node's
+        edges may take half of it, leaving room to bisect): a band, or at
+        n >= 2 a node, whose edges do not fit starts whole.
     oracle_samples: Monte Carlo budget used by the sampling cross-check.
     angular_order: Gauss-Jacobi node count for n >= 2 (even; n = 1 uses the
         exact two-direction rule).
@@ -165,44 +167,57 @@ def _quad(func, lo, hi, **kw):
     return ret[0], ret[1]
 
 
-def _gk21(f, a, b):
-    """Kronrod value and error on each panel [a_i, b_i]: |K21 - G10|, floored
-    at 50 eps times the Kronrod integral of |f| as in QUADPACK."""
+def _gk21(f, a, b, term, batch):
+    """Kronrod value and error on each panel [a_i, b_i] of f's term term_i:
+    |K21 - G10|, floored at 50 eps times the Kronrod integral of |f| as in
+    QUADPACK."""
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
-    fx = np.concatenate([f(x[i:i + _PANEL_BATCH].ravel())
-                         for i in range(0, len(x), _PANEL_BATCH)]).reshape(x.shape)
+    fx = np.concatenate([f(x[i:i + batch], term[i:i + batch, None])
+                         for i in range(0, len(x), batch)])
     kronrod = half * (fx @ _GK_WEIGHTS)
     gauss = half * (fx[:, 1::2] @ _G_WEIGHTS)
     floor = 50.0 * np.finfo(float).eps * half * (np.abs(fx) @ _GK_WEIGHTS)
     return kronrod, np.maximum(np.abs(kronrod - gauss), floor)
 
 
-def _gk21_band(f, edges, limit):
-    """Adaptive Gauss-Kronrod 21/10 of the vectorized ``f`` from the panels
-    between ``edges``, to the absolute and relative target 1e-12.
+def _gk21_band(f, a, b, term, limit):
+    """Adaptive Gauss-Kronrod 21/10 of the sum over j of the vectorized
+    terms ``f(u, j)``, from the panels [a_i, b_i] of term term_i, to the
+    absolute and relative target 1e-12 on the sum.
 
-    Each pass bisects the fewest worst panels whose errors cover the excess
-    over the target, at most _PANEL_BATCH of them and never beyond ``limit``
-    panels, and evaluates all the new panels at once.
+    Each pass bisects the fewest worst panels of all terms whose errors cover
+    the excess over the target, at most _PANEL_BATCH per term on average and
+    never beyond ``limit`` panels of one term, and evaluates all the new
+    panels at once, _PANEL_BATCH panels per term in each call of ``f``.
     """
-    a, b = np.array(edges[:-1]), np.array(edges[1:])
-    val, err = _gk21(f, a, b)
+    batch = _PANEL_BATCH * (int(term.max()) + 1)
+    val, err = _gk21(f, a, b, term, batch)
     while True:
         # written so that a nan error stops refining
         excess = np.sum(err) - max(1e-12, 1e-12 * abs(np.sum(val)))
-        room = min(_PANEL_BATCH, limit - len(a))
-        if not (excess > 0.0 and room > 0):
-            return float(np.sum(val)), float(np.sum(err))
-        worst = np.argsort(err)[::-1][:room]
+        if not excess > 0.0:
+            break
+        # the panels from the worst down, each term's until its budget is full
+        order = np.argsort(err)[::-1]
+        j = term[order]
+        by_term = np.argsort(j, kind="stable")
+        rank = np.empty_like(order)
+        rank[by_term] = np.arange(len(j)) - np.searchsorted(j[by_term], j[by_term])
+        worst = order[rank < limit - np.bincount(term)[j]][:batch]
+        if not len(worst):
+            break
         worst = worst[:np.searchsorted(np.cumsum(err[worst]), excess) + 1]
         keep = np.ones(len(a), dtype=bool)
         keep[worst] = False
         mid = 0.5 * (a[worst] + b[worst])
         new_a, new_b = np.concatenate((a[worst], mid)), np.concatenate((mid, b[worst]))
-        new_val, new_err = _gk21(f, new_a, new_b)
+        new_term = np.concatenate((term[worst], term[worst]))
+        new_val, new_err = _gk21(f, new_a, new_b, new_term, batch)
         a, b = np.concatenate((a[keep], new_a)), np.concatenate((b[keep], new_b))
+        term = np.concatenate((term[keep], new_term))
         val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
+    return float(np.sum(val)), float(np.sum(err))
 
 
 # max |v'| over _SLOPE_PROBE, per profile instance
@@ -257,11 +272,11 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
     two_s_c = 2.0 * s * cj
     two_s_sin2 = 2.0 * s * (1.0 - cj * cj)
 
-    def offsets(rho):
+    def offsets(rho, j=slice(None)):
         # at the apex sqrt(rho * rho) is rho exactly while rho^2 stays a
         # normal float, hence the cores' clamp at 1e-150
-        a_coef = two_s_c + rho
-        t = np.abs(s + cj * rho) if n == 1 else np.sqrt(s * s + rho * a_coef)
+        a_coef = two_s_c[j] + rho
+        t = np.abs(s + cj[j] * rho) if n == 1 else np.sqrt(s * s + rho * a_coef)
         return t, a_coef
 
     def core_graph(rho):
@@ -299,42 +314,53 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
             return lead * rho ** (n - 1)
         return float(np.sum(wang * F.gap(heights / rho))) * rho ** (-(1.0 + alpha))
 
-    def plain(rho):
-        # A at one radius, or at a column of radii with a row of nodes each
-        t, _ = offsets(rho)
+    def plain(rho, j=slice(None)):
+        # the terms w_j part_j(rho) of A: every node at one radius, or node
+        # j[i] at radius rho[i], elementwise
+        t, _ = offsets(rho, j)
         vt = profile_values(profile, t)
         if two_leaf:
             vt = np.maximum(vt, 0.0)
-            part = F.value((vs - vt) / rho) - regularizer + F.gap((vs + vt) / rho)
+            part = F.value((vs - vt) / rho) - regularizer[j] + F.gap((vs + vt) / rho)
         else:
-            part = F.value((vs - vt) / rho) - regularizer
-        return np.sum(wang * part, axis=-1)
+            part = F.value((vs - vt) / rho) - regularizer[j]
+        return wang[j] * part
 
     # the rho > 0 where a node's offset meets a kink radius (module
     # docstring); at n = 1, sqrt(k^2) = k gives exactly s, |k - s| and k + s
-    kinks = [[0.0], profile.knots] if n == 1 else [[]]
+    kinks = [[0.0], profile.knots]
     if two_leaf:
         kinks.append(profile_zeros(profile))
     k = np.concatenate(kinks)[:, None]
     disc = k * k - s * s * (1.0 - cj * cj)
     real = disc >= 0.0
+    bend_node = np.broadcast_to(np.arange(len(cj)), disc.shape)[real]
     mid = np.broadcast_to(-s * cj, disc.shape)[real]
     root = np.sqrt(disc[real])
     radii = np.concatenate((mid - root, mid + root))
-    bends = np.log(np.unique(radii[radii > 0.0])).tolist()
+    bend_node = np.concatenate((bend_node, bend_node))[radii > 0.0]
+    bends = np.log(radii[radii > 0.0])
 
     def log_band(lo, hi):
         lo, hi = math.log(lo), math.log(hi)
-        points = [u for u in bends if lo < u < hi]
-        if n >= 2:
-            # the edges take at most half the budget, leaving room to bisect
-            if 2 * (len(points) + 1) > limit:
-                points = []
-            return _gk21_band(lambda u: plain(np.exp(u)[:, None]) * np.exp(-alpha * u),
-                              [lo, *points, hi], limit)
-        # QUADPACK's breakpoint routine needs fewer breakpoints than its budget
-        kw = dict(quad_kw, points=points) if 0 < len(points) < limit else quad_kw
-        return _quad(lambda u: plain(math.exp(u)) * math.exp(-alpha * u), lo, hi, **kw)
+        inside = (lo < bends) & (bends < hi)
+        if n == 1:
+            # QUADPACK's breakpoint routine needs fewer breakpoints than its budget
+            points = np.unique(bends[inside]).tolist()
+            kw = dict(quad_kw, points=points) if 0 < len(points) < limit else quad_kw
+            return _quad(lambda u: np.sum(plain(math.exp(u))) * math.exp(-alpha * u),
+                         lo, hi, **kw)
+        # each node's term on its own panels, split at its own bends; a node
+        # whose edges would take over half its budget starts whole
+        j, u = bend_node[inside], bends[inside]
+        fits = 2 * (np.bincount(j, minlength=len(cj)) + 1) <= limit
+        j, u = j[fits[j]], u[fits[j]]
+        every = np.arange(len(cj))
+        a, ja = np.concatenate((np.full(len(cj), lo), u)), np.concatenate((every, j))
+        b, jb = np.concatenate((u, np.full(len(cj), hi))), np.concatenate((j, every))
+        ia, ib = np.lexsort((a, ja)), np.lexsort((b, jb))
+        return _gk21_band(lambda u, j: plain(np.exp(u), j) * np.exp(-alpha * u),
+                          a[ia], b[ib], ja[ia], limit)
 
     core_val, core_err = _quad(core_graph, 0.0, delta,
                                weight="alg", wvar=(-alpha, 0.0), **quad_kw)

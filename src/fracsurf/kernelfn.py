@@ -41,6 +41,9 @@ class SliceIntegral:
         self.power = 0.5 * (n + 1 + alpha)
         self._b = 0.5 * (n + alpha)
         self.limit = float(0.5 * special.beta(0.5, self._b))
+        # gap's Student t tail: n + a degrees of freedom at -sqrt(n + a) |t|
+        self._dof = float(n + alpha)
+        self._tail_scale = -np.sqrt(self._dof)
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -51,20 +54,17 @@ class SliceIntegral:
     __call__ = value
 
     def gap(self, t):
-        """limit - F(|t|), computed without cancellation.
+        """limit - F(|t|), computed without cancellation at small or large t.
 
-        Uses I_x(a, b) = 1 - I_{1-x}(b, a) with 1 - x = 1/(1 + t^2), which
-        stays accurate where x itself would round to 1.
+        With nu = n + a, tau = s / sqrt(nu) turns the kernel into the Student
+        t density of nu degrees of freedom, so the gap is 2 * limit times its
+        lower tail stdtr(nu, -sqrt(nu) |t|), which the special function
+        evaluates directly.  |t| is clamped at 1e300, where that tail has
+        already underflowed to 0.
         """
-        t = np.abs(np.asarray(t, dtype=float))
-        big = t > 1e150
-        if big.any():
-            # t^2 would overflow there; (1/t)^2 underflows silently, to 0 at inf
-            r = 1.0 / np.maximum(t, 1e150)
-            u = np.where(big, r * r, 1.0 / (1.0 + np.minimum(t, 1e150) ** 2))
-        else:
-            u = 1.0 / (1.0 + t * t)
-        out = self.limit * special.betainc(self._b, 0.5, u)
+        t = np.asarray(t, dtype=float)
+        tail = special.stdtr(self._dof, self._tail_scale * np.minimum(np.abs(t), 1e300))
+        out = 2.0 * self.limit * tail
         return float(out) if t.ndim == 0 else out
 
     def deriv(self, t):

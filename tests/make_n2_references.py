@@ -6,8 +6,9 @@ Runs ``two_leaf_curvature`` with every radial integral re-done by
   * the weighted core int_0^delta rho^-a g(rho) drho through the substitution
     rho = delta x^(1/(1-a)), which leaves delta^(1-a)/(1-a) g(rho(x)) on [0, 1];
   * the mirror core as it stands;
-  * the midfield and every tail band split at each radius where some angular
-    node's offset meets a knot or a zero crossing, computed here afresh.
+  * the midfield and every tail band as one integral of the node-summed
+    integrand, split at each radius where some angular node's offset meets a
+    knot or a zero crossing, computed here afresh.
 
 The angular rule, the tail escalation and the outer radius stay the
 program's own, so a reference differs from the program's value only by the
@@ -31,10 +32,12 @@ CORE_INTERVALS = 200
 
 NECK = BarrierProfile(0.5).shifted(0.6)
 TWIN = BarrierProfile(0.2).dilated(0.5)
+BASE = BarrierProfile(0.2)
 # (name, profile, radius, n, alpha)
 POINTS = [("neck", NECK, 3.0, 2, 0.5), ("neck", NECK, 2.0, 2, 0.5),
           ("neck", NECK, 3.0, 3, 0.5), ("twin", TWIN, 1.0, 2, 0.5),
-          ("twin", TWIN, 1.0, 3, 0.5)]
+          ("twin", TWIN, 1.0, 3, 0.5), ("barrier", BASE, 0.5793650965138123, 2, 0.2),
+          ("barrier", BASE, 0.5, 3, 0.8)]
 
 
 def kinks(profile, s, n):
@@ -64,9 +67,11 @@ def reference_quad(func, lo, hi, weight=None, wvar=None, points=(), **_):
 def reference_points(profile, r, n):
     bends = kinks(profile, r, n).tolist()
 
-    def band(f, edges, limit):
-        lo, hi = edges[0], edges[-1]
-        return reference_quad(lambda u: f(np.array([u]))[0], lo, hi, points=bends)
+    def band(f, a, b, term, limit):
+        # f(u, j) is node j's term at u; the reference integrates their sum
+        nodes = np.unique(term)[:, None]
+        return reference_quad(lambda u: np.sum(f(np.full(nodes.shape, u), nodes)),
+                              float(np.min(a)), float(np.max(b)), points=bends)
     return band
 
 

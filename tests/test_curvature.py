@@ -41,6 +41,18 @@ def test_slab_matches_closed_form(n, alpha, c):
     assert res.value == pytest.approx(exact, rel=5e-3)
 
 
+# the slab's value out to its outer radius R = 1e12, in closed form:
+# 2 |S^(n-1)| (2c)^-a int_{2c/R}^inf t^(a-1) gap(t) dt by mpmath at 30 digits,
+# with the program's angular mass.  (n, reference)
+@pytest.mark.parametrize("n,ref", [(2, 57.756010154925725), (3, 87.38455219254044)])
+def test_slab_radial_error_covers_its_truncated_closed_form(n, ref):
+    """gap's rounding at small t, eps / (4t) relative, put the value 2.9e-9
+    off at n = 2 and 5.8e-9 at n = 3 against a reported 2.8e-11 and 7e-11."""
+    res = two_leaf_curvature(ConstantProfile(0.3), 2.0, n, 0.2)
+    assert res.outer_radius == 1e12
+    assert abs(res.value - ref) <= res.error_core + res.error_midfield
+
+
 def test_slab_value_is_independent_of_evaluation_radius():
     a = two_leaf_curvature(ConstantProfile(0.5), 0.5, 1, 0.5)
     b = two_leaf_curvature(ConstantProfile(0.5), 7.0, 1, 0.5)
@@ -303,9 +315,9 @@ UNSPLIT_STARVED = {
     # budget: (value, error_midfield, error_tail, outer_radius, warnings)
     1: (8.285681292356248, 2.355028720057699, 0.1499510108856172, 1e4, ABOVE_BOTH),
     2: (8.329696110131549, 2.3550287200576996, 0.047418673184325265, 1e5, ABOVE_BOTH),
-    3: (8.342352568325575, 0.7358998507321542, 0.014995101088561719, 1e6, ABOVE_BOTH),
-    4: (8.346762052934102, 0.025529224919693356, 0.004741867318432527, 1e7, ABOVE_BOTH),
-    5: (8.348155905770964, 0.02479282870690658, 0.0014995101088561718, 1e8,
+    3: (8.342352568325575, 0.73589985073214, 0.014995101088561719, 1e6, ABOVE_BOTH),
+    4: (8.346762052934103, 0.025529224919679145, 0.004741867318432527, 1e7, ABOVE_BOTH),
+    5: (8.348155905770966, 0.02479282870690639, 0.0014995101088561718, 1e8,
         ("quadrature-above-target",)),
 }
 
@@ -329,9 +341,9 @@ def test_breakpoints_count_against_the_subdivision_budget(budget):
 # point re-done by quad_vec at tolerance 1e-15, so |value - ref| is the
 # radial quadrature error alone.  (profile, radius, n, reference)
 N2_NECK = {
-    "neck-r3-n2": (_NECK, 3.0, 2, 2.065469526591369),
-    "neck-r2-n2": (_NECK, 2.0, 2, 7.1220257182226545),
-    "neck-r3-n3": (_NECK, 3.0, 3, -3.812725760341051),
+    "neck-r3-n2": (_NECK, 3.0, 2, 2.0654695265913676),
+    "neck-r2-n2": (_NECK, 2.0, 2, 7.122025718222654),
+    "neck-r3-n3": (_NECK, 3.0, 3, -3.81272576034105),
 }
 
 
@@ -344,7 +356,7 @@ def test_n2_neck_matches_its_reference(profile, r, n, ref):
     assert abs(res.value - ref) <= res.error_core + res.error_midfield
 
 
-@pytest.mark.parametrize("n,ref", [(2, 14.156676534033055), (3, 17.926608941647046)])
+@pytest.mark.parametrize("n,ref", [(2, 14.156676534033055), (3, 17.926608941647054)])
 def test_n2_radial_error_covers_the_knotted_twin(n, ref):
     """At r = 1 the twin's knots at 2 and 4 bend A(rho) at a radius for each
     angular node.  QUADPACK gave 17.92660894215923 at n = 3, 5.1e-10 off
@@ -353,6 +365,39 @@ def test_n2_radial_error_covers_the_knotted_twin(n, ref):
     res = two_leaf_curvature(BarrierProfile(0.2).dilated(0.5), 1.0, n, 0.5)
     assert res.warnings == ()
     assert abs(res.value - ref) <= res.error_core + res.error_midfield
+
+
+@pytest.mark.parametrize("r,n,alpha,ref", [
+    (0.5793650965138123, 2, 0.2, 42.21933478809285),
+    (0.5, 3, 0.8, 18.400563003162077),
+], ids=["r0.58-n2", "r0.5-n3"])
+def test_n2_radial_error_covers_the_barrier_inside_its_knots(r, n, alpha, ref):
+    """Inside the barrier's knots each angular node's offset meets them at
+    its own rho.  Integrated node-summed on shared panels, the point was
+    3.19e-10 off at r = 0.579 against a reported 3.27e-11, and 4.83e-11 off
+    at r = 0.5 against 1.76e-11 (references from
+    tests/make_n2_references.py)."""
+    res = two_leaf_curvature(_BASE, r, n, alpha)
+    assert "quadrature-above-target" not in res.warnings
+    assert abs(res.value - ref) <= res.error_core + res.error_midfield
+
+
+@pytest.mark.parametrize("profile,r,alpha,shared_elems", [
+    (ConstantProfile(0.3), 2.0, 0.2, 1_004_017),
+    (_BASE, 1.5, 0.5, 174_289),
+], ids=["slab", "barrier"])
+def test_n2_node_panels_cut_the_slice_integral_elements(monkeypatch, profile, r, alpha,
+                                                        shared_elems):
+    # shared_elems: F.value elements with the node-summed integrand on panels
+    # shared by all nodes, where the slab's tail bisected gap's rounding noise
+    from fracsurf.kernelfn import SliceIntegral
+    elems = []
+    value = SliceIntegral.value
+    monkeypatch.setattr(SliceIntegral, "value",
+                        lambda self, x: elems.append(np.size(x)) or value(self, x))
+    res = two_leaf_curvature(profile, r, 2, alpha)
+    assert "quadrature-above-target" not in res.warnings
+    assert 0 < sum(elems) < shared_elems / 8
 
 
 def test_starved_budget_inflates_errors_honestly_at_n2():
@@ -365,26 +410,29 @@ def test_starved_budget_inflates_errors_honestly_at_n2():
 
 def test_n2_zero_crossing_edges_beyond_the_budget_start_the_band_whole(monkeypatch):
     """At r = 3, n = 2 the offsets of 8 angular nodes cross the neck's zero
-    at 1.463 twice each inside the midfield: 16 edges, 17 panels."""
+    at 1.463 twice each inside the midfield, 5 of them also both knots 1 and
+    2: 7 and 5 panels.  3 more cross the knot at 2 twice: 3 panels.  A node
+    starts on its own edges only while they take at most half its budget."""
     from fracsurf import curvature
     starts = []
     band = curvature._gk21_band
     monkeypatch.setattr(curvature, "_gk21_band",
-                        lambda f, edges, limit: starts.append(len(edges) - 1)
-                        or band(f, edges, limit))
-    two_leaf_curvature(_NECK, 3.0, 2, 0.5)
-    assert starts[0] == 17
-    starts.clear()
-    res = two_leaf_curvature(_NECK, 3.0, 2, 0.5, QuadratureConfig(max_subdivisions=16))
-    assert starts[0] == 1
-    assert abs(res.value - N2_NECK["neck-r3-n2"][-1]) <= res.total_error
+                        lambda f, a, b, term, limit: starts.append(np.bincount(term).tolist())
+                        or band(f, a, b, term, limit))
+    for limit, panels in [(200, [7] * 5 + [5] * 3 + [3] * 3), (13, [1] * 5 + [5] * 3 + [3] * 3),
+                          (9, [1] * 8 + [3] * 3), (5, [])]:
+        starts.clear()
+        res = two_leaf_curvature(_NECK, 3.0, 2, 0.5, QuadratureConfig(max_subdivisions=limit))
+        assert starts[0] == panels + [1] * (48 - len(panels))
+        assert abs(res.value - N2_NECK["neck-r3-n2"][-1]) <= res.total_error
 
 
 @pytest.mark.parametrize("limit", range(17, 34))
 def test_n2_edges_leave_room_to_bisect(limit):
-    """The neck's 16 midfield edges start the band only when their 17 panels
-    take at most half the budget.  Starting from them at 17 panels left no
-    room to bisect: 2.8e-5 off the reference, with quadrature-above-target."""
+    """With the nodes' edges taking at most half of each node's budget, the
+    rest is room to bisect.  Starting the node-summed band on all 16 of the
+    neck's zero-crossing edges at a budget of 17 panels left none: 2.8e-5
+    off the reference, with quadrature-above-target."""
     res = two_leaf_curvature(_NECK, 3.0, 2, 0.5, QuadratureConfig(max_subdivisions=limit))
     assert res.warnings == ()
     assert abs(res.value - N2_NECK["neck-r3-n2"][-1]) <= res.error_core + res.error_midfield
@@ -426,6 +474,6 @@ def test_zero_step_beside_a_knot_crossing_step():
     r = np.linspace(0.0, 4.0, 81)
     res = two_leaf_curvature(SampledProfile(r, 1.0 + r ** 2 / 8.0), 0.025, 1, 0.5)
     assert repr(res) == (
-        "CurvatureResult(value=-0.5147538836058843, error_core=1.2569620639934725e-12, "
+        "CurvatureResult(value=-0.5147538836058838, error_core=1.256942148602974e-12, "
         "error_midfield=1.7442083930202433e-13, error_tail=6.796990480876434e-05, "
         "outer_radius=100000000000.0, warnings=())")

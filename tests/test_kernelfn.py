@@ -102,6 +102,8 @@ def test_gap_keeps_its_digits_past_the_square_overflow(alpha):
     for t, r in zip(ts, ref):
         assert f.gap(t) == pytest.approx(r, rel=1e-12)
         assert f.gap(-t) == pytest.approx(r, rel=1e-12)
+    # the clamp at 1e300 holds the tail where it has already underflowed
+    assert np.all(f.gap(np.array([1e300, 1e308, np.inf])) == 0.0)
 
 
 def test_scalars_give_floats_and_sequences_give_arrays():
@@ -132,6 +134,30 @@ def test_gap_is_complement_and_stable():
     t = 1e100
     assert f.gap(t) > 0.0
     assert f.gap(t) == pytest.approx(t ** (-1.5) / 1.5, rel=1e-10)
+
+
+# limit - F(t) from mpmath.betainc at 50 digits, frozen here.
+# Keyed by (n, alpha): gap at t = 1e-3, 0.3, 1, 3 and 1e3.
+GAP_TS = (1e-3, 0.3, 1.0, 3.0, 1e3)
+FROZEN_GAP = {
+    (1, 0.5): (1.1971402351522586, 0.9087511073980212, 0.45383715497509935,
+               0.12122156877556409, 2.1081839773948494e-05),
+    (2, 0.2): (0.9425905818013124, 0.6570518836168764, 0.2503714658975021,
+               0.037102759251131975, 1.1417656028688076e-07),
+    (3, 0.8): (0.6851727678126404, 0.4059606990329139, 0.08698928449274884,
+               0.003427975245410487, 1.0476488014870587e-12),
+}
+
+
+@pytest.mark.parametrize("n,alpha", sorted(FROZEN_GAP))
+def test_gap_keeps_its_digits_at_small_t(n, alpha):
+    """Below t = 1e-4, gap = limit - (t - p t^3 / 3) to rounding; forming
+    u = 1 / (1 + t^2) cost eps / (4t) relative there, 1e-9 at t = 1e-9."""
+    f = SliceIntegral(n, alpha)
+    ts = np.logspace(-12, -4, 17)
+    taylor = f.limit - (ts - f.power * ts ** 3 / 3.0)
+    assert f.gap(ts) == pytest.approx(taylor, rel=4e-16, abs=0.0)
+    assert f.gap(GAP_TS) == pytest.approx(FROZEN_GAP[(n, alpha)], rel=3e-15, abs=0.0)
 
 
 def test_rejects_bad_parameters():
