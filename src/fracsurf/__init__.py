@@ -26,8 +26,8 @@ from .geometry import (Ball, Body, BoundarySample, Box, Complement, Cone,
                        HalfSpace, SampleSpec, Scaled, Subgraph, TwoLeaf,
                        boundary_sample)
 from .kernelfn import SliceIntegral
-from .oracle import (EnergyResult, PerimeterResult, direct_curvature,
-                     interaction_energy, relative_perimeter)
+from .oracle import (EnergyResult, direct_curvature, interaction_energy,
+                     relative_perimeter)
 from .profiles import (BarrierProfile, BumpProfile, ConstantProfile,
                        DilatedGraphProfile, LinearProfile, ModulusReport,
                        PiecewisePolyProfile, RadialProfile, RampBumpProfile,
@@ -71,7 +71,6 @@ __all__ = [
     "ModulusReport",
     "NonSmoothPointError",
     "NotSublinearError",
-    "PerimeterResult",
     "PiecewisePolyProfile",
     "QuadratureConfig",
     "RadialProfile",

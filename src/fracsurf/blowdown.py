@@ -95,15 +95,10 @@ def holder_rescaling_check(profile: RadialProfile, R: float,
 
 
 def _seminorm(points: np.ndarray, values: np.ndarray, beta: float) -> float:
+    # every pair i < j at least one spacing apart
     spacing = float(points[1] - points[0]) if len(points) > 1 else 0.0
-    best = 0.0
-    for i in range(len(points)):
-        dr = np.abs(points[i + 1:] - points[i])
-        keep = dr >= spacing * (1.0 - 1e-12)
-        if not keep.any():
-            continue
-        ratios = np.abs(values[i + 1:][keep] - values[i]) / dr[keep] ** beta
-        m = float(np.max(ratios))
-        if m > best:
-            best = m
-    return best
+    i, j = np.triu_indices(len(points), 1)
+    dr = np.abs(points[j] - points[i])
+    keep = dr >= spacing * (1.0 - 1e-12)
+    ratios = np.abs(values[j[keep]] - values[i[keep]]) / dr[keep] ** beta
+    return float(np.max(ratios, initial=0.0))

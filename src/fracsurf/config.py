@@ -151,4 +151,9 @@ def parse_floats(text: str) -> list:
 
 
 def parse_bool(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
+    """1, true, yes or on; 0, false, no or off; stripped and in any case."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not a boolean: use true/false, yes/no, on/off "
+                         "or 1/0") from None

@@ -307,11 +307,6 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
         rho = max(rho, 1e-150)
         t, _ = offsets(rho)
         heights = vs + np.maximum(profile_values(profile, t), 0.0)
-        if rho * 1e8 < float(np.min(heights)):
-            # deep-core asymptote gap(T) = T^-(n+a)/(n+a) + O(T^-(n+a+2));
-            # the direct form would underflow against rho^-(1+a)
-            lead = float(np.sum(wang * heights ** (-(n + alpha)))) / (n + alpha)
-            return lead * rho ** (n - 1)
         return float(np.sum(wang * F.gap(heights / rho))) * rho ** (-(1.0 + alpha))
 
     def plain(rho, j=slice(None)):

@@ -1,4 +1,4 @@
-"""Sampling cross-checks: direct curvature estimates and interaction energies.
+"""Sampling cross-checks: direct curvature, interaction energy, relative perimeter.
 
 The direct curvature estimator shares nothing with the deterministic
 quadrature except the kernel exponent, which is what makes it a usable
@@ -130,83 +130,63 @@ class EnergyResult:
     far_cut: float
 
 
-def interaction_energy(first: Body, second: Body, window: Box, n: int, alpha: float,
-                       samples: int = 400_000, seed: int = 0,
-                       check_disjoint: bool = True) -> EnergyResult:
-    """alpha(1-alpha)-weighted kernel energy between two disjoint bodies.
+def _pair_estimate(box: Box, n: int, alpha: float, samples: int, seed: int,
+                   indicator) -> EnergyResult:
+    """alpha(1-alpha)-weighted kernel integral of ``indicator(x, y)``.
 
-    The base point runs uniformly over ``window``; the offset is drawn from
-    the kernel-weighted radial law between the near and far cuts, both tied
-    to the window diameter so rescaled inputs rescale the estimate exactly.
+    The base point x runs uniformly over ``box``; the offset y - x is drawn
+    from the kernel-weighted radial law between the near and far cuts, both
+    tied to the box diameter so rescaled inputs rescale the estimate exactly.
     Offsets outside the cut annulus are left out of the estimate.
     """
     d = n + 1
-    if window.dim != d:
+    if box.dim != d:
         raise ValueError(f"window must live in R^{d}")
-    rng_x = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-    rng_d = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
-
-    near = 1e-4 * window.diameter
-    far = 4.0 * window.diameter
-    xs = window.sample(rng_x, samples)
-    in_a = first.contains(xs)
-    if check_disjoint:
-        both = in_a & second.contains(xs)
-        if both.any():
-            raise DisjointnessError("regions overlap inside the sampling window")
-
+    rng_x, rng_d = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    near = 1e-4 * box.diameter
+    far = 4.0 * box.diameter
+    xs = box.sample(rng_x, samples)
     # kernel mass of the offset annulus, exact: |S^n| (near^-a - far^-a)/a
-    sphere = _sphere_area(n)
-    mass = sphere * (near ** (-alpha) - far ** (-alpha)) / alpha
+    mass = _sphere_area(n) * (near ** (-alpha) - far ** (-alpha)) / alpha
     u = rng_d.random(samples)
     # inverse CDF of rho^(-1-alpha) restricted to [near, far]
     rho = (near ** (-alpha) - u * (near ** (-alpha) - far ** (-alpha))) ** (-1.0 / alpha)
     omega = _unit_directions(rng_d, samples, d)
-    ys = xs + rho[:, None] * omega
-    hit = in_a & second.contains(ys)
-    vals = hit.astype(float)
-    scale = alpha * (1.0 - alpha) * window.volume * mass
+    vals = indicator(xs, xs + rho[:, None] * omega).astype(float)
+    scale = alpha * (1.0 - alpha) * box.volume * mass
     value = scale * float(np.mean(vals))
     # three standard errors, same one-sided reading as everywhere else
     err = 3.0 * scale * float(np.std(vals, ddof=1)) / math.sqrt(samples)
     return EnergyResult(value=value, error=err, near_cut=near, far_cut=far)
 
 
-@dataclass(frozen=True)
-class PerimeterResult:
-    value: float
-    error: float
-    inner_inner: EnergyResult
-    inner_outer: EnergyResult
-    outer_inner: EnergyResult
+def interaction_energy(first: Body, second: Body, window: Box, n: int, alpha: float,
+                       samples: int = 400_000, seed: int = 0) -> EnergyResult:
+    """alpha(1-alpha)-weighted kernel energy between two disjoint bodies,
+    over base points x in ``first`` inside ``window`` and y in ``second``."""
+    def hit(xs, ys):
+        in_first = first.contains(xs)
+        if (in_first & second.contains(xs)).any():
+            raise DisjointnessError("regions overlap inside the sampling window")
+        return in_first & second.contains(ys)
+
+    return _pair_estimate(window, n, alpha, samples, seed, hit)
 
 
 def relative_perimeter(body: Body, window: Box, n: int, alpha: float,
-                       samples: int = 400_000, seed: int = 0) -> PerimeterResult:
-    """Fractional perimeter of the body relative to the window box.
+                       samples: int = 400_000, seed: int = 0) -> EnergyResult:
+    """Fractional perimeter of the body E relative to the window box W.
 
-    Three interaction energies: inside-with-inside, inside-with-outside
-    complement, outside-body-with-inside complement.
+    Per(E, W) = L(E & W, ~E & W) + L(E & W, ~E - W) + L(E - W, ~E & W): under
+    one sampling law the three integrands add up, pair by pair, to the
+    indicator of x in E, y not in E and x or y in W.  The base points run
+    over W padded by half its diameter, to cover the part of E - W near W.
     """
-    E, W = body, window
-    seeds = np.random.SeedSequence(seed).spawn(3)
-
-    def run(first, second, s):
-        return interaction_energy(first, second, window=_padded(window), n=n,
-                                  alpha=alpha, samples=samples,
-                                  seed=int(s.generate_state(1)[0]),
-                                  check_disjoint=False)
-
-    t1 = run(E & W, ~E & W, seeds[0])
-    t2 = run(E & W, ~E - W, seeds[1])
-    t3 = run(E - W, ~E & W, seeds[2])
-    value = t1.value + t2.value + t3.value
-    error = t1.error + t2.error + t3.error
-    return PerimeterResult(value=value, error=error, inner_inner=t1,
-                           inner_outer=t2, outer_inner=t3)
-
-
-def _padded(window: Box) -> Box:
-    # the base-point box must cover E \ W contributions near the window
     pad = 0.5 * window.diameter
-    return Box(tuple(v - pad for v in window.lo), tuple(v + pad for v in window.hi))
+    box = Box(tuple(v - pad for v in window.lo), tuple(v + pad for v in window.hi))
+
+    def crossing(xs, ys):
+        return (body.contains(xs) & ~body.contains(ys)
+                & (window.contains(xs) | window.contains(ys)))
+
+    return _pair_estimate(box, n, alpha, samples, seed, crossing)

@@ -157,3 +157,29 @@ def test_holder_exponent_window():
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(InvalidExponentError):
             holder_rescaling_check(SqrtProfile(1.0), 10.0, beta=bad)
+
+
+def _loop_seminorm(points, values, beta):
+    # reference: max over i < j at least one spacing apart, row by row
+    spacing = float(points[1] - points[0]) if len(points) > 1 else 0.0
+    best = 0.0
+    for i in range(len(points)):
+        dr = np.abs(points[i + 1:] - points[i])
+        keep = dr >= spacing * (1.0 - 1e-12)
+        if keep.any():
+            best = max(best, float(np.max(np.abs(values[i + 1:][keep] - values[i])
+                                          / dr[keep] ** beta)))
+    return best
+
+
+def test_seminorm_matches_the_pairwise_loop():
+    from fracsurf.blowdown import _seminorm
+    rng = np.random.default_rng(20)
+    for trial in range(200):
+        m = int(rng.integers(0, 70))
+        R = float(rng.uniform(0.1, 50.0))
+        points = ((0.25 * R) * (np.arange(m) + 1.0) / 60 if trial % 2
+                  else np.sort(rng.uniform(0.0, R, m)))
+        values = rng.standard_normal(m) * 10.0 ** rng.uniform(-5.0, 5.0)
+        beta = 0.5 if trial % 3 == 0 else float(rng.uniform(0.01, 0.99))
+        assert _seminorm(points, values, beta) == _loop_seminorm(points, values, beta)

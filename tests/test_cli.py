@@ -6,6 +6,7 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from fracsurf.cli import main
+from fracsurf.config import parse_bool
 
 SMALL_INI = """\
 [run]
@@ -516,6 +517,36 @@ def test_failed_run_writes_nothing(command, ini, tmp_path, capsys):
     assert run_cli(command, cfg, out) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, word", [
+    ("barrier-verify", "bisect", "flase"),
+    ("barrier-verify", "check_shrink", "ture"),
+    ("curvature", "complement", "treu"),
+])
+def test_misspelled_boolean_exits_1_and_writes_nothing(command, key, word, tmp_path, capsys):
+    cfg = tmp_path / "bool.ini"
+    cfg.write_text(f"[{command}]\n{key} = {word}\n")
+    out = tmp_path / "bool"
+    assert run_cli(command, cfg, out) == 1
+    assert f"{word!r} is not a boolean" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_booleans_read_in_any_case(small_config, tmp_path):
+    spelled = tmp_path / "spelled.ini"
+    spelled.write_text(SMALL_INI.replace("bisect = false", "bisect = OFF")
+                       .replace("check_shrink = false", "check_shrink =  No ")
+                       .replace("method = formula", "method = formula\ncomplement = False"))
+    for command, name in [("barrier-verify", "report.json"), ("curvature", "sweep.csv")]:
+        assert run_cli(command, small_config, tmp_path / "plain" / command) == 0
+        assert run_cli(command, spelled, tmp_path / "spelled" / command) == 0
+        assert ((tmp_path / "spelled" / command / name).read_bytes()
+                == (tmp_path / "plain" / command / name).read_bytes())
+    for word in ("1", "true", "Yes", " ON "):
+        assert parse_bool(word) is True
+    for word in ("0", "FALSE", "no", "Off\t"):
+        assert parse_bool(word) is False
 
 
 def test_run_threads_and_out_are_accepted_and_unrecorded(tmp_path):

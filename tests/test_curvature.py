@@ -382,6 +382,20 @@ def test_n2_radial_error_covers_the_barrier_inside_its_knots(r, n, alpha, ref):
     assert abs(res.value - ref) <= res.error_core + res.error_midfield
 
 
+@pytest.mark.parametrize("profile,r,n,ref", [
+    (_BASE, 2.5, 2, 5.455066118376555),
+    (_BASE, 2.5, 3, 4.25510467668921),
+    (_NECK, 3.0, 2, -0.7726124457829308),
+], ids=["barrier-n2", "barrier-n3", "neck-n2"])
+def test_total_error_covers_the_angular_rule(profile, r, n, ref):
+    """The references take 768 angular nodes.  The default 48 are 8.3e-7,
+    1.8e-6 and 2.1e-5 off them at alpha = 0.8, against core plus midfield
+    errors near 1e-12: no part of the error estimates the angular rule, and
+    only the tail bound (3.7e-4, 6.6e-4 and 8.1e-5) covers the gap."""
+    res = two_leaf_curvature(profile, r, n, 0.8)
+    assert abs(res.value - ref) <= res.total_error
+
+
 @pytest.mark.parametrize("profile,r,alpha,shared_elems", [
     (ConstantProfile(0.3), 2.0, 0.2, 1_004_017),
     (_BASE, 1.5, 0.5, 174_289),

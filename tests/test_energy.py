@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from fracsurf import (Ball, Body, Box, Complement, DisjointnessError, HalfSpace,
-                      Scaled, interaction_energy, relative_perimeter)
+from fracsurf import (Ball, Body, Box, Complement, ConstantProfile, DisjointnessError,
+                      HalfSpace, Scaled, TwoLeaf, interaction_energy, relative_perimeter)
 
 WINDOW = Box((-2.0, -2.0), (2.0, 2.0))
+# the window padded by half its diameter: relative_perimeter's base-point box
+PAD = 0.5 * WINDOW.diameter
+PADDED = Box((-2.0 - PAD,) * 2, (2.0 + PAD,) * 2)
 
 # boxes are closed, but their boundaries have measure zero: no sample lands there
 UPPER = Box((-1.5, 0.1), (1.5, 1.5))
@@ -34,13 +37,6 @@ def test_overlapping_regions_are_rejected():
     with pytest.raises(DisjointnessError):
         interaction_energy(Ball(1.0), HalfSpace(0.0),
                            WINDOW, 1, 0.5, samples=1000, seed=0)
-
-
-def test_disjointness_check_can_be_waived():
-    res = interaction_energy(Ball(1.0), HalfSpace(0.0),
-                             WINDOW, 1, 0.5, samples=1000, seed=0,
-                             check_disjoint=False)
-    assert res.value > 0.0
 
 
 def test_cut_radii_track_the_window():
@@ -94,15 +90,25 @@ def test_perimeter_same_seed_scaling_is_exact():
 
 
 def test_perimeter_of_contained_body_has_no_outer_part():
+    """Ball(1) lies inside the window, so E - W is empty and the window never
+    binds: on one seed the perimeter is exactly the energy between the ball
+    and its complement over the window padded by half its diameter."""
     res = relative_perimeter(Ball(1.0), WINDOW, 1, 0.5,
                              samples=100000, seed=5)
-    assert res.value == pytest.approx(13.17302271398568, rel=1e-12)
-    assert res.outer_inner.value == 0.0
-    assert res.inner_inner.value > 0.0
-    assert res.inner_outer.value > 0.0
-    assert res.value == pytest.approx(res.inner_inner.value
-                                      + res.inner_outer.value
-                                      + res.outer_inner.value)
-    assert res.error == pytest.approx(res.inner_inner.error
-                                      + res.inner_outer.error
-                                      + res.outer_inner.error)
+    inner = interaction_energy(Ball(1.0), ~Ball(1.0), PADDED, 1, 0.5,
+                               samples=100000, seed=5)
+    assert res.value > 0.0
+    assert res == inner
+
+
+def test_perimeter_is_the_sum_of_its_three_energies():
+    """Per(E, W) = L(E & W, ~E & W) + L(E & W, ~E - W) + L(E - W, ~E & W),
+    each term over the padded window on its own seed."""
+    body = TwoLeaf(ConstantProfile(0.3))
+    res = relative_perimeter(body, WINDOW, 1, 0.5, samples=400000, seed=21)
+    terms = [interaction_energy(first, second, PADDED, 1, 0.5, samples=400000, seed=s)
+             for s, (first, second) in enumerate([(body & WINDOW, ~body & WINDOW),
+                                                  (body & WINDOW, ~body - WINDOW),
+                                                  (body - WINDOW, ~body & WINDOW)])]
+    assert abs(res.value - sum(t.value for t in terms)) <= res.error + sum(t.error for t in terms)
+    assert res.error < sum(t.error for t in terms)
