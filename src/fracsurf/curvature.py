@@ -21,15 +21,16 @@ Assembly splits at a pivot radius delta:
 
   * core (0, delta): the graph part uses the difference quotient written
     through profile chords and bends so no floating-point cancellation is
-    amplified by rho^-1.  Integrated with weighted quadrature carrying the
-    rho^-a endpoint singularity exactly.  The mirror part is smooth at
-    rho = 0 (it vanishes like rho^(n-1) against the full measure), so it
-    gets plain adaptive quadrature on the unweighted integrand.
+    amplified by rho^-1; the mirror part, gap / rho under the same weight
+    rho^-a, vanishes like rho^(n-1).  At n = 1 the graph part gets weighted
+    quadrature carrying the rho^-a singularity exactly and the mirror part
+    plain adaptive quadrature; at n >= 2 their sum goes on the node panels
+    below, in x = rho^(1-a), where rho^-a drho = dx / (1 - a).
   * midfield (delta, R): log-substituted adaptive quadrature of the plain
     integrand.
-  * tail beyond R: bounded in closed form and escalated (R grows tenfold,
-    the new annulus is integrated) until the bound is a small share of the
-    value or the escalation budget is exhausted.
+  * tail beyond R: bounded in closed form.  While the bound exceeds a small
+    share of the value, every decade it still needs at the current value,
+    up to a cap radius and the escalation budget, is integrated as one band.
 
 Node j's term w_j part_j(rho) of A bends where its offset radius
 |x' + rho theta_j| meets a kink radius k, at
@@ -38,12 +39,12 @@ n = 1 is the two nodes c = +-1 and the roots are |k -+ s|.  k runs over the
 axis, the knots and the zero crossings of v (two-leaf only: the slice height
 is max(v, 0)).  At n = 1 QUADPACK integrates A with the rho of both nodes
 inside each band as breakpoints.  At n >= 2 each node's term is integrated
-in u = log rho on its own panels, split at its own bends, by adaptive
-Gauss-Kronrod 21/10 that refines the panels of all nodes from one pool and
-evaluates every new panel at once.  Edges count against the panel budget,
-which at n >= 2 is per node; there a node's edges take at most half of it,
-leaving the rest to bisect.  A band, or at n >= 2 a node, whose edges do not
-fit starts whole.
+in u = log rho (the core in x) on its own panels, split at its own bends,
+by adaptive Gauss-Kronrod 21/10 that refines the panels of all nodes from
+one pool and evaluates every new panel at once.  Edges count against the
+panel budget, which at n >= 2 is per node; there a node's edges take at
+most half of it, leaving the rest to bisect.  A band, or at n >= 2 a node,
+whose edges do not fit starts whole.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class QuadratureConfig:
         the value itself is near zero.
     max_subdivisions: panel budget per quadrature call (QUADPACK's
         subintervals, or at n >= 2 the Gauss-Kronrod panels of each angular
-        node in one band), also the cap on the number of tail escalations.
+        node in one band), also the cap on the number of tail decades.
         Breakpoints and panel edges count against it (at n >= 2 a node's
         edges may take half of it, leaving room to bisect): a band, or at
         n >= 2 a node, whose edges do not fit starts whole.
@@ -279,35 +280,37 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
         t = np.abs(s + cj[j] * rho) if n == 1 else np.sqrt(s * s + rho * a_coef)
         return t, a_coef
 
-    def core_graph(rho):
-        rho = max(rho, 1e-150)
-        t, a_coef = offsets(rho)
+    def core_graph(rho, j=slice(None)):
+        # the graph terms w_j part_j(rho) below the pivot, as plain takes them
+        rho = np.maximum(rho, 1e-150)
+        t, a_coef = offsets(rho, j)
         ts = t + s
         q = a_coef / ts
         dt = rho * q
-        one_m_cq = (dt + two_s_sin2 - cj * rho) / ts
+        one_m_cq = (dt + two_s_sin2[j] - cj[j] * rho) / ts
         # dt = t - s, so the step ends at t >= 0; the clip undoes rounding
         ddr = -dvs * one_m_cq / ts - q * q * profile._bends(s, np.maximum(dt, -s))
         dd = ddr * rho
         small = np.abs(dd) < 1e-6
         if small.all():
-            part = ddr * F.deriv(wl + 0.5 * dd)
+            part = ddr * F.deriv(wl[j] + 0.5 * dd)
         else:
-            part = (F.value(wl + dd) - regularizer) / rho
+            part = (F.value(wl[j] + dd) - regularizer[j]) / rho
             if small.any():
-                part = np.where(small, ddr * F.deriv(wl + 0.5 * dd), part)
+                part = np.where(small, ddr * F.deriv(wl[j] + 0.5 * dd), part)
         if two_leaf:
             # wl + dd is (v(s) - v(t)) / rho; an empty slice reads as height 0
-            empty = vs - rho * (wl + dd) < 0.0
+            empty = vs - rho * (wl[j] + dd) < 0.0
             if empty.any():
-                part = np.where(empty, (F.value(vs / rho) - regularizer) / rho, part)
-        return float(np.sum(wang * part))
+                part = np.where(empty, (F.value(vs / rho) - regularizer[j]) / rho, part)
+        return wang[j] * part
 
-    def core_mirror(rho):
-        rho = max(rho, 1e-150)
-        t, _ = offsets(rho)
+    def core_mirror(rho, j=slice(None)):
+        # the mirror terms over rho, under the core's weight rho^-a
+        rho = np.maximum(rho, 1e-150)
+        t, _ = offsets(rho, j)
         heights = vs + np.maximum(profile_values(profile, t), 0.0)
-        return float(np.sum(wang * F.gap(heights / rho))) * rho ** (-(1.0 + alpha))
+        return wang[j] * F.gap(heights / rho) / rho
 
     def plain(rho, j=slice(None)):
         # the terms w_j part_j(rho) of A: every node at one radius, or node
@@ -321,73 +324,99 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
             part = F.value((vs - vt) / rho) - regularizer[j]
         return wang[j] * part
 
-    # the rho > 0 where a node's offset meets a kink radius (module
-    # docstring); at n = 1, sqrt(k^2) = k gives exactly s, |k - s| and k + s
-    kinks = [[0.0], profile.knots]
-    if two_leaf:
-        kinks.append(profile_zeros(profile))
-    k = np.concatenate(kinks)[:, None]
-    disc = k * k - s * s * (1.0 - cj * cj)
-    real = disc >= 0.0
-    bend_node = np.broadcast_to(np.arange(len(cj)), disc.shape)[real]
-    mid = np.broadcast_to(-s * cj, disc.shape)[real]
-    root = np.sqrt(disc[real])
-    radii = np.concatenate((mid - root, mid + root))
-    bend_node = np.concatenate((bend_node, bend_node))[radii > 0.0]
-    bends = np.log(radii[radii > 0.0])
+    def node_bends(k):
+        # the rho > 0 where a node's offset meets a kink radius k (module
+        # docstring); at n = 1, sqrt(k^2) = k gives exactly s, |k - s| and k + s
+        disc = k[:, None] ** 2 - s * s * (1.0 - cj * cj)
+        real = disc >= 0.0
+        node = np.broadcast_to(np.arange(len(cj)), disc.shape)[real]
+        mid = np.broadcast_to(-s * cj, disc.shape)[real]
+        root = np.sqrt(disc[real])
+        radii = np.concatenate((mid - root, mid + root))
+        return np.concatenate((node, node))[radii > 0.0], radii[radii > 0.0]
 
-    def log_band(lo, hi):
-        lo, hi = math.log(lo), math.log(hi)
-        inside = (lo < bends) & (bends < hi)
-        if n == 1:
-            # QUADPACK's breakpoint routine needs fewer breakpoints than its budget
-            points = np.unique(bends[inside]).tolist()
-            kw = dict(quad_kw, points=points) if 0 < len(points) < limit else quad_kw
-            return _quad(lambda u: np.sum(plain(math.exp(u))) * math.exp(-alpha * u),
-                         lo, hi, **kw)
-        # each node's term on its own panels, split at its own bends; a node
-        # whose edges would take over half its budget starts whole
-        j, u = bend_node[inside], bends[inside]
+    outer = config.truncation_radius
+    bend_node, bend_rho = node_bends(np.concatenate(([0.0], profile.knots)))
+    if two_leaf:
+        # a zero z bends terms only at rho in [|z - s|, z + s].  Once the
+        # knots' bends overflow the midfield, those below `start` change no
+        # band: they bend the midfield, or at n = 1 the core, which takes none
+        bends = np.log(bend_rho)
+        inside = (math.log(delta) < bends) & (bends < math.log(outer))
+        full = (len(np.unique(bends[inside])) >= limit if n == 1 else
+                2 * (np.bincount(bend_node[inside], minlength=len(cj)).min() + 1) > limit)
+        start = (outer - s if n == 1 else min(outer - s, s - delta)) if full else 0.0
+        bend_node, bend_rho = map(np.concatenate, zip(
+            (bend_node, bend_rho), node_bends(profile_zeros(profile, start))))
+    bends = np.log(bend_rho)
+
+    def node_panels(lo, hi, at):
+        # each node's panels on (lo, hi), split at its bends `at` in the band's
+        # variable; a node whose edges take over half its budget starts whole
+        inside = (lo < at) & (at < hi)
+        j, u = bend_node[inside], at[inside]
         fits = 2 * (np.bincount(j, minlength=len(cj)) + 1) <= limit
         j, u = j[fits[j]], u[fits[j]]
         every = np.arange(len(cj))
         a, ja = np.concatenate((np.full(len(cj), lo), u)), np.concatenate((every, j))
         b, jb = np.concatenate((u, np.full(len(cj), hi))), np.concatenate((j, every))
         ia, ib = np.lexsort((a, ja)), np.lexsort((b, jb))
+        return a[ia], b[ib], ja[ia]
+
+    def log_band(lo, hi):
+        lo, hi = math.log(lo), math.log(hi)
+        if n == 1:
+            # QUADPACK's breakpoint routine needs fewer breakpoints than its budget
+            points = np.unique(bends[(lo < bends) & (bends < hi)]).tolist()
+            kw = dict(quad_kw, points=points) if 0 < len(points) < limit else quad_kw
+            return _quad(lambda u: np.sum(plain(math.exp(u))) * math.exp(-alpha * u),
+                         lo, hi, **kw)
         return _gk21_band(lambda u, j: plain(np.exp(u), j) * np.exp(-alpha * u),
-                          a[ia], b[ib], ja[ia], limit)
+                          *node_panels(lo, hi, bends), limit)
 
-    core_val, core_err = _quad(core_graph, 0.0, delta,
-                               weight="alg", wvar=(-alpha, 0.0), **quad_kw)
-    if two_leaf:
-        m_val, m_err = _quad(core_mirror, 0.0, delta, **quad_kw)
-        core_val += m_val
-        core_err += m_err
+    if n == 1:
+        core_val, core_err = _quad(lambda rho: np.sum(core_graph(rho)), 0.0, delta,
+                                   weight="alg", wvar=(-alpha, 0.0), **quad_kw)
+        if two_leaf:
+            m_val, m_err = _quad(lambda rho: np.sum(core_mirror(rho)) * rho ** -alpha,
+                                 0.0, delta, **quad_kw)
+            core_val += m_val
+            core_err += m_err
+    else:
+        # both core terms on the node panels in x = rho^(1 - a): rho^-a drho = dx / (1 - a)
+        e = 1.0 / (1.0 - alpha)
+        core_val, core_err = _gk21_band(
+            lambda x, j: e * (core_graph(x ** e, j)
+                              + (core_mirror(x ** e, j) if two_leaf else 0.0)),
+            *node_panels(0.0, delta ** (1.0 - alpha), bend_rho ** (1.0 - alpha)), limit)
 
-    outer = config.truncation_radius
     mid_val, mid_err = log_band(delta, outer)
 
     lips = _slope_bound(profile, s)
     tail_coeff = 2.0 * ang_mass * (2.0 * F.value(lips) + (F.limit if two_leaf else 0.0)) / alpha
     warnings = []
-    escalations = 0
+    decades = 0
     while True:
         tail = tail_coeff * outer ** (-alpha)
         value = 2.0 * (core_val + mid_val)
-        if tail <= max(config.target_tolerance, TAIL_SHARE * abs(value)):
+        goal = max(config.target_tolerance, TAIL_SHARE * abs(value))
+        if tail <= goal:
             break
-        if outer >= ESCALATION_CAP_RADIUS or escalations >= config.max_subdivisions:
+        if outer >= ESCALATION_CAP_RADIUS or decades >= config.max_subdivisions:
             warnings.append("tail-above-target")
             break
-        band_val, band_err = log_band(outer, 10.0 * outer)
+        # every decade the bound needs at this value, in one band
+        top, decades = 10.0 * outer, decades + 1
+        while (tail_coeff * top ** (-alpha) > goal and top < ESCALATION_CAP_RADIUS
+               and decades < config.max_subdivisions):
+            top, decades = 10.0 * top, decades + 1
+        band_val, band_err = log_band(outer, top)
         mid_val += band_val
         mid_err += band_err
-        outer *= 10.0
-        escalations += 1
+        outer = top
 
     # written so that a nan error also warns
-    if not 2.0 * (core_err + mid_err) <= max(config.target_tolerance,
-                                             TAIL_SHARE * abs(value)):
+    if not 2.0 * (core_err + mid_err) <= goal:
         warnings.append("quadrature-above-target")
 
     return CurvatureResult(value=float(2.0 * (core_val + mid_val)),

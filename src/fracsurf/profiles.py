@@ -455,11 +455,12 @@ def profile_extremes(profile: RadialProfile, hi: float = math.inf, tilt: float =
     return np.unique(radii), float(limit)
 
 
-def profile_zeros(profile: RadialProfile) -> np.ndarray:
-    """Radii r >= 0 where v(r) = 0: the real roots of each piece on its own
-    interval between knots.  A double root gives a radius where v only
-    touches 0; one that rounding splits into a complex pair gives none."""
+def profile_zeros(profile: RadialProfile, start: float = 0.0) -> np.ndarray:
+    """Radii r >= 0 where v(r) = 0: the real roots of each piece that reaches
+    past ``start``, on its own interval between knots.  A double root gives a
+    radius where v only touches 0; a complex pair from rounding gives none."""
     edges = [0.0] + [k for k in profile.knots if k > 0.0] + [math.inf]
+    edges = edges[max(0, int(np.searchsorted(edges, start, side="right")) - 1):]
     polys = [_piece_poly(profile, lo, profile.root) for lo in edges[:-1]]
     radii = []
     for lo, up, s in zip(edges, edges[1:], _poly_roots(polys)):

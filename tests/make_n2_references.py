@@ -1,14 +1,13 @@
 """Reference values for the n >= 2 curvature points pinned in test_curvature.py.
 
-Runs ``two_leaf_curvature`` with every radial integral re-done by
-``scipy.integrate.quad_vec`` at absolute and relative tolerance 1e-15:
+Runs ``two_leaf_curvature`` with every radial band re-done by
+``scipy.integrate.quad_vec`` at absolute and relative tolerance 1e-15, as
+one integral of the node-summed integrand, split at each radius where some
+angular node's offset meets a knot or a zero crossing, computed here afresh:
 
-  * the weighted core int_0^delta rho^-a g(rho) drho through the substitution
-    rho = delta x^(1/(1-a)), which leaves delta^(1-a)/(1-a) g(rho(x)) on [0, 1];
-  * the mirror core as it stands;
-  * the midfield and every tail band as one integral of the node-summed
-    integrand, split at each radius where some angular node's offset meets a
-    knot or a zero crossing, computed here afresh.
+  * the core, the graph and the mirror terms summed, in the program's own
+    variable x = rho^(1-a), in which rho^-a drho = dx / (1 - a);
+  * the midfield and every tail band in log rho.
 
 The angular rule, the tail escalation and the outer radius stay the
 program's own, so a reference differs from the program's value only by the
@@ -52,33 +51,25 @@ def kinks(profile, s, n):
     return np.log(np.unique(rho[rho > 0.0]))
 
 
-def reference_quad(func, lo, hi, weight=None, wvar=None, points=(), **_):
-    if weight == "alg":
-        a = -wvar[0]
-        scale = hi ** (1.0 - a) / (1.0 - a)
-        val, err = integrate.quad_vec(lambda x: func(hi * x ** (1.0 / (1.0 - a))),
-                                      0.0, 1.0, limit=CORE_INTERVALS, **TOL)
-        return scale * val, scale * err
-    points = [u for u in points if lo < u < hi]
-    return integrate.quad_vec(func, lo, hi, points=points or None,
-                              limit=len(points) + 10_000, **TOL)
-
-
-def reference_points(profile, r, n):
-    bends = kinks(profile, r, n).tolist()
+def reference_bands(profile, r, n, alpha):
+    bends = kinks(profile, r, n)
 
     def band(f, a, b, term, limit):
-        # f(u, j) is node j's term at u; the reference integrates their sum
+        # f(u, j) is node j's term at u; the reference integrates their sum.
+        # The core band starts at x = 0, the others in log rho.
         nodes = np.unique(term)[:, None]
-        return reference_quad(lambda u: np.sum(f(np.full(nodes.shape, u), nodes)),
-                              float(np.min(a)), float(np.max(b)), points=bends)
+        lo, hi = float(np.min(a)), float(np.max(b))
+        core = lo == 0.0
+        points = [u for u in (np.exp((1.0 - alpha) * bends) if core else bends) if lo < u < hi]
+        return integrate.quad_vec(lambda u: np.sum(f(np.full(nodes.shape, u), nodes)), lo, hi,
+                                  points=points or None,
+                                  limit=CORE_INTERVALS if core else len(points) + 10_000, **TOL)
     return band
 
 
 def main():
-    curvature._quad = reference_quad
     for name, profile, r, n, alpha in POINTS:
-        curvature._gk21_band = reference_points(profile, r, n)
+        curvature._gk21_band = reference_bands(profile, r, n, alpha)
         res = two_leaf_curvature(profile, r, n, alpha)
         print(f"{name} r={r} n={n} alpha={alpha}: {res.value!r} "
               f"(outer radius {res.outer_radius:g}, warnings {res.warnings})")

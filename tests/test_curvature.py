@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from fracsurf import (BarrierProfile, ConstantProfile, CurvatureResult, DilatedG
                       subgraph_curvature, two_leaf_curvature)
 from fracsurf.cli import _quadrature_from
 from fracsurf.config import Section
+from fracsurf.curvature import ESCALATION_CAP_RADIUS, TAIL_SHARE
 
 
 def sphere_area(n):
@@ -309,14 +311,15 @@ def test_n1_split_halves_the_slice_integral_calls(monkeypatch, profile, r, unspl
 
 
 # the unsplit results at r = 2.5, whose five bend radii 0.5, 1.5, 2.5, 3.5
-# and 4.5 need a budget of at least 6 intervals
+# and 4.5 need a budget of at least 6 intervals; from a budget of 2 on, the
+# tail decades are one band
 ABOVE_BOTH = ("tail-above-target", "quadrature-above-target")
 UNSPLIT_STARVED = {
     # budget: (value, error_midfield, error_tail, outer_radius, warnings)
     1: (8.285681292356248, 2.355028720057699, 0.1499510108856172, 1e4, ABOVE_BOTH),
-    2: (8.329696110131549, 2.3550287200576996, 0.047418673184325265, 1e5, ABOVE_BOTH),
-    3: (8.342352568325575, 0.73589985073214, 0.014995101088561719, 1e6, ABOVE_BOTH),
-    4: (8.346762052934103, 0.025529224919679145, 0.004741867318432527, 1e7, ABOVE_BOTH),
+    2: (8.32969611013155, 2.3550287200577, 0.047418673184325265, 1e5, ABOVE_BOTH),
+    3: (8.342352568325575, 0.7358998507321401, 0.014995101088561719, 1e6, ABOVE_BOTH),
+    4: (8.346762052934105, 0.025529224919679145, 0.004741867318432527, 1e7, ABOVE_BOTH),
     5: (8.348155905770966, 0.02479282870690639, 0.0014995101088561718, 1e8,
         ("quadrature-above-target",)),
 }
@@ -341,9 +344,9 @@ def test_breakpoints_count_against_the_subdivision_budget(budget):
 # point re-done by quad_vec at tolerance 1e-15, so |value - ref| is the
 # radial quadrature error alone.  (profile, radius, n, reference)
 N2_NECK = {
-    "neck-r3-n2": (_NECK, 3.0, 2, 2.0654695265913676),
-    "neck-r2-n2": (_NECK, 2.0, 2, 7.122025718222654),
-    "neck-r3-n3": (_NECK, 3.0, 3, -3.81272576034105),
+    "neck-r3-n2": (_NECK, 3.0, 2, 2.065469526591361),
+    "neck-r2-n2": (_NECK, 2.0, 2, 7.122025718222709),
+    "neck-r3-n3": (_NECK, 3.0, 3, -3.812770478308831),
 }
 
 
@@ -356,7 +359,7 @@ def test_n2_neck_matches_its_reference(profile, r, n, ref):
     assert abs(res.value - ref) <= res.error_core + res.error_midfield
 
 
-@pytest.mark.parametrize("n,ref", [(2, 14.156676534033055), (3, 17.926608941647054)])
+@pytest.mark.parametrize("n,ref", [(2, 14.156676534033055), (3, 17.92660894164705)])
 def test_n2_radial_error_covers_the_knotted_twin(n, ref):
     """At r = 1 the twin's knots at 2 and 4 bend A(rho) at a radius for each
     angular node.  QUADPACK gave 17.92660894215923 at n = 3, 5.1e-10 off
@@ -426,18 +429,20 @@ def test_n2_zero_crossing_edges_beyond_the_budget_start_the_band_whole(monkeypat
     """At r = 3, n = 2 the offsets of 8 angular nodes cross the neck's zero
     at 1.463 twice each inside the midfield, 5 of them also both knots 1 and
     2: 7 and 5 panels.  3 more cross the knot at 2 twice: 3 panels.  A node
-    starts on its own edges only while they take at most half its budget."""
+    starts on its own edges only while they take at most half its budget.
+    The midfield is the band from log 0.1 to log 1e3."""
     from fracsurf import curvature
     starts = []
     band = curvature._gk21_band
-    monkeypatch.setattr(curvature, "_gk21_band",
-                        lambda f, a, b, term, limit: starts.append(np.bincount(term).tolist())
-                        or band(f, a, b, term, limit))
+    monkeypatch.setattr(curvature, "_gk21_band", lambda f, a, b, term, limit: starts.append(
+        (a.min(), b.max(), np.bincount(term).tolist())) or band(f, a, b, term, limit))
     for limit, panels in [(200, [7] * 5 + [5] * 3 + [3] * 3), (13, [1] * 5 + [5] * 3 + [3] * 3),
                           (9, [1] * 8 + [3] * 3), (5, [])]:
         starts.clear()
         res = two_leaf_curvature(_NECK, 3.0, 2, 0.5, QuadratureConfig(max_subdivisions=limit))
-        assert starts[0] == panels + [1] * (48 - len(panels))
+        midfield = [count for lo, hi, count in starts
+                    if (lo, hi) == (math.log(0.1), math.log(1e3))]
+        assert midfield == [panels + [1] * (48 - len(panels))]
         assert abs(res.value - N2_NECK["neck-r3-n2"][-1]) <= res.total_error
 
 
@@ -488,6 +493,68 @@ def test_zero_step_beside_a_knot_crossing_step():
     r = np.linspace(0.0, 4.0, 81)
     res = two_leaf_curvature(SampledProfile(r, 1.0 + r ** 2 / 8.0), 0.025, 1, 0.5)
     assert repr(res) == (
-        "CurvatureResult(value=-0.5147538836058838, error_core=1.256942148602974e-12, "
-        "error_midfield=1.7442083930202433e-13, error_tail=6.796990480876434e-05, "
+        "CurvatureResult(value=-0.5147538836058839, error_core=1.2569620639960316e-12, "
+        "error_midfield=1.7442083930201706e-13, error_tail=6.796990480876434e-05, "
         "outer_radius=100000000000.0, warnings=())")
+
+
+# the barrier's plateau, blend and cone, the neck and a slab: (profile, radius)
+TAIL_POINTS = {"plateau": (_BASE, 0.5), "blend": (_BASE, 1.5), "cone": (_BASE, 3.0),
+               "neck": (_NECK, 3.0), "slab": (ConstantProfile(0.3), 2.0)}
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("profile,r", TAIL_POINTS.values(), ids=TAIL_POINTS.keys())
+def test_tail_bound_covers_the_decades_it_leaves_out(profile, r, n, alpha):
+    """Integrated in one band out to 1e12, the point may differ from the
+    escalated one by no more than the two total errors."""
+    res = two_leaf_curvature(profile, r, n, alpha)
+    far = two_leaf_curvature(profile, r, n, alpha, dataclasses.replace(
+        QuadratureConfig.for_profile(profile), truncation_radius=1e12))
+    assert abs(res.value - far.value) <= res.total_error + far.total_error
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 200])
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("profile,r", TAIL_POINTS.values(), ids=TAIL_POINTS.keys())
+def test_escalation_stops_where_the_bound_meets_its_goal(profile, r, n, alpha, budget):
+    """The tail bound is tail_coeff R^-a.  The loop stops at most one decade
+    past the first decade where it meets the goal at the final value, since
+    each step takes every decade that the value before it needs; it warns
+    exactly when the cap or the escalation budget stopped it short."""
+    cfg = dataclasses.replace(QuadratureConfig.for_profile(profile), max_subdivisions=budget)
+    res = two_leaf_curvature(profile, r, n, alpha, cfg)
+    coeff = res.error_tail * res.outer_radius ** alpha
+    goal = max(cfg.target_tolerance, TAIL_SHARE * abs(res.value))
+    first = cfg.truncation_radius
+    while coeff * first ** -alpha > goal:
+        first *= 10.0
+    assert cfg.truncation_radius <= res.outer_radius <= 10.0 * first
+    decades = round(math.log10(res.outer_radius / cfg.truncation_radius))
+    stopped = res.error_tail > goal
+    assert ("tail-above-target" in res.warnings) == stopped
+    if stopped:
+        assert res.outer_radius == ESCALATION_CAP_RADIUS or decades == budget
+
+
+@pytest.mark.parametrize("n,solved", [(1, 1), (2, 1203)])
+def test_zeros_that_cannot_split_a_band_are_not_solved(monkeypatch, n, solved):
+    """On the 2401-node sampled candidate of test_sliding.py the knots' bends
+    alone overflow the midfield's budget, so a zero crossing below 1e3 - s
+    splits no band at n = 1, nor one below s - 0.1 at n = 2 (the core's
+    reach).  profile_zeros then solves the pieces from there on, not all
+    2401, and the point is the same as with every zero solved."""
+    from fracsurf import curvature, profiles
+    r = np.linspace(0.0, 120.0, 2401)
+    profile = SampledProfile(r, np.maximum(0.0, 0.02 * r - 0.1 * np.sqrt(r)))
+    pieces = []
+    piece_poly = profiles._piece_poly
+    monkeypatch.setattr(profiles, "_piece_poly", lambda *a: pieces.append(1) or piece_poly(*a))
+    res = two_leaf_curvature(profile, 60.025, n, 0.5)
+    assert len(pieces) == solved
+    pieces.clear()
+    monkeypatch.setattr(curvature, "profile_zeros", lambda p, start: profiles.profile_zeros(p))
+    assert repr(two_leaf_curvature(profile, 60.025, n, 0.5)) == repr(res)
+    assert len(pieces) == 2401

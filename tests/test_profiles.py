@@ -712,4 +712,7 @@ def test_dip_between_knots_gives_both_crossings():
                 0.1 + (80.0 + math.sqrt(3200.0)) / 1600.0]
     zeros = profile_zeros(dip)
     assert zeros == pytest.approx(expected, rel=1e-13, abs=0.0)
+    # from `start` on, only the pieces that reach past it are solved
+    assert profile_zeros(dip, 0.15).tolist() == zeros.tolist()
+    assert profile_zeros(dip, 0.2).tolist() == []
     assert np.all(profile_values(dip, [0.1, 0.15, 0.2]) * [1, -1, 1] > 0.0)
