@@ -34,7 +34,8 @@ from .sliding import (VERDICT_UNBOUNDED, rescale_for_slide, slide)
 
 def _quadrature_from(section: dict, profile=None) -> QuadratureConfig:
     """The quadrature settings, each read from and recorded in ``section``."""
-    kwargs = {f.name: type(f.default)(float(section[f.name]))
+    kwargs = {f.name: cfgmod.parse_int(section, f.name) if isinstance(f.default, int)
+              else float(section[f.name])
               for f in fields(QuadratureConfig) if section.get(f.name, "").strip()}
     cfg = replace(QuadratureConfig.for_profile(profile), **kwargs)
     for f in fields(QuadratureConfig):
@@ -106,7 +107,7 @@ def cmd_curvature(sections, n, alpha, seed):
 def cmd_barrier_verify(sections, n, alpha, seed):
     sec = sections["barrier-verify"]
     eps = float(sec["epsilon"])
-    samples = int(float(sec["samples"]))
+    samples = cfgmod.parse_int(sec, "samples")
     cfg = _quadrature_from(sec, BarrierProfile(eps))
     report = verify_barrier(eps, n, alpha, config=cfg, seed=seed,
                             min_samples=samples,
@@ -197,7 +198,7 @@ def cmd_perimeter(sections, n, alpha, seed):
     profile = profile_from_config(sec)
     body = TwoLeaf(profile)
     w = float(sec["window"])
-    samples = int(float(sec["samples"]))
+    samples = cfgmod.parse_int(sec, "samples")
     lines = ["scale,value,err"]
     rows = []
     for scale in cfgmod.parse_floats(sec["scales"]):
@@ -244,8 +245,9 @@ def main(argv=None) -> int:
         # values nor bytes, so they stay out of the resolved config and its hash
         run.pop("threads", None)
         out = run.pop("out", None)
-        code, files = _HANDLERS[run["command"]](sections, int(run["n"]),
-                                                 float(run["alpha"]), int(run["seed"]))
+        code, files = _HANDLERS[run["command"]](sections, cfgmod.parse_int(run, "n"),
+                                                 float(run["alpha"]),
+                                                 cfgmod.parse_int(run, "seed"))
         unread = cfgmod.unread(sections)
         if unread:
             raise ValueError(f"{args.command} does not read the key {unread[0]!r}")

@@ -150,6 +150,15 @@ def parse_floats(text: str) -> list:
     return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
+def parse_int(section: dict, key: str) -> int:
+    """An integer key: 1e5 reads as 100000, and a value with a fraction is an
+    error that names the key, not a silent truncation."""
+    value = float(section[key])
+    if not value.is_integer():
+        raise ValueError(f"{key} = {section[key]!r} is not an integer")
+    return int(value)
+
+
 def parse_bool(text: str) -> bool:
     """1, true, yes or on; 0, false, no or off; stripped and in any case."""
     try:

@@ -336,18 +336,8 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
         return np.concatenate((node, node))[radii > 0.0], radii[radii > 0.0]
 
     outer = config.truncation_radius
-    bend_node, bend_rho = node_bends(np.concatenate(([0.0], profile.knots)))
-    if two_leaf:
-        # a zero z bends terms only at rho in [|z - s|, z + s].  Once the
-        # knots' bends overflow the midfield, those below `start` change no
-        # band: they bend the midfield, or at n = 1 the core, which takes none
-        bends = np.log(bend_rho)
-        inside = (math.log(delta) < bends) & (bends < math.log(outer))
-        full = (len(np.unique(bends[inside])) >= limit if n == 1 else
-                2 * (np.bincount(bend_node[inside], minlength=len(cj)).min() + 1) > limit)
-        start = (outer - s if n == 1 else min(outer - s, s - delta)) if full else 0.0
-        bend_node, bend_rho = map(np.concatenate, zip(
-            (bend_node, bend_rho), node_bends(profile_zeros(profile, start))))
+    bend_node, bend_rho = node_bends(np.concatenate(
+        ([0.0], profile.knots, profile_zeros(profile) if two_leaf else ())))
     bends = np.log(bend_rho)
 
     def node_panels(lo, hi, at):

@@ -15,7 +15,8 @@ are piecewise polynomials too: the pieces of their monotone cubic
 interpolant.
 
 Every radial function in the package is a profile: candidate sets, their
-growth envelopes, barriers, straight cones and half-spaces.
+growth envelopes, barriers, straight cones and half-spaces.  Exact extremes
+and zero crossings expand and solve all of a profile's pieces at once.
 
 All profiles are even in r (the two-leaf bodies they describe are symmetric
 under x' -> -x'); negative arguments are folded through that symmetry.
@@ -23,7 +24,6 @@ under x' -> -x'); negative arguments are folded through that symmetry.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -71,7 +71,8 @@ class RadialProfile:
     ``dilated(f)``, the rescaled graph v(f r) / f.  Each is also, piece by
     piece, a polynomial in x = r ** (1 / root): ``pieces`` lists (anchor,
     coeffs), the coefficients of t^0, t^1, ... in t = x - anchor, and piece
-    i covers [knots[i-1], knots[i]).
+    i covers [knots[i-1], knots[i]).  As arrays: ``_knot_arr``, ``_anchors``
+    and ``_coef``, whose row k holds every piece's t^k coefficient.
     """
 
     kind = "abstract"
@@ -124,9 +125,8 @@ class PiecewisePolyProfile(RadialProfile):
         assert len(pieces) == len(knots) + 1
         self.knots = tuple(float(k) for k in knots)
         self.pieces = [(float(a), tuple(float(c) for c in cs)) for a, cs in pieces]
-        # row k of _coef holds the x^k coefficient of every piece, zero-padded
-        # to the highest degree; the derivative rows k c_k and k (k - 1) c_k
-        # keep at least one (zero) row
+        # padded with zeros to the highest degree; the derivative rows k c_k
+        # and k (k - 1) c_k keep at least one (zero) row
         self._knot_arr = np.array(self.knots)
         self._anchors = np.array([a for a, _ in self.pieces])
         degree = max(len(cs) for _, cs in self.pieces)
@@ -243,11 +243,14 @@ class SqrtProfile(RadialProfile):
     kind = "sqrt"
     root = 2
     knots = ()
+    _knot_arr = np.empty(0)
 
     def __init__(self, scale: float = 1.0, offset: float = 0.0):
         self.scale = float(scale)
         self.offset = float(offset)
         self.pieces = [(0.0, (self.offset, self.scale))]
+        self._anchors = np.zeros(1)
+        self._coef = (np.array([self.offset]), np.array([self.scale]))
 
     def _values(self, r):
         return self.scale * np.sqrt(r) + self.offset
@@ -385,38 +388,53 @@ def profile_slopes(profile: RadialProfile, radii) -> np.ndarray:
     return np.where(r < 0.0, -g, g)
 
 
-def _piece_poly(profile: RadialProfile, lo: float, root: int) -> np.ndarray:
-    # the piece covering [lo, next knot) as coefficients, highest power first,
-    # in s = x - x(lo), x = r ** (1 / root): expanded at the interval's left end;
-    # a leading zero keeps its derivative a nonempty array
-    anchor, coeffs = profile.pieces[bisect.bisect_right(profile.knots, lo)]
-    b = lo ** (1.0 / root)
-    inner = [1.0, b - anchor] if root == profile.root else [1.0, 2.0 * b, b * b - anchor]
-    out = np.array([0.0, coeffs[-1]])
-    for c in coeffs[-2::-1]:
-        out = np.convolve(out, inner)
-        out[-1] += c
+def _times(a, b):
+    # the product of coefficient rows, summed over the shorter factor's rows in
+    # ascending power: the order in which np.convolve sums a full overlap
+    a, b = (a, b) if len(a) >= len(b) else (b, a)
+    out = np.zeros((len(a) + len(b) - 1, a.shape[1]))
+    for k, row in enumerate(b):
+        out[k:k + len(a)] += row * a
     return out
 
 
-def _poly_roots(polys):
-    """``np.roots`` of each polynomial (highest power first), bit for bit:
-    zeros trimmed at both ends, a zero root per trailing zero, and the
-    companion matrices of one degree stacked into one ``eigvals`` call."""
-    trimmed = []
-    for p in polys:
-        nz = np.flatnonzero(p)
-        trimmed.append((p[nz[0]:nz[-1] + 1], len(p) - 1 - nz[-1]) if len(nz) else (p[:1], 0))
-    roots = [np.zeros(tail) for _, tail in trimmed]
-    for deg in {len(p) - 1 for p, _ in trimmed} - {0}:
-        idx = [i for i, (p, _) in enumerate(trimmed) if len(p) - 1 == deg]
-        lead = np.array([trimmed[i][0] for i in idx])
-        comp = np.zeros((len(idx), deg, deg))
-        comp[:, 0, :] = -lead[:, 1:] / lead[:, :1]
-        comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-        for i, vals in zip(idx, np.linalg.eigvals(comp)):
-            roots[i] = np.concatenate((vals, roots[i]))
-    return roots
+def _expanded(profile: RadialProfile, lo: np.ndarray, root: int) -> np.ndarray:
+    # the pieces at the radii lo as rows in s = x - x(lo), x = r ** (1 / root),
+    # by Horner in s + c, or s^2 + 2bs + c for a piece in r read in sqrt(r); a
+    # leading zero row keeps a derivative nonempty, and the line r fits
+    idx = profile._knot_arr.searchsorted(lo, side="right")
+    b, anchor = lo ** (1.0 / root), profile._anchors[idx]
+    inner = (b - anchor,) if root == profile.root else (b * b - anchor, 2.0 * b)
+    acc = np.zeros((root * max(len(profile._coef) - 1, 1) + 2, len(lo)))
+    acc[0] = profile._coef[-1][idx]
+    for row in profile._coef[-2::-1]:
+        new = inner[0] * acc
+        for k, w in enumerate(inner[1:], 1):
+            new[k:] += w * acc[:-k]
+        new[len(inner):] += acc[:-len(inner)]
+        new[0] += row[idx]
+        acc = new
+    return acc
+
+
+def _poly_roots(coef):
+    """The roots of each column (row k the s^k coefficient) and their columns,
+    ``np.roots`` bit for bit: zeros trimmed at both ends, a zero root per
+    trailing zero, and one ``eigvals`` call per degree on stacked companions."""
+    nz = coef != 0.0
+    low = nz.argmax(axis=0)
+    # the count of nonzero rows peaks first at the last; 0 for a zero column
+    degree = nz.cumsum(axis=0).argmax(axis=0) - low
+    owner, roots = [np.arange(coef.shape[1]).repeat(low)], [np.zeros(low.sum())]
+    for deg in sorted(set(degree.tolist()) - {0}):
+        at = (degree == deg).nonzero()[0]
+        lead = coef[low[at] + np.arange(deg, -1, -1)[:, None], at]
+        comp = np.zeros((len(at), deg, deg))
+        comp[:, 0] = (-lead[1:] / lead[0]).T
+        comp.reshape(len(at), -1)[:, deg::deg + 1] = 1.0
+        owner.append(at.repeat(deg))
+        roots.append(np.linalg.eigvals(comp).reshape(-1))
+    return np.concatenate(owner), np.concatenate(roots)
 
 
 def profile_extremes(profile: RadialProfile, hi: float = math.inf, tilt: float = 0.0,
@@ -426,48 +444,40 @@ def profile_extremes(profile: RadialProfile, hi: float = math.inf, tilt: float =
 
     The radii are 0, a finite hi, the knots, and the real parts of the roots
     of G'U - GU' between knots (G the piece of v - tilt r, U that of
-    ``over``, default 1, positive).  Complex roots count too, so a double
-    root that rounding splits into a complex pair keeps its radius.  Read
-    heights with ``profile_values``.
+    ``over``, default 1, positive), every interval's piece expanded at once.
+    Complex roots count too, so a double root that rounding splits into a
+    complex pair keeps its radius.  Read heights with ``profile_values``.
     """
     over = ConstantProfile(1.0) if over is None else over
     root = max(profile.root, over.root)
-    line = LinearProfile(tilt)
-
-    def pair(lo):
-        g = np.polysub(_piece_poly(profile, lo, root), _piece_poly(line, lo, root))
-        return g, _piece_poly(over, lo, root)
-
-    knots = sorted(set(profile.knots) | set(over.knots))
-    edges = [0.0] + [k for k in knots if 0.0 < k < hi] + [hi]
-    radii = edges[:] if math.isfinite(hi) else edges[:-1]
-    polys = []
-    for lo in edges[:-1]:
-        g, u = pair(lo)
-        polys.append(np.polysub(np.convolve(np.polyder(g), u), np.convolve(g, np.polyder(u))))
-    for lo, up, s in zip(edges, edges[1:], _poly_roots(polys)):
-        s = s.real
-        r = (lo ** (1.0 / root) + s[s > 0.0]) ** root
-        radii.extend(r[r < up])
-    g, u = (np.trim_zeros(p, "f") for p in pair(max([0.0] + knots)))
-    growth = len(g) - len(u)
-    limit = 0.0 if growth < 0 or not len(g) else g[0] / u[0] * (math.inf if growth else 1.0)
+    knots = np.union1d(profile._knot_arr, over._knot_arr)
+    edges = np.concatenate(([0.0], knots[(0.0 < knots) & (knots < hi)], [hi]))
+    # one more column: the last piece, whose leading terms give the limit
+    lo = np.append(edges[:-1], knots.max(initial=0.0))
+    g = _expanded(profile, lo, root)
+    g[:root + 2] -= _expanded(LinearProfile(tilt), lo, root)
+    u = _expanded(over, lo, root)
+    dg, du = (p[1:] * np.arange(1.0, len(p))[:, None] for p in (g, u))
+    which, s = _poly_roots((_times(dg, u) - _times(g, du))[:, :-1])
+    which, s = which[s.real > 0.0], s.real[s.real > 0.0]
+    r = (lo[which] ** (1.0 / root) + s) ** root
+    radii = np.concatenate((edges[np.isfinite(edges)], r[r < edges[which + 1]]))
+    kg, ku = g[:, -1].nonzero()[0], u[:, -1].nonzero()[0]
+    growth = kg[-1] - ku[-1] if len(kg) else -1
+    limit = 0.0 if growth < 0 else g[kg[-1], -1] / u[ku[-1], -1] * (math.inf if growth else 1.0)
     return np.unique(radii), float(limit)
 
 
-def profile_zeros(profile: RadialProfile, start: float = 0.0) -> np.ndarray:
-    """Radii r >= 0 where v(r) = 0: the real roots of each piece that reaches
-    past ``start``, on its own interval between knots.  A double root gives a
-    radius where v only touches 0; a complex pair from rounding gives none."""
-    edges = [0.0] + [k for k in profile.knots if k > 0.0] + [math.inf]
-    edges = edges[max(0, int(np.searchsorted(edges, start, side="right")) - 1):]
-    polys = [_piece_poly(profile, lo, profile.root) for lo in edges[:-1]]
-    radii = []
-    for lo, up, s in zip(edges, edges[1:], _poly_roots(polys)):
-        s = s.real[(s.imag == 0.0) & (s.real >= 0.0)]
-        r = (lo ** (1.0 / profile.root) + s) ** profile.root
-        radii.extend(r[r < up])
-    return np.unique(radii)
+def profile_zeros(profile: RadialProfile) -> np.ndarray:
+    """Radii r >= 0 where v(r) = 0: the real roots of every piece at once, each
+    on its own interval between knots.  A double root gives a radius where v
+    only touches 0; a complex pair from rounding gives none."""
+    edges = np.concatenate(([0.0], profile._knot_arr[profile._knot_arr > 0.0], [math.inf]))
+    which, s = _poly_roots(_expanded(profile, edges[:-1], profile.root))
+    real = (s.imag == 0.0) & (s.real >= 0.0)
+    which, s = which[real], s.real[real]
+    r = (edges[which] ** (1.0 / profile.root) + s) ** profile.root
+    return np.unique(r[r < edges[which + 1]])
 
 
 def profile_from_csv(path) -> SampledProfile:

@@ -533,6 +533,36 @@ def test_misspelled_boolean_exits_1_and_writes_nothing(command, key, word, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("curvature", "curvature", "max_subdivisions", "2.5"),
+    ("curvature", "curvature", "angular_order", "48.9"),
+    ("curvature", "curvature", "oracle_samples", "20000.5"),
+    ("barrier-verify", "barrier-verify", "samples", "64.5"),
+    ("perimeter", "perimeter", "samples", "100000.5"),
+    ("curvature", "run", "n", "1.5"),
+    ("curvature", "run", "seed", "7.25"),
+])
+def test_integer_key_with_a_fraction_exits_1_and_writes_nothing(command, section, key, value,
+                                                                tmp_path, capsys):
+    cfg = tmp_path / "int.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "int"
+    assert run_cli(command, cfg, out) == 1
+    assert f"{key} = {value!r} is not an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_key_in_exponent_form_reads_as_its_integer(small_config, tmp_path):
+    spelled = tmp_path / "spelled.ini"
+    spelled.write_text(SMALL_INI.replace("samples = 100000", "samples = 1e5")
+                       .replace("seed = 3", "seed = 3e0"))
+    assert run_cli("perimeter", small_config, tmp_path / "plain") == 0
+    assert run_cli("perimeter", spelled, tmp_path / "spelled") == 0
+    for name in ("perimeter.csv", "report.json"):
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "spelled" / name).read_bytes())
+
+
 def test_booleans_read_in_any_case(small_config, tmp_path):
     spelled = tmp_path / "spelled.ini"
     spelled.write_text(SMALL_INI.replace("bisect = false", "bisect = OFF")

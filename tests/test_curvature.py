@@ -61,6 +61,50 @@ def test_slab_value_is_independent_of_evaluation_radius():
     assert a.value == pytest.approx(b.value, rel=1e-9)
 
 
+@pytest.mark.parametrize("n,tol", [(1, 1e-3), (2, 1e-2)])
+def test_sublinear_graph_flattens_into_a_slab_and_outgrows_every_cone(n, tol):
+    """The paper's dichotomy along the sublinear graph y = sqrt(r): far out
+    the two-leaf body looks like the slab of half-width sqrt(r), so H over
+    that slab's closed form rises toward 1, while |x|^alpha H, which a cone
+    keeps constant, grows; each step by more than the combined errors."""
+    alpha = 0.5
+    ratios, scaled = [], []
+    for r in (10.0, 100.0, 1000.0):
+        res = two_leaf_curvature(SqrtProfile(1.0), r, n, alpha)
+        slab = slab_exact(n, alpha, math.sqrt(r))
+        norm = math.hypot(r, math.sqrt(r)) ** alpha
+        ratios.append((res.value / slab, res.total_error / slab))
+        scaled.append((norm * res.value, norm * res.total_error))
+    for seq in (ratios, scaled):
+        for (a, err_a), (b, err_b) in zip(seq, seq[1:]):
+            assert b - a > err_a + err_b
+    assert abs(1.0 - ratios[-1][0]) <= tol
+
+
+def _cone_constant(eps, alpha=0.5):
+    """C(eps) = |x|^alpha H on the two-leaf cone |y| < eps |x'| at n = 1,
+    taken at |x| = 5, with its error and warnings."""
+    res = two_leaf_curvature(LinearProfile(eps), 5.0 / math.sqrt(1.0 + eps * eps), 1, alpha)
+    return 5.0 ** alpha * res.value, 5.0 ** alpha * res.total_error, res.warnings
+
+
+def test_right_angle_cone_has_zero_cone_constant():
+    """At eps = 1 the cone's complement is the cone turned by a right angle,
+    and H changes sign with the complement, so C(1) = 0."""
+    value, error, warnings = _cone_constant(1.0)
+    assert abs(value) <= error
+    assert set(warnings) <= {"tail-above-target"}
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.5])
+def test_cone_constants_of_complementary_cones_cancel(eps):
+    """The complement of the eps-cone is the 1/eps-cone turned by a right
+    angle, so C(eps) + C(1/eps) = 0."""
+    value, error, _ = _cone_constant(eps)
+    twin, twin_error, _ = _cone_constant(1.0 / eps)
+    assert abs(value + twin) <= error + twin_error
+
+
 def test_half_space_is_exactly_flat():
     res = subgraph_curvature(ConstantProfile(3.0), 1.5, 2, 0.5)
     assert res.value == 0.0
@@ -539,22 +583,20 @@ def test_escalation_stops_where_the_bound_meets_its_goal(profile, r, n, alpha, b
         assert res.outer_radius == ESCALATION_CAP_RADIUS or decades == budget
 
 
-@pytest.mark.parametrize("n,solved", [(1, 1), (2, 1203)])
-def test_zeros_that_cannot_split_a_band_are_not_solved(monkeypatch, n, solved):
-    """On the 2401-node sampled candidate of test_sliding.py the knots' bends
-    alone overflow the midfield's budget, so a zero crossing below 1e3 - s
-    splits no band at n = 1, nor one below s - 0.1 at n = 2 (the core's
-    reach).  profile_zeros then solves the pieces from there on, not all
-    2401, and the point is the same as with every zero solved."""
-    from fracsurf import curvature, profiles
+# the 2401-node sampled candidate of test_sliding.py at r = 60.025, alpha = 0.5:
+# every zero crossing of its pieces is solved in one batch; (n, result)
+RUNAWAY_POINTS = {
+    1: "CurvatureResult(value=10.361297433560607, error_core=9.976173885871189e-15, "
+       "error_midfield=9.377924704289972e-12, error_tail=0.0009832067692772813, "
+       "outer_radius=100000000.0, warnings=())",
+    2: "CurvatureResult(value=18.059493961355106, error_core=4.123274240760024e-16, "
+       "error_midfield=1.923932712604815e-11, error_tail=0.0022742270356211703, "
+       "outer_radius=100000000.0, warnings=())",
+}
+
+
+@pytest.mark.parametrize("n", RUNAWAY_POINTS)
+def test_runaway_candidate_points_keep_their_values(n):
     r = np.linspace(0.0, 120.0, 2401)
     profile = SampledProfile(r, np.maximum(0.0, 0.02 * r - 0.1 * np.sqrt(r)))
-    pieces = []
-    piece_poly = profiles._piece_poly
-    monkeypatch.setattr(profiles, "_piece_poly", lambda *a: pieces.append(1) or piece_poly(*a))
-    res = two_leaf_curvature(profile, 60.025, n, 0.5)
-    assert len(pieces) == solved
-    pieces.clear()
-    monkeypatch.setattr(curvature, "profile_zeros", lambda p, start: profiles.profile_zeros(p))
-    assert repr(two_leaf_curvature(profile, 60.025, n, 0.5)) == repr(res)
-    assert len(pieces) == 2401
+    assert repr(two_leaf_curvature(profile, 60.025, n, 0.5)) == RUNAWAY_POINTS[n]

@@ -12,8 +12,8 @@ from fracsurf import (BarrierProfile, BumpProfile, ConstantProfile,
                       NotSublinearError, PiecewisePolyProfile, RampBumpProfile, SampledProfile,
                       SqrtProfile, profile_from_config, profile_from_csv,
                       profile_values, sublinearity_modulus)
-from fracsurf.profiles import (_piece_poly, _poly_roots, profile_extremes, profile_slopes,
-                               profile_zeros)
+from fracsurf.profiles import (_expanded, _poly_roots, _times, profile_extremes,
+                               profile_slopes, profile_zeros)
 
 ALL_SMOOTH = [
     ConstantProfile(0.7),
@@ -652,23 +652,67 @@ def test_extremes_limit_from_the_last_pieces(profile, tilt, over, limit):
     assert profile_extremes(profile, tilt=tilt, over=over)[1] == limit
 
 
-def _extreme_polys(profile, tilt, over):
-    # G'U - GU' on each interval between knots, built as profile_extremes does
-    over = ConstantProfile(1.0) if over is None else over
-    root = max(profile.root, over.root)
-    knots = sorted(set(profile.knots) | set(over.knots))
-    polys = []
-    for lo in [0.0] + [k for k in knots if k > 0.0]:
-        g = np.polysub(_piece_poly(profile, lo, root), _piece_poly(LinearProfile(tilt), lo, root))
-        u = _piece_poly(over, lo, root)
-        polys.append(np.polysub(np.convolve(np.polyder(g), u), np.convolve(g, np.polyder(u))))
-        polys.append(_piece_poly(profile, lo, profile.root))
-    return polys
-
-
 def _runaway():
     r = np.linspace(0.0, 120.0, 2401)
     return SampledProfile(r, np.maximum(0.0, 0.02 * r - 0.1 * np.sqrt(r)))
+
+
+def _exact_expansion(coeffs, inner):
+    """sum c_k inner(s)^k by Horner on rationals, lowest power first."""
+    out = [coeffs[-1]]
+    for c in coeffs[-2::-1]:
+        prod = [Fraction(0)] * (len(out) + len(inner) - 1)
+        for i, a in enumerate(out):
+            for j, w in enumerate(inner):
+                prod[i + j] += a * w
+        prod[0] += c
+        out = prod
+    return out
+
+
+@pytest.mark.parametrize("profile,root", [
+    (BarrierProfile(0.3), 1), (BarrierProfile(0.3), 2), (RampBumpProfile(0.7, 1.3).dilated(0.6), 2),
+    (SampledProfile(np.linspace(0.0, 6.0, 13), np.cos(np.linspace(0.0, 6.0, 13))), 1),
+    (SampledProfile(np.linspace(0.0, 6.0, 13), np.cos(np.linspace(0.0, 6.0, 13))), 2),
+    (SqrtProfile(2.0, -0.5), 2), (ConstantProfile(0.7), 2), (LinearProfile(0.3), 2),
+    (_runaway(), 1)],
+    ids=["barrier", "barrier-in-sqrt", "dilated-rampbump-in-sqrt", "sampled",
+         "sampled-in-sqrt", "sqrt", "constant-in-sqrt", "linear-in-sqrt", "runaway"])
+def test_expanded_rows_are_the_exact_shift_or_composition(profile, root):
+    """Each column of _expanded is its piece re-expanded in s = x - x(lo),
+    x = r ** (1 / root): P(s + b - a) when the piece is in x, P(s^2 + 2bs +
+    b^2 - a) when a piece in r is read in x = sqrt(r), with b = x(lo) as
+    rounded and everything after it exact.  Every row stays within 4 ulps
+    of the same expansion on the terms' sizes, times the term counts."""
+    lo = np.concatenate(([0.0, 0.37, 1.5, 7.3], profile._knot_arr))
+    rows = _expanded(profile, lo, root)
+    assert rows.shape[0] >= root + 2 and not rows[-1].any()
+    same = root == profile.root
+    for j, (x, b) in enumerate(zip(lo.tolist(), (lo ** (1.0 / root)).tolist())):
+        anchor, coeffs = exact_piece(profile, x)
+        b, a = Fraction(b), Fraction(anchor)
+        inner = [b - a, 1] if same else [b * b - a, 2 * b, 1]
+        # the rounding of b - a or b * b - a scales with its terms, not with it
+        inner_size = [b + abs(a), 1] if same else [b * b + abs(a), 2 * b, 1]
+        exact = _exact_expansion(coeffs, inner)
+        size = _exact_expansion([abs(c) for c in coeffs], inner_size)
+        assert not rows[len(exact):, j].any()
+        assert_within_ulps(rows[:len(exact), j], [float(e) for e in exact],
+                           size=len(coeffs) * len(inner) * np.array([float(z) for z in size]))
+
+
+def _extreme_rows(profile, tilt, over):
+    # G'U - GU' and the piece itself on each interval between knots, as
+    # profile_extremes and profile_zeros build them
+    over = ConstantProfile(1.0) if over is None else over
+    root = max(profile.root, over.root)
+    knots = np.union1d(profile._knot_arr, over._knot_arr)
+    lo = np.concatenate(([0.0], knots[knots > 0.0]))
+    g = _expanded(profile, lo, root)
+    g[:root + 2] -= _expanded(LinearProfile(tilt), lo, root)
+    u = _expanded(over, lo, root)
+    dg, du = (p[1:] * np.arange(1.0, len(p))[:, None] for p in (g, u))
+    return [_times(dg, u) - _times(g, du), _expanded(profile, lo, profile.root)]
 
 
 @pytest.mark.parametrize("profile,tilt,over",
@@ -677,14 +721,19 @@ def _runaway():
                               "sqrt-over-barrier", "dilated-bump-over-barrier",
                               "dip-over-barrier", "runaway-over-barrier"])
 def test_batched_roots_are_those_of_np_roots(profile, tilt, over):
-    polys = _extreme_polys(profile, tilt, over)
-    polys += [np.array([0.0, 0.0]), np.array([0.0, 2.0, -1.0, 0.0, 0.0]), np.array([3.0])]
-    got = _poly_roots(polys)
-    assert len(got) == len(polys)
-    for p, roots in zip(polys, got):
-        want = np.roots(p)
-        assert roots.shape == want.shape
-        assert np.array_equal(roots.real, want.real) and np.array_equal(roots.imag, want.imag)
+    """Each column's roots are np.roots of that column, highest power first,
+    bit for bit: also for zeros at either end and an all-zero column."""
+    extra = np.zeros((5, 3))
+    extra[2:, 1] = [-1.0, 2.0, 0.0]  # 2 s^3 - s^2
+    extra[0, 2] = 3.0
+    for rows in _extreme_rows(profile, tilt, over) + [extra]:
+        which, roots = _poly_roots(rows)
+        for j in range(rows.shape[1]):
+            want = np.roots(rows[::-1, j])
+            got = roots[which == j]
+            assert got.shape == want.shape
+            got, want = (z[np.lexsort((z.imag, z.real))] for z in (got, want))
+            assert np.array_equal(got.real, want.real) and np.array_equal(got.imag, want.imag)
 
 
 def test_zero_crossing_of_the_neck():
@@ -712,7 +761,4 @@ def test_dip_between_knots_gives_both_crossings():
                 0.1 + (80.0 + math.sqrt(3200.0)) / 1600.0]
     zeros = profile_zeros(dip)
     assert zeros == pytest.approx(expected, rel=1e-13, abs=0.0)
-    # from `start` on, only the pieces that reach past it are solved
-    assert profile_zeros(dip, 0.15).tolist() == zeros.tolist()
-    assert profile_zeros(dip, 0.2).tolist() == []
     assert np.all(profile_values(dip, [0.1, 0.15, 0.2]) * [1, -1, 1] > 0.0)
