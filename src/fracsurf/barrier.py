@@ -4,7 +4,8 @@ The barrier is the two-leaf body over the capped-cone profile: flat height
 eps out to radius 1, a C^2 quintic blend on [1, 2], then the straight cone
 eps * r.  The claim under audit is that its curvature stays strictly
 positive on the whole boundary once eps is small, with the far field
-governed by the curvature constant of the matching straight cone.
+governed by the curvature of the matching straight cone, which the audit
+evaluates by quadrature at its farthest sample.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from .curvature import QuadratureConfig, two_leaf_curvature
 from .errors import FracsurfError, HomogeneityViolationError, InvalidCutoffError
 from .geometry import Cone, SampleSpec, TwoLeaf, boundary_sample
 from .oracle import direct_curvature
-from .profiles import BarrierProfile
+from .profiles import BarrierProfile, LinearProfile
 
 
 def build_barrier(epsilon: float) -> BarrierProfile:
     """Construct the barrier profile and verify the blend is C^2 at both knots."""
-    if not 0.0 < epsilon:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, not {epsilon!r}")
     prof = BarrierProfile(epsilon)
     h = 1e-7
     for knot in (1.0, 2.0):
@@ -98,12 +99,12 @@ def sweep_cone_constant(epsilons, n: int, alpha: float,
     slope shrinks by more than the combined error bars at every step.
     Non-monotone runs are reported as such, never reordered or dropped.
     """
+    if any(float(nxt) >= float(prev) for prev, nxt in zip(epsilons, epsilons[1:])):
+        raise ValueError("sweep grid must be strictly decreasing in epsilon")
     reports = [cone_constant(float(e), n, alpha, config, seed=seed) for e in epsilons]
     blow_up = True
     monotone = True
     for prev, nxt in zip(reports, reports[1:]):
-        if nxt.epsilon >= prev.epsilon:
-            raise ValueError("sweep grid must be strictly decreasing in epsilon")
         if nxt.value - prev.value <= prev.error + nxt.error:
             blow_up = False
         if nxt.value < prev.value:
@@ -180,7 +181,7 @@ def _positivity_probe(epsilon, n, alpha, config, count, notes):
 
 
 def verify_barrier(epsilon: float, n: int, alpha: float,
-                   config: QuadratureConfig | None = None, seed: int = 0,
+                   config: QuadratureConfig | None = None,
                    min_samples: int = 200,
                    bisect_eps0: bool = True,
                    check_shrink: bool = True) -> BarrierReport:
@@ -190,7 +191,9 @@ def verify_barrier(epsilon: float, n: int, alpha: float,
     refines around both knots, and walks the straight-cone ray out to the
     far radius.  The verdict is POSITIVE only when every sample clears its
     own reported error; a failed evaluation makes the whole run
-    INCONCLUSIVE rather than silently shrinking the sample set.
+    INCONCLUSIVE rather than silently shrinking the sample set.  The far
+    field must match the straight cone's quadrature curvature at the far
+    radius within their summed total errors, with no cone warnings.
     """
     notes = []
     try:
@@ -208,12 +211,12 @@ def verify_barrier(epsilon: float, n: int, alpha: float,
         verdict = VERDICT_POSITIVE if min_margin > 0.0 else VERDICT_NOT_POSITIVE
 
     far = max(pts, key=lambda p: p.radius)
-    norm = far.radius * math.sqrt(1.0 + epsilon * epsilon)
-    far_scaled = norm ** alpha * far.value
-    cone = cone_constant(epsilon, n, alpha, config, seed=seed)
-    far_agrees = bool(abs(far_scaled - cone.value) <= 0.05 * abs(cone.value))
+    scale = (far.radius * math.sqrt(1.0 + epsilon * epsilon)) ** alpha
+    cone = two_leaf_curvature(LinearProfile(epsilon), far.radius, n, alpha, config)
+    far_agrees = bool(abs(far.value - cone.value) <= far.error + cone.total_error
+                      and not cone.warnings)
     if not far_agrees:
-        notes.append("far-field scaled curvature disagrees with the cone constant by more than 5%")
+        notes.append(f"far field disagrees with the cone; cone warnings: {list(cone.warnings)}")
 
     eps0 = 0.0
     if bisect_eps0:
@@ -239,6 +242,6 @@ def verify_barrier(epsilon: float, n: int, alpha: float,
     return BarrierReport(epsilon=float(epsilon), n=int(n), alpha=float(alpha),
                          samples=tuple(pts), min_margin=float(min_margin),
                          verdict=verdict, empirical_eps0=float(eps0),
-                         far_scaled=float(far_scaled), cone_value=cone.value,
-                         cone_error=cone.error, far_agrees=far_agrees,
+                         far_scaled=float(scale * far.value), cone_value=float(scale * cone.value),
+                         cone_error=float(scale * cone.total_error), far_agrees=far_agrees,
                          shrink_consistent=shrink_ok, notes=tuple(notes))

@@ -16,26 +16,26 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
-from .barrier import sweep_cone_constant, verify_barrier
+from .barrier import build_barrier, sweep_cone_constant, verify_barrier
 from .blowdown import flatness_certificate, holder_rescaling_check
 from .curvature import QuadratureConfig, graph_curvature
 from .errors import FracsurfError
 from .geometry import Ball, Box, Scaled, Subgraph, TwoLeaf
 from .oracle import direct_curvature, relative_perimeter
-from .profiles import BarrierProfile, profile_from_config
+from .profiles import profile_from_config
 from .sliding import (VERDICT_UNBOUNDED, rescale_for_slide, slide)
 
 
 def _quadrature_from(section: dict, profile=None) -> QuadratureConfig:
     """The quadrature settings, each read from and recorded in ``section``."""
-    kwargs = {f.name: cfgmod.parse_int(section, f.name) if isinstance(f.default, int)
-              else float(section[f.name])
+    kwargs = {f.name: (cfgmod.parse_int if isinstance(f.default, int)
+                       else cfgmod.parse_float)(section, f.name)
               for f in fields(QuadratureConfig) if section.get(f.name, "").strip()}
     cfg = replace(QuadratureConfig.for_profile(profile), **kwargs)
     for f in fields(QuadratureConfig):
@@ -61,7 +61,7 @@ def cmd_curvature(sections, n, alpha, seed):
         raise ValueError(f"unknown method {method!r}")
     profile = None
     if geometry == "ball":
-        radius = float(sec.get("radius", 1.0))
+        radius = cfgmod.parse_float(sec, "radius", 1.0)
         body = Ball(radius)
     elif geometry in ("twoleaf", "subgraph"):
         profile = profile_from_config(sec)
@@ -106,30 +106,16 @@ def cmd_curvature(sections, n, alpha, seed):
 
 def cmd_barrier_verify(sections, n, alpha, seed):
     sec = sections["barrier-verify"]
-    eps = float(sec["epsilon"])
+    eps = cfgmod.parse_float(sec, "epsilon")
     samples = cfgmod.parse_int(sec, "samples")
-    cfg = _quadrature_from(sec, BarrierProfile(eps))
-    report = verify_barrier(eps, n, alpha, config=cfg, seed=seed,
-                            min_samples=samples,
+    cfg = _quadrature_from(sec, build_barrier(eps))
+    report = verify_barrier(eps, n, alpha, config=cfg, min_samples=samples,
                             bisect_eps0=cfgmod.parse_bool(sec["bisect"]),
                             check_shrink=cfgmod.parse_bool(sec["check_shrink"]))
-    payload = {
-        "epsilon": report.epsilon,
-        "n": report.n,
-        "alpha": report.alpha,
-        "samples": [{"point": list(p.point), "H": p.value, "err": p.error,
-                     "outer_radius": p.outer_radius, "warnings": list(p.warnings)}
-                    for p in report.samples],
-        "min_margin": report.min_margin,
-        "verdict": report.verdict,
-        "empirical_eps0": report.empirical_eps0,
-        "far_scaled": report.far_scaled,
-        "cone_value": report.cone_value,
-        "cone_error": report.cone_error,
-        "far_agrees": report.far_agrees,
-        "shrink_consistent": report.shrink_consistent,
-        "notes": list(report.notes),
-    }
+    payload = {**asdict(report),
+               "samples": [{"point": list(p.point), "H": p.value, "err": p.error,
+                            "outer_radius": p.outer_radius, "warnings": list(p.warnings)}
+                           for p in report.samples]}
     return 0 if report.verdict == "POSITIVE" else 2, {"report.json": _json(payload)}
 
 
@@ -151,7 +137,7 @@ def cmd_cone_sweep(sections, n, alpha, seed):
 
 def cmd_slide(sections, n, alpha, seed):
     sec = sections["slide"]
-    eps0 = float(sec["eps0"])
+    eps0 = cfgmod.parse_float(sec, "eps0")
     envelope = profile_from_config(sec, "envelope_")
     candidate = profile_from_config(sec, "candidate_")
     plan = rescale_for_slide(envelope, eps0)
@@ -175,9 +161,9 @@ def cmd_blowdown(sections, n, alpha, seed):
     sec = sections["blowdown"]
     profile = profile_from_config(sec)
     envelope = profile_from_config(sec, "envelope_")
-    eps = float(sec["epsilon"])
-    R = float(sec["R"])
-    beta = float(sec["beta"])
+    eps = cfgmod.parse_float(sec, "epsilon")
+    R = cfgmod.parse_float(sec, "R")
+    beta = cfgmod.parse_float(sec, "beta")
     report = flatness_certificate(profile, envelope, eps, R)
     payload = {
         "R": report.R,
@@ -197,7 +183,7 @@ def cmd_perimeter(sections, n, alpha, seed):
     sec = sections["perimeter"]
     profile = profile_from_config(sec)
     body = TwoLeaf(profile)
-    w = float(sec["window"])
+    w = cfgmod.parse_float(sec, "window")
     samples = cfgmod.parse_int(sec, "samples")
     lines = ["scale,value,err"]
     rows = []
@@ -246,7 +232,7 @@ def main(argv=None) -> int:
         run.pop("threads", None)
         out = run.pop("out", None)
         code, files = _HANDLERS[run["command"]](sections, cfgmod.parse_int(run, "n"),
-                                                 float(run["alpha"]),
+                                                 cfgmod.parse_float(run, "alpha"),
                                                  cfgmod.parse_int(run, "seed"))
         unread = cfgmod.unread(sections)
         if unread:

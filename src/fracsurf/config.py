@@ -150,10 +150,19 @@ def parse_floats(text: str) -> list:
     return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
+def parse_float(section: dict, key: str, default=None) -> float:
+    """A number key, ``default`` when unset; a non-number is an error naming the key."""
+    text = section[key] if default is None else section.get(key, default)
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{key} = {text!r} is not a number") from None
+
+
 def parse_int(section: dict, key: str) -> int:
     """An integer key: 1e5 reads as 100000, and a value with a fraction is an
     error that names the key, not a silent truncation."""
-    value = float(section[key])
+    value = parse_float(section, key)
     if not value.is_integer():
         raise ValueError(f"{key} = {section[key]!r} is not an integer")
     return int(value)

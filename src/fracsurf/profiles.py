@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from .config import parse_float
 from .errors import InvalidEnvelopeError, NotSublinearError
 
 
@@ -493,7 +494,7 @@ def profile_from_config(options: dict, prefix: str = "") -> RadialProfile:
     """Build a profile from flat config options (kind plus parameters, each
     key read as ``prefix + key``)."""
     def num(key, default):
-        return float(options.get(prefix + key, default))
+        return parse_float(options, prefix + key, default)
 
     kind = options.get(prefix + "kind", "").strip().lower()
     if kind == "constant":
@@ -509,7 +510,7 @@ def profile_from_config(options: dict, prefix: str = "") -> RadialProfile:
     if kind == "rampbump":
         return RampBumpProfile(num("amplitude", 1.0), num("width", 1.0))
     if kind == "barrier":
-        return BarrierProfile(float(options[prefix + "epsilon"]))
+        return BarrierProfile(parse_float(options, prefix + "epsilon"))
     if kind == "csv":
         return profile_from_csv(options[prefix + "path"])
     raise ValueError(f"unknown profile kind {kind!r}")

@@ -131,11 +131,11 @@ def test_criterion_5_cone_homogeneity_and_blow_up():
 def test_criterion_6_barrier_positivity_at_bisected_height():
     with criterion(6, "curvature stays positive over the barrier boundary at "
                       "the bisected starting height", budget=600.0):
-        probe = verify_barrier(0.2, 1, 0.5, seed=0, min_samples=200,
+        probe = verify_barrier(0.2, 1, 0.5, min_samples=200,
                                bisect_eps0=True, check_shrink=False)
         eps0 = probe.empirical_eps0
         assert eps0 > 0.0
-        report = verify_barrier(eps0, 1, 0.5, seed=0, min_samples=200,
+        report = verify_barrier(eps0, 1, 0.5, min_samples=200,
                                 bisect_eps0=False, check_shrink=False)
         assert report.verdict == "POSITIVE"
         assert report.min_margin > 0.0

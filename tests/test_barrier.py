@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,14 +6,20 @@ import pytest
 
 import fracsurf.barrier as barrier_mod
 from fracsurf import (BarrierProfile, CurvatureResult, HomogeneityViolationError,
-                      InvalidCutoffError, QuadratureConfig, build_barrier,
+                      InvalidCutoffError, LinearProfile, QuadratureConfig, build_barrier,
                       cone_constant, derived_seed, sweep_cone_constant,
-                      verify_barrier)
+                      two_leaf_curvature, verify_barrier)
 
 
 def test_build_barrier_rejects_nonpositive_epsilon():
     with pytest.raises(ValueError):
         build_barrier(0.0)
+
+
+def test_build_barrier_rejects_infinite_epsilon():
+    """An infinite height would pass the C^2 probe, whose jumps are nan."""
+    with pytest.raises(ValueError, match="finite"):
+        build_barrier(math.inf)
 
 
 def test_broken_blend_is_caught(monkeypatch):
@@ -72,7 +79,12 @@ def test_sweep_reuses_the_per_epsilon_seeds():
     assert sweep.monotone
 
 
-def test_sweep_rejects_unsorted_grids():
+def test_sweep_rejects_unsorted_grids(monkeypatch):
+    """The grid is checked before any cone constant is estimated."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a cone constant was estimated before the grid check")
+
+    monkeypatch.setattr(barrier_mod, "direct_curvature", unreachable)
     with pytest.raises(ValueError):
         sweep_cone_constant([0.2, 0.4], 1, 0.5)
     with pytest.raises(ValueError):
@@ -183,3 +195,40 @@ def test_verify_barrier_report_holds_python_types():
     assert type(rep.far_agrees) is bool
     assert type(rep.min_margin) is float
     assert all(type(p.value) is float and type(p.error) is float for p in rep.samples)
+
+
+def test_far_field_off_the_cone_is_noted(monkeypatch):
+    real = barrier_mod.two_leaf_curvature
+
+    def shifted(profile, radius, n, alpha, config=None):
+        res = real(profile, radius, n, alpha, config)
+        if isinstance(profile, LinearProfile):
+            return dataclasses.replace(res, value=res.value + 10.0 * res.total_error)
+        return res
+
+    monkeypatch.setattr(barrier_mod, "two_leaf_curvature", shifted)
+    rep = verify_barrier(0.05, 1, 0.5, min_samples=32, bisect_eps0=False,
+                         check_shrink=False)
+    assert rep.verdict == "POSITIVE"
+    assert rep.far_agrees is False
+    assert rep.notes == ("far field disagrees with the cone; cone warnings: []",)
+
+
+def test_far_field_check_fails_when_the_cone_point_warns():
+    cfg = QuadratureConfig(max_subdivisions=2)
+    rep = verify_barrier(0.05, 1, 0.5, config=cfg, min_samples=24,
+                         bisect_eps0=False, check_shrink=False)
+    assert rep.far_agrees is False
+    cone_notes = [note for note in rep.notes if note.startswith("far field")]
+    assert len(cone_notes) == 1 and "tail-above-target" in cone_notes[0]
+
+
+def test_cone_value_is_the_scaled_cone_point_at_the_far_radius():
+    rep = verify_barrier(0.05, 1, 0.5, min_samples=32, bisect_eps0=False,
+                         check_shrink=False)
+    far = max(rep.samples, key=lambda p: p.radius)
+    cone = two_leaf_curvature(LinearProfile(0.05), far.radius, 1, 0.5)
+    scale = float(np.linalg.norm(far.point)) ** 0.5
+    assert rep.cone_value == pytest.approx(scale * cone.value, rel=1e-13)
+    assert rep.cone_error == pytest.approx(scale * cone.total_error, rel=1e-13)
+    assert rep.far_scaled == pytest.approx(scale * far.value, rel=1e-13)

@@ -359,6 +359,9 @@ def test_barrier_verify_positive_exits_0(small_config, tmp_path):
     assert payload["min_margin"] > 0.0
     assert payload["far_agrees"] is True
     assert payload["notes"] == []
+    assert sorted(payload) == ["alpha", "cone_error", "cone_value", "empirical_eps0",
+                               "epsilon", "far_agrees", "far_scaled", "min_margin", "n",
+                               "notes", "samples", "shrink_consistent", "verdict"]
     for sample in payload["samples"]:
         assert sorted(sample.keys()) == ["H", "err", "outer_radius", "point", "warnings"]
         assert sample["warnings"] == []
@@ -549,6 +552,33 @@ def test_integer_key_with_a_fraction_exits_1_and_writes_nothing(command, section
     out = tmp_path / "int"
     assert run_cli(command, cfg, out) == 1
     assert f"{key} = {value!r} is not an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("curvature", "curvature", "truncation_radius", "1e3x"),
+    ("barrier-verify", "barrier-verify", "epsilon", "1e3x"),
+    ("curvature", "curvature", "epsilon", "1e3x"),
+    ("curvature", "run", "alpha", "1e3x"),
+    ("curvature", "curvature", "max_subdivisions", "abc"),
+])
+def test_number_key_that_is_no_number_exits_1_and_writes_nothing(command, section, key, value,
+                                                                 tmp_path, capsys):
+    cfg = tmp_path / "num.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "num"
+    assert run_cli(command, cfg, out) == 1
+    assert f"{key} = {value!r} is not a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_barrier_verify_with_an_unbounded_epsilon_exits_1_naming_it(value, tmp_path, capsys):
+    cfg = tmp_path / "eps.ini"
+    cfg.write_text(f"[barrier-verify]\nepsilon = {value}\n")
+    out = tmp_path / "eps"
+    assert run_cli("barrier-verify", cfg, out) == 1
+    assert f"epsilon must be positive and finite, not {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
