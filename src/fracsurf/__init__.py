@@ -20,11 +20,9 @@ from .errors import (DisjointnessError, FracsurfError, HomogeneityViolationError
                      InitialInclusionError, InvalidCutoffError,
                      InvalidEnvelopeError, InvalidEpsilonError,
                      InvalidExponentError, InvalidPointError,
-                     NonSmoothPointError, NotSublinearError,
-                     UnsupportedGeometryError)
-from .geometry import (Ball, Body, BoundarySample, Box, Complement, Cone,
-                       HalfSpace, SampleSpec, Scaled, Subgraph, TwoLeaf,
-                       boundary_sample)
+                     NonSmoothPointError, NotSublinearError)
+from .geometry import (Ball, Body, Box, Complement, Cone, HalfSpace, Scaled,
+                       Subgraph, TwoLeaf)
 from .kernelfn import SliceIntegral
 from .oracle import (EnergyResult, direct_curvature, interaction_energy,
                      relative_perimeter)
@@ -44,7 +42,6 @@ __all__ = [
     "BarrierProfile",
     "BarrierReport",
     "Body",
-    "BoundarySample",
     "Box",
     "BumpProfile",
     "Complement",
@@ -76,7 +73,6 @@ __all__ = [
     "RadialProfile",
     "RampBumpProfile",
     "RescalePlan",
-    "SampleSpec",
     "SampledProfile",
     "Scaled",
     "SliceIntegral",
@@ -84,12 +80,10 @@ __all__ = [
     "SqrtProfile",
     "Subgraph",
     "TwoLeaf",
-    "UnsupportedGeometryError",
     "VERDICT_CONFIRMED",
     "VERDICT_TOUCH",
     "VERDICT_UNBOUNDED",
     "angular_rule",
-    "boundary_sample",
     "build_barrier",
     "cone_constant",
     "derived_seed",

@@ -5,7 +5,9 @@ eps out to radius 1, a C^2 quintic blend on [1, 2], then the straight cone
 eps * r.  The claim under audit is that its curvature stays strictly
 positive on the whole boundary once eps is small, with the far field
 governed by the curvature of the matching straight cone, which the audit
-evaluates by quadrature at its farthest sample.
+evaluates by quadrature at its farthest sample.  The cone sweep takes the
+cone constants by quadrature as well; the Monte Carlo cone constant stays
+as the oracle's referee.
 """
 
 from __future__ import annotations
@@ -18,15 +20,13 @@ import numpy as np
 from .config import derived_seed
 from .curvature import QuadratureConfig, two_leaf_curvature
 from .errors import FracsurfError, HomogeneityViolationError, InvalidCutoffError
-from .geometry import Cone, SampleSpec, TwoLeaf, boundary_sample
+from .geometry import Cone
 from .oracle import direct_curvature
 from .profiles import BarrierProfile, LinearProfile
 
 
 def build_barrier(epsilon: float) -> BarrierProfile:
     """Construct the barrier profile and verify the blend is C^2 at both knots."""
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, not {epsilon!r}")
     prof = BarrierProfile(epsilon)
     h = 1e-7
     for knot in (1.0, 2.0):
@@ -44,30 +44,23 @@ class ConeConstantReport:
     value: float
     error: float
     entries: tuple  # (norm, scaled_value, scaled_error)
+    warnings: tuple = ()
 
 
-def cone_constant(epsilon: float, n: int, alpha: float,
-                  config: QuadratureConfig | None = None,
-                  seed: int = 0) -> ConeConstantReport:
+def _cone_report(epsilon, alpha, ray_curvature) -> ConeConstantReport:
     """|x|^alpha-scaled curvature of the straight cone, averaged over rays.
 
-    The cone curvature is (-alpha)-homogeneous, so the scaled samples along
-    the upper boundary ray must agree; disagreement beyond three combined
+    ``ray_curvature(r, m)`` evaluates the upper boundary point at radius r
+    and norm m.  The cone curvature is (-alpha)-homogeneous, so the scaled
+    values along the ray must agree; disagreement beyond three combined
     error bars is a hard failure, not noise to average away.
     """
-    if config is None:
-        config = QuadratureConfig()
-    cone = Cone(epsilon)
     tilt = math.sqrt(1.0 + epsilon * epsilon)
-    entries = []
+    entries, warnings = [], []
     for m in (2.0, 5.0, 10.0):
-        r = m / tilt
-        point = np.zeros(n + 1)
-        point[0] = r
-        point[-1] = epsilon * r
-        res = direct_curvature(cone, point, n, alpha, config,
-                               seed=derived_seed(seed, "cone", epsilon, m))
-        entries.append((float(m), m ** alpha * res.value, m ** alpha * res.total_error))
+        res = ray_curvature(m / tilt, m)
+        entries.append((m, m ** alpha * res.value, m ** alpha * res.total_error))
+        warnings += [w for w in res.warnings if w not in warnings]
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             gap = abs(entries[i][1] - entries[j][1])
@@ -76,11 +69,27 @@ def cone_constant(epsilon: float, n: int, alpha: float,
                 raise HomogeneityViolationError(
                     f"scaled cone curvature at |x|={entries[i][0]} and |x|={entries[j][0]} "
                     f"differ by {gap}, beyond 3x the error budget {budget}")
-    vals = [e[1] for e in entries]
-    value = float(np.mean(vals))
+    value = float(np.mean([e[1] for e in entries]))
     error = max(e[2] for e in entries)
     return ConeConstantReport(epsilon=float(epsilon), value=value, error=error,
-                              entries=tuple(entries))
+                              entries=tuple(entries), warnings=tuple(warnings))
+
+
+def cone_constant(epsilon: float, n: int, alpha: float,
+                  config: QuadratureConfig | None = None,
+                  seed: int = 0) -> ConeConstantReport:
+    """The cone constant from the Monte Carlo oracle, one seed per ray."""
+    if config is None:
+        config = QuadratureConfig()
+    cone = Cone(epsilon)
+
+    def oracle(r, m):
+        point = np.zeros(n + 1)
+        point[0] = r
+        point[-1] = epsilon * r
+        return direct_curvature(cone, point, n, alpha, config,
+                                seed=derived_seed(seed, "cone", epsilon, m))
+    return _cone_report(epsilon, alpha, oracle)
 
 
 @dataclass(frozen=True)
@@ -91,17 +100,23 @@ class ConeSweepReport:
 
 
 def sweep_cone_constant(epsilons, n: int, alpha: float,
-                        config: QuadratureConfig | None = None,
-                        seed: int = 0) -> ConeSweepReport:
-    """Cone constants across an opening-slope grid, largest slope first.
+                        config: QuadratureConfig | None = None) -> ConeSweepReport:
+    """Quadrature cone constants across an opening-slope grid, largest slope first.
 
     The blow-up flag is set when the constant strictly increases as the
     slope shrinks by more than the combined error bars at every step.
     Non-monotone runs are reported as such, never reordered or dropped.
     """
-    if any(float(nxt) >= float(prev) for prev, nxt in zip(epsilons, epsilons[1:])):
-        raise ValueError("sweep grid must be strictly decreasing in epsilon")
-    reports = [cone_constant(float(e), n, alpha, config, seed=seed) for e in epsilons]
+    if len(epsilons) < 2 or any(float(nxt) >= float(prev)
+                                for prev, nxt in zip(epsilons, epsilons[1:])):
+        raise ValueError("sweep grid must hold two or more slopes, strictly decreasing "
+                         "in epsilon")
+
+    def quadrature(epsilon):
+        cone = LinearProfile(epsilon)
+        return _cone_report(epsilon, alpha,
+                            lambda r, m: two_leaf_curvature(cone, r, n, alpha, config))
+    reports = [quadrature(float(e)) for e in epsilons]
     blow_up = True
     monotone = True
     for prev, nxt in zip(reports, reports[1:]):
@@ -149,19 +164,22 @@ EPS0_WINDOW = (0.0, 0.5)
 EPS0_STEPS = 6
 
 
-def _sample_radii(count: int) -> SampleSpec:
-    ray = tuple(float(r) for r in np.geomspace(4.5, FAR_RADIUS, max(8, count // 8)))
-    return SampleSpec(count=max(16, count - len(ray) - 12), r_max=4.0,
-                      refine_near=(1.0, 2.0), ray_radii=ray)
+def _sample_radii(count: int) -> np.ndarray:
+    """Sorted radii: an even grid over [0, 4], each knot offset by +-0.01,
+    +-0.05 and +-0.2, and the cone ray from 4.5 out to the far radius."""
+    ray = np.geomspace(4.5, FAR_RADIUS, max(8, count // 8))
+    knots = np.array([[1.0], [2.0]]) + np.array([-0.2, -0.05, -0.01, 0.01, 0.05, 0.2])
+    grid = np.linspace(0.0, 4.0, max(16, count - len(ray) - 12))
+    return np.unique(np.concatenate([grid, knots.ravel(), ray]))
 
 
 def _evaluate_boundary(epsilon, n, alpha, config, count):
     profile = build_barrier(epsilon)
     pts = []
-    for bs in boundary_sample(TwoLeaf(profile), n, _sample_radii(count)):
-        res = two_leaf_curvature(profile, bs.radius, n, alpha, config)
-        pts.append(BarrierSamplePoint(point=tuple(float(c) for c in bs.point),
-                                      radius=bs.radius, value=res.value,
+    for r in map(float, _sample_radii(count)):
+        res = two_leaf_curvature(profile, r, n, alpha, config)
+        point = (r,) + (0.0,) * (n - 1) + (float(profile.value(r)),)
+        pts.append(BarrierSamplePoint(point=point, radius=r, value=res.value,
                                       error=res.total_error,
                                       outer_radius=float(res.outer_radius),
                                       warnings=res.warnings))

@@ -55,7 +55,7 @@ def cmd_curvature(sections, n, alpha, seed):
     sec = sections["curvature"]
     geometry = sec["geometry"].strip().lower()
     method = sec["method"].strip().lower()
-    points = cfgmod.parse_floats(sec["points"])
+    points = cfgmod.parse_floats(sec, "points")
     complement = cfgmod.parse_bool(sec.get("complement", "false"))
     if method not in ("formula", "direct"):
         raise ValueError(f"unknown method {method!r}")
@@ -121,14 +121,15 @@ def cmd_barrier_verify(sections, n, alpha, seed):
 
 def cmd_cone_sweep(sections, n, alpha, seed):
     sec = sections["cone-sweep"]
-    epsilons = cfgmod.parse_floats(sec["epsilons"])
-    report = sweep_cone_constant(epsilons, n, alpha, seed=seed)
+    epsilons = cfgmod.parse_floats(sec, "epsilons")
+    report = sweep_cone_constant(epsilons, n, alpha)
     lines = ["epsilon,M,err"]
     for entry in report.entries:
         lines.append(_csv_line(entry.epsilon, entry.value, entry.error))
     payload = {
         "entries": [{"epsilon": e.epsilon, "M": e.value, "err": e.error,
-                     "rays": [list(t) for t in e.entries]} for e in report.entries],
+                     "rays": [list(t) for t in e.entries], "warnings": list(e.warnings)}
+                    for e in report.entries],
         "blow_up_trend": report.blow_up_trend,
         "monotone": report.monotone,
     }
@@ -173,7 +174,7 @@ def cmd_blowdown(sections, n, alpha, seed):
         "violator": report.violator,
     }
     lines = ["R,beta,lhs,rhs"]
-    for rr in cfgmod.parse_floats(sec["holder_R"]):
+    for rr in cfgmod.parse_floats(sec, "holder_R"):
         h = holder_rescaling_check(profile, rr, beta)
         lines.append(_csv_line(h.R, h.beta, h.lhs, h.rhs))
     return 0, {"report.json": _json(payload), "holder.csv": "\n".join(lines) + "\n"}
@@ -187,7 +188,7 @@ def cmd_perimeter(sections, n, alpha, seed):
     samples = cfgmod.parse_int(sec, "samples")
     lines = ["scale,value,err"]
     rows = []
-    for scale in cfgmod.parse_floats(sec["scales"]):
+    for scale in cfgmod.parse_floats(sec, "scales"):
         scaled = Scaled(body, scale)
         window = Box((-w * scale,) * (n + 1), (w * scale,) * (n + 1))
         res = relative_perimeter(scaled, window, n, alpha, samples=samples,

@@ -146,8 +146,10 @@ def derived_seed(base: int, *tags) -> int:
     return int(digest[:16], 16)
 
 
-def parse_floats(text: str) -> list:
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+def parse_floats(section: dict, key: str) -> list:
+    """A list key, split at commas or semicolons; each entry read like ``parse_float``."""
+    tokens = section[key].replace(";", ",").split(",")
+    return [parse_float({key: tok.strip()}, key) for tok in tokens if tok.strip()]
 
 
 def parse_float(section: dict, key: str, default=None) -> float:

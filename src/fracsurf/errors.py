@@ -10,10 +10,6 @@ class FracsurfError(Exception):
     """Base class for all package-specific errors."""
 
 
-class UnsupportedGeometryError(FracsurfError):
-    """Operation asked for on a body variant it does not support."""
-
-
 class InvalidEnvelopeError(FracsurfError):
     """Growth envelope is non-positive somewhere on r > 0."""
 

@@ -1,4 +1,4 @@
-"""Bodies in R^(n+1), exact membership tests, and boundary sampling.
+"""Bodies in R^(n+1) and exact membership tests.
 
 A body is one of a small closed list of variants.  Membership is evaluated
 from the defining inequality directly (vectorized over sample batches), never
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedGeometryError
 from .profiles import ConstantProfile, LinearProfile, RadialProfile, profile_values
 
 
@@ -160,70 +159,3 @@ class Box(Body):
     def scaled(self, factor: float) -> "Box":
         return Box(tuple(v * factor for v in self.lo),
                    tuple(v * factor for v in self.hi))
-
-
-@dataclass(frozen=True)
-class SampleSpec:
-    """How to lay out boundary sample points for graph-type bodies."""
-
-    count: int = 64
-    r_max: float = 10.0
-    refine_near: tuple = ()
-    ray_radii: tuple = ()
-
-
-@dataclass(frozen=True)
-class BoundarySample:
-    point: np.ndarray
-    normal: np.ndarray
-    radius: float
-
-
-def _graph_radii(spec: SampleSpec) -> np.ndarray:
-    base = np.linspace(0.0, spec.r_max, spec.count)
-    extra = []
-    for r0 in spec.refine_near:
-        extra.append(r0 + np.array([-0.2, -0.05, -0.01, 0.01, 0.05, 0.2]))
-    if spec.ray_radii:
-        extra.append(np.asarray(spec.ray_radii, dtype=float))
-    radii = np.concatenate([base] + extra) if extra else base
-    radii = radii[radii >= 0.0]
-    return np.unique(radii)
-
-
-def boundary_sample(body: Body, n: int, spec: SampleSpec = SampleSpec()):
-    """Points on the boundary of the body with outward unit normals.
-
-    Supported variants: TwoLeaf and Subgraph (upper leaf along the first
-    horizontal axis, radii where the profile is not smooth excluded, such as
-    the apex of a cone) and Ball.  Complements, intersections and boxes have
-    no canonical parametrization here.
-    """
-    d = n + 1
-    out = []
-    if isinstance(body, (TwoLeaf, Subgraph)):
-        profile = body.profile
-        for r in _graph_radii(spec):
-            if not profile.smooth_at(r):
-                continue
-            x = np.zeros(d)
-            x[0] = r
-            x[-1] = profile.value(r)
-            nv = np.zeros(d)
-            nv[0] = -profile.first_derivative(r)
-            nv[-1] = 1.0
-            nv /= np.linalg.norm(nv)
-            out.append(BoundarySample(point=x, normal=nv, radius=float(r)))
-    elif isinstance(body, Ball):
-        R = body.radius
-        angles = np.linspace(0.0, 2.0 * np.pi, spec.count, endpoint=False)
-        for th in angles:
-            x = np.zeros(d)
-            x[0] = R * np.cos(th)
-            x[-1] = R * np.sin(th)
-            nv = x / R
-            out.append(BoundarySample(point=x, normal=nv,
-                                      radius=float(abs(R * np.cos(th)))))
-    else:
-        raise UnsupportedGeometryError(f"cannot sample boundary of {type(body).__name__}")
-    return out

@@ -330,6 +330,8 @@ class BarrierProfile(PiecewisePolyProfile):
     kind = "barrier"
 
     def __init__(self, epsilon: float):
+        if not 0.0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, not {epsilon!r}")
         e = float(epsilon)
         blend = (e, 0.0, 0.0, 0.0, 10.0 * e, -15.0 * e, 6.0 * e)
         super().__init__((1.0, 2.0),

@@ -43,8 +43,8 @@ def rescale_for_slide(envelope: RadialProfile, eps0: float) -> RescalePlan:
     envelope bound phi(t) <= C + (eps0/8) t into exactly the target line.
     A non-sublinear envelope has no such factor and is rejected.
     """
-    if not eps0 > 0:
-        raise ValueError("eps0 must be positive")
+    if not 0.0 < eps0 < np.inf:
+        raise ValueError(f"eps0 must be positive and finite, not {eps0!r}")
     report = sublinearity_modulus(envelope, eps0 / 8.0)
     return RescalePlan(lam=eps0 / (8.0 * report.constant), eps0=float(eps0),
                        modulus_constant=report.constant,
@@ -79,8 +79,9 @@ def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: floa
     """
     if not lam > 0.0:
         raise ValueError("shrink factor must be positive")
-    if not eps0 > 0.0:
-        raise ValueError("starting barrier height must be positive")
+    if not 0.0 < eps0 < np.inf:
+        raise ValueError("starting barrier height eps0 must be positive and finite, "
+                         f"not {eps0!r}")
     rescaled = candidate.dilated(1.0 / lam)
     unit = BarrierProfile(1.0)
     radii, limit = profile_extremes(rescaled, over=unit)

@@ -115,7 +115,7 @@ def test_criterion_4_formula_oracle_equivalence():
 def test_criterion_5_cone_homogeneity_and_blow_up():
     with criterion(5, "cone constant is ray independent and grows as the "
                       "opening flattens", budget=300.0):
-        sweep = sweep_cone_constant([0.4, 0.2, 0.1, 0.05], 1, 0.5, seed=0)
+        sweep = sweep_cone_constant([0.4, 0.2, 0.1, 0.05], 1, 0.5)
         for rep in sweep.entries:
             for i in range(len(rep.entries)):
                 for j in range(i + 1, len(rep.entries)):

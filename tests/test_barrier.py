@@ -71,24 +71,61 @@ def test_homogeneity_guard_fires_on_inconsistent_samples(monkeypatch):
         cone_constant(0.2, 1, 0.5, seed=0)
 
 
-def test_sweep_reuses_the_per_epsilon_seeds():
-    sweep = sweep_cone_constant([0.4, 0.2], 1, 0.5, seed=0)
-    assert sweep.entries[0].value == cone_constant(0.4, 1, 0.5, seed=0).value
-    assert sweep.entries[1].value == cone_constant(0.2, 1, 0.5, seed=0).value
+@pytest.mark.parametrize("n", [1, 2])
+def test_sweep_entries_are_the_quadrature_rays(n):
+    """Each entry is |x|^alpha times the quadrature cone curvature on the
+    rays |x| = 2, 5, 10: their mean, their largest error, their warnings."""
+    sweep = sweep_cone_constant([0.4, 0.2], n, 0.5)
+    for entry, eps in zip(sweep.entries, (0.4, 0.2)):
+        rays = []
+        for m in (2.0, 5.0, 10.0):
+            res = two_leaf_curvature(LinearProfile(eps), m / math.sqrt(1.0 + eps * eps), n, 0.5)
+            rays.append((m, m ** 0.5 * res.value, m ** 0.5 * res.total_error))
+            assert res.warnings == ()
+        assert entry.epsilon == eps
+        assert entry.entries == tuple(rays)
+        assert entry.value == float(np.mean([ray[1] for ray in rays]))
+        assert entry.error == max(ray[2] for ray in rays)
+        assert entry.warnings == ()
     assert sweep.blow_up_trend
     assert sweep.monotone
 
 
-def test_sweep_rejects_unsorted_grids(monkeypatch):
-    """The grid is checked before any cone constant is estimated."""
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a cone constant was estimated before the grid check")
+def test_sweep_entries_carry_their_rays_warnings(monkeypatch):
+    real = barrier_mod.two_leaf_curvature
 
-    monkeypatch.setattr(barrier_mod, "direct_curvature", unreachable)
+    def warn_far(profile, radius, n, alpha, config=None):
+        res = real(profile, radius, n, alpha, config)
+        extra = ("far-ray",) if radius > 4.0 else ()
+        return dataclasses.replace(res, warnings=res.warnings + extra + ("every-ray",))
+
+    monkeypatch.setattr(barrier_mod, "two_leaf_curvature", warn_far)
+    sweep = sweep_cone_constant([0.4, 0.2], 1, 0.5)
+    assert [e.warnings for e in sweep.entries] == [("every-ray", "far-ray")] * 2
+
+
+def _no_cone_evaluation(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a cone constant was evaluated before the grid check")
+
+    monkeypatch.setattr(barrier_mod, "two_leaf_curvature", unreachable)
+
+
+def test_sweep_rejects_unsorted_grids(monkeypatch):
+    """The grid is checked before any cone constant is evaluated."""
+    _no_cone_evaluation(monkeypatch)
     with pytest.raises(ValueError):
         sweep_cone_constant([0.2, 0.4], 1, 0.5)
     with pytest.raises(ValueError):
         sweep_cone_constant([0.2, 0.2], 1, 0.5)
+
+
+@pytest.mark.parametrize("grid", [[0.2], []])
+def test_sweep_rejects_fewer_than_two_slopes(grid, monkeypatch):
+    """A trend read off one point or none is no trend."""
+    _no_cone_evaluation(monkeypatch)
+    with pytest.raises(ValueError, match="two or more slopes"):
+        sweep_cone_constant(grid, 1, 0.5)
 
 
 def test_derived_seed_is_deterministic_and_tag_sensitive():
@@ -97,6 +134,35 @@ def test_derived_seed_is_deterministic_and_tag_sensitive():
     assert derived_seed(0, "x", 0.5, 3) != derived_seed(1, "x", 0.5, 3)
     assert derived_seed(0, "y", 0.5, 3) != derived_seed(0, "x", 0.5, 3)
     assert derived_seed(0, "x", 0.5, 3) >= 0
+
+
+@pytest.mark.parametrize("count, grid, ray", [(16, 16, 8), (200, 163, 25), (1000, 863, 125)])
+def test_sample_radii_pin_the_grid_the_knot_offsets_and_the_ray(count, grid, ray):
+    radii = barrier_mod._sample_radii(count)
+    offsets = [k + d for k in (1.0, 2.0) for d in (-0.2, -0.05, -0.01, 0.01, 0.05, 0.2)]
+    np.testing.assert_array_equal(radii, np.unique(np.concatenate(
+        [np.linspace(0.0, 4.0, grid), offsets, np.geomspace(4.5, 50.0, ray)])))
+    assert radii[0] == 0.0 and radii[-1] == 50.0
+    assert len(radii[radii > 4.0]) == ray
+    assert set(offsets) <= set(radii)
+    # the grid over [0, 4] at 16 radii meets the offset 0.8 of the first knot
+    assert len(radii) == {16: 35, 200: 200, 1000: 1000}[count]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_samples_sit_on_the_upper_leaf(n, monkeypatch):
+    monkeypatch.setattr(barrier_mod, "two_leaf_curvature",
+                        lambda *args: CurvatureResult(1.0, 0.0, 0.0, 0.0))
+    pts, failed = barrier_mod._evaluate_boundary(0.1, n, 0.5, None, 16)
+    assert not failed
+    assert [p.radius for p in pts] == list(barrier_mod._sample_radii(16))
+    profile = BarrierProfile(0.1)
+    for p in pts:
+        assert p.point == (p.radius,) + (0.0,) * (n - 1) + (profile.value(p.radius),)
+    heights = {p.radius: p.point[-1] for p in pts}
+    assert heights[0.0] == 0.1
+    assert heights[2.01] == pytest.approx(0.201, rel=1e-15)
+    assert heights[50.0] == pytest.approx(5.0, rel=1e-15)
 
 
 def test_verify_barrier_positive_on_a_small_budget():

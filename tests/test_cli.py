@@ -178,7 +178,7 @@ def test_quadrature_key_in_a_command_that_ignores_it_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cone.ini"
     cfg.write_text("""\
 [cone-sweep]
-epsilons = 0.4
+epsilons = 0.4,0.2
 oracle_samples = 20000
 """)
     out = tmp_path / "cone"
@@ -256,6 +256,30 @@ def test_cone_sweep_outputs(small_config, tmp_path):
     assert report["monotone"] is True
     eps_col = [float(line.split(",")[0]) for line in lines[1:]]
     assert eps_col == [0.4, 0.2]
+    assert [entry["warnings"] for entry in report["entries"]] == [[], []]
+
+
+def test_cone_sweep_does_not_depend_on_the_seed(small_config, tmp_path):
+    outs = []
+    for seed in (3, 4):
+        out = tmp_path / f"seed{seed}"
+        assert main(["cone-sweep", "--config", str(small_config),
+                     "--out", str(out), "--seed", str(seed)]) == 0
+        outs.append(out)
+    assert sorted(p.name for p in outs[0].iterdir()) == ["report.json", "resolved.ini",
+                                                           "sweep.csv"]
+    for name in ("report.json", "sweep.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("epsilons", ["0.2", ""])
+def test_cone_sweep_with_fewer_than_two_slopes_exits_1(epsilons, tmp_path, capsys):
+    cfg = tmp_path / "cone.ini"
+    cfg.write_text(f"[cone-sweep]\nepsilons = {epsilons}\n")
+    out = tmp_path / "cone"
+    assert run_cli("cone-sweep", cfg, out) == 1
+    assert "two or more slopes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_slide_touch_outcome_schema(small_config, tmp_path):
@@ -561,6 +585,10 @@ def test_integer_key_with_a_fraction_exits_1_and_writes_nothing(command, section
     ("curvature", "curvature", "epsilon", "1e3x"),
     ("curvature", "run", "alpha", "1e3x"),
     ("curvature", "curvature", "max_subdivisions", "abc"),
+    ("curvature", "curvature", "points", "1e3x"),
+    ("cone-sweep", "cone-sweep", "epsilons", "1e3x"),
+    ("perimeter", "perimeter", "scales", "1e3x"),
+    ("blowdown", "blowdown", "holder_R", "1e3x"),
 ])
 def test_number_key_that_is_no_number_exits_1_and_writes_nothing(command, section, key, value,
                                                                  tmp_path, capsys):
@@ -579,6 +607,23 @@ def test_barrier_verify_with_an_unbounded_epsilon_exits_1_naming_it(value, tmp_p
     out = tmp_path / "eps"
     assert run_cli("barrier-verify", cfg, out) == 1
     assert f"epsilon must be positive and finite, not {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_entry_of_a_number_list_is_named(tmp_path, capsys):
+    cfg = tmp_path / "num.ini"
+    cfg.write_text("[curvature]\npoints = 0.5; 2.5 , 1e3x\n")
+    assert run_cli("curvature", cfg, tmp_path / "num") == 1
+    assert "points = '1e3x' is not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [("curvature", "epsilon"), ("slide", "eps0")])
+def test_infinite_barrier_height_exits_1_naming_it(command, key, tmp_path, capsys):
+    cfg = tmp_path / "eps.ini"
+    cfg.write_text(f"[{command}]\n{key} = inf\n")
+    out = tmp_path / "eps"
+    assert run_cli(command, cfg, out) == 1
+    assert f"{key} must be positive and finite, not inf" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from fracsurf import (Ball, BarrierProfile, Box, Complement, Cone,
-                      ConstantProfile, HalfSpace, LinearProfile, SampleSpec,
-                      Scaled, SqrtProfile, Subgraph, TwoLeaf,
-                      UnsupportedGeometryError, boundary_sample)
+                      ConstantProfile, HalfSpace, LinearProfile, Scaled,
+                      SqrtProfile, Subgraph, TwoLeaf, profile_values)
 
 from fracsurf import BumpProfile
 
@@ -23,11 +22,25 @@ BODIES = {
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("body", BODIES.values(), ids=BODIES.keys())
 def test_membership_flips_across_boundary(body, n):
-    for s in boundary_sample(body, n, SampleSpec(count=24, r_max=6.0)):
-        inside = s.point - 1e-6 * s.normal
-        outside = s.point + 1e-6 * s.normal
-        assert body.contains(inside[None])[0], f"inside probe failed at r={s.radius}"
-        assert not body.contains(outside[None])[0], f"outside probe failed at r={s.radius}"
+    """Just below and just above the upper leaf at (r, 0, ..., 0, v(r)), and
+    just inside and outside the ball along its radius."""
+    step = 1e-6 * np.eye(n + 1)[-1]
+    if isinstance(body, Ball):
+        angles = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+        points = np.zeros((24, n + 1))
+        points[:, 0], points[:, -1] = np.cos(angles), np.sin(angles)
+        points *= body.radius
+        inside, outside = (1.0 - 1e-6) * points, (1.0 + 1e-6) * points
+    else:
+        radii = np.linspace(0.0, 6.0, 24)
+        if isinstance(body, TwoLeaf):  # no inside where the leaves meet, as at the cone's apex
+            radii = radii[profile_values(body.profile, radii) > 0.0]
+        points = np.zeros((len(radii), n + 1))
+        points[:, 0], points[:, -1] = radii, profile_values(body.profile, radii)
+        inside, outside = points - step, points + step
+    assert body.contains(inside).all(), f"inside probes failed at {points[~body.contains(inside)]}"
+    assert not body.contains(outside).any(), \
+        f"outside probes failed at {points[body.contains(outside)]}"
 
 
 def test_two_leaf_membership_values():
@@ -43,24 +56,6 @@ def test_two_leaf_membership_values():
                                   [True, True, True, False, False])
 
 
-def test_two_leaf_boundary_heights_match_profile():
-    eps = 0.1
-    prof = BarrierProfile(eps)
-    samples = boundary_sample(TwoLeaf(prof), 1,
-                              SampleSpec(count=4, r_max=3.0))
-    got = {round(s.radius, 6): s.point[-1] for s in samples}
-    assert got[0.0] == pytest.approx(0.1)
-    assert got[1.0] == pytest.approx(0.1)
-    assert got[2.0] == pytest.approx(0.2)
-    assert got[3.0] == pytest.approx(0.3)
-
-
-def test_boundary_normals_are_unit_and_outward():
-    for body in BODIES.values():
-        for s in boundary_sample(body, 2, SampleSpec(count=16, r_max=4.0)):
-            assert np.linalg.norm(s.normal) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_subgraph_vs_two_leaf_lower_half():
     prof = ConstantProfile(0.5)
     sub = Subgraph(prof)
@@ -68,11 +63,6 @@ def test_subgraph_vs_two_leaf_lower_half():
     pts = np.array([[1.0, -2.0], [1.0, 0.0], [1.0, 0.4], [1.0, 0.6]])
     np.testing.assert_array_equal(sub.contains(pts), [True, True, True, False])
     np.testing.assert_array_equal(two.contains(pts), [False, True, True, False])
-
-
-def test_cone_apex_excluded_from_samples():
-    samples = boundary_sample(Cone(0.2), 1, SampleSpec(count=16, r_max=4.0))
-    assert all(s.radius > 0.0 for s in samples)
 
 
 def seeded_points(rng, n, count=2000):
@@ -87,60 +77,23 @@ def seeded_points(rng, n, count=2000):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_cone_is_the_two_leaf_body_of_a_linear_profile(n):
-    """Same membership as the graph body and as the defining inequality,
-    and the same boundary samples as the straight ray: apex excluded,
-    normal (-eps, 1) normalised."""
+    """Same membership as the graph body and as the defining inequality."""
     eps = 0.3
     p = seeded_points(np.random.default_rng(31), n)
     rad = np.linalg.norm(p[:, :-1], axis=-1)
     np.testing.assert_array_equal(Cone(eps).contains(p),
                                   TwoLeaf(LinearProfile(eps)).contains(p))
     np.testing.assert_array_equal(Cone(eps).contains(p), np.abs(p[:, -1]) < eps * rad)
-    spec = SampleSpec(count=9, r_max=4.0, refine_near=(2.0,), ray_radii=(2.5,))
-    got = boundary_sample(Cone(eps), n, spec)
-    graph = boundary_sample(TwoLeaf(LinearProfile(eps)), n, spec)
-    assert [s.radius for s in got] == [s.radius for s in graph]
-    assert 0.0 not in [s.radius for s in got]
-    normal = np.zeros(n + 1)
-    normal[0], normal[-1] = -eps, 1.0
-    normal /= np.linalg.norm(normal)
-    for s, g in zip(got, graph):
-        point = np.zeros(n + 1)
-        point[0], point[-1] = s.radius, eps * s.radius
-        np.testing.assert_array_equal(s.point, g.point)
-        np.testing.assert_array_equal(s.point, point)
-        np.testing.assert_array_equal(s.normal, g.normal)
-        np.testing.assert_array_equal(s.normal, normal)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_half_space_is_the_subgraph_of_a_constant_profile(n):
-    """Same membership as the graph body and as x_last < h, and the same
-    boundary samples as the flat plane: every radius, normal e_last."""
+    """Same membership as the graph body and as x_last < h."""
     h = 0.5
     p = seeded_points(np.random.default_rng(32), n)
     np.testing.assert_array_equal(HalfSpace(h).contains(p),
                                   Subgraph(ConstantProfile(h)).contains(p))
     np.testing.assert_array_equal(HalfSpace(h).contains(p), p[:, -1] < h)
-    spec = SampleSpec(count=9, r_max=4.0, refine_near=(2.0,), ray_radii=(2.5,))
-    got = boundary_sample(HalfSpace(h), n, spec)
-    graph = boundary_sample(Subgraph(ConstantProfile(h)), n, spec)
-    assert [s.radius for s in got] == [s.radius for s in graph]
-    assert got[0].radius == 0.0
-    for s, g in zip(got, graph):
-        point = np.zeros(n + 1)
-        point[0], point[-1] = s.radius, h
-        np.testing.assert_array_equal(s.point, g.point)
-        np.testing.assert_array_equal(s.point, point)
-        np.testing.assert_array_equal(s.normal, g.normal)
-        np.testing.assert_array_equal(s.normal, np.eye(n + 1)[-1])
-
-
-def test_graph_cusp_excluded_from_samples():
-    # sqrt has an infinite slope at r = 0, where no unit normal exists
-    samples = boundary_sample(Subgraph(SqrtProfile(1.0)), 1, SampleSpec(count=5, r_max=4.0))
-    assert [s.radius for s in samples] == [1.0, 2.0, 3.0, 4.0]
-    assert all(np.all(np.isfinite(s.normal)) for s in samples)
 
 
 SCALABLE = {
@@ -168,12 +121,12 @@ def test_scaled_membership_is_exact():
 def test_scaled_graph_body_is_a_graph_body():
     assert Scaled(Ball(1.0), 2.0) == Ball(2.0)
     base = TwoLeaf(BarrierProfile(0.2))
-    got = boundary_sample(Scaled(base, 2.0), 2, SampleSpec(count=9, r_max=8.0))
-    want = boundary_sample(base, 2, SampleSpec(count=9, r_max=4.0))
-    assert [s.radius for s in got] == [2.0 * s.radius for s in want]
-    for s, w in zip(got, want):
-        np.testing.assert_allclose(s.point, 2.0 * w.point, rtol=1e-15)
-        np.testing.assert_allclose(s.normal, w.normal, rtol=1e-15)
+    got = Scaled(base, 2.0)
+    assert type(got) is TwoLeaf
+    # the boundary point (r, v(r)) goes to (2r, 2v(r))
+    radii = np.linspace(0.0, 4.0, 9)
+    np.testing.assert_allclose(profile_values(got.profile, 2.0 * radii),
+                               2.0 * profile_values(base.profile, radii), rtol=1e-15)
     for bad in (0.0, -2.0, float("nan")):
         with pytest.raises(ValueError):
             Scaled(base, bad)
@@ -184,26 +137,6 @@ def test_complement_negates():
     comp = Complement(body)
     pts = np.array([[0.5, 0.0], [2.0, 0.0]])
     np.testing.assert_array_equal(comp.contains(pts), ~body.contains(pts))
-
-
-def test_wrapper_bodies_refuse_boundary_sampling():
-    with pytest.raises(UnsupportedGeometryError):
-        boundary_sample(Complement(Ball(1.0)), 1)
-    with pytest.raises(UnsupportedGeometryError):
-        boundary_sample(Scaled(~Ball(1.0), 2.0), 1)
-    with pytest.raises(UnsupportedGeometryError):
-        boundary_sample(Ball(1.0) & HalfSpace(0.0), 1)
-    with pytest.raises(UnsupportedGeometryError):
-        boundary_sample(Box((-1.0, -1.0), (1.0, 1.0)), 1)
-
-
-def test_sample_spec_refinement_and_rays():
-    spec = SampleSpec(count=8, r_max=4.0, refine_near=(1.0,), ray_radii=(2.5,))
-    samples = boundary_sample(HalfSpace(0.0), 1, spec)
-    radii = {s.radius for s in samples}
-    assert 2.5 in radii
-    assert any(abs(r - 0.99) < 1e-9 for r in radii)
-    assert any(abs(r - 1.01) < 1e-9 for r in radii)
 
 
 def test_membership_far_from_origin():

@@ -46,6 +46,14 @@ def test_plan_rejects_nonpositive_eps0():
         rescale_for_slide(CONSTANT_ENV, 0.0)
 
 
+@pytest.mark.parametrize("eps0", [np.inf, np.nan])
+def test_unbounded_eps0_is_rejected_by_name(eps0):
+    with pytest.raises(ValueError, match=f"eps0 must be positive and finite, not {eps0!r}"):
+        rescale_for_slide(CONSTANT_ENV, eps0)
+    with pytest.raises(ValueError, match=f"eps0 must be positive and finite, not {eps0!r}"):
+        slide(ConstantProfile(0.01), 1.0, eps0, 1, 0.5)
+
+
 def test_zero_candidate_slides_to_the_floor():
     out = slide(ConstantProfile(0.0), 0.00625, 0.05, 1, 0.5)
     assert out.verdict == "RIGIDITY_MECHANISM_CONFIRMED"
