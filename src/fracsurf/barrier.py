@@ -111,6 +111,9 @@ def sweep_cone_constant(epsilons, n: int, alpha: float,
                                 for prev, nxt in zip(epsilons, epsilons[1:])):
         raise ValueError("sweep grid must hold two or more slopes, strictly decreasing "
                          "in epsilon")
+    for e in epsilons:
+        if not 0.0 < float(e) < math.inf:
+            raise ValueError(f"epsilons must be positive and finite, not {e!r}")
 
     def quadrature(epsilon):
         cone = LinearProfile(epsilon)

@@ -121,6 +121,8 @@ class QuadratureConfig:
             raise ValueError("pv_inner_radius must stay below truncation_radius")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
+        if self.oracle_samples < 1:
+            raise ValueError(f"oracle_samples must be >= 1, not {self.oracle_samples!r}")
         if self.angular_order % 2 or self.angular_order < 2:
             raise ValueError("angular_order must be even and >= 2")
 

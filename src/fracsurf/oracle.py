@@ -5,6 +5,11 @@ quadrature except the kernel exponent, which is what makes it a usable
 referee.  It stratifies space around the evaluation point into geometric
 shells and pairs every sample with its antipode, so the principal value
 cancels exactly sample by sample instead of in expectation only.
+
+Samples are (N, n + 1) arrays only a few columns wide.  Their norms are
+summed column by column (``geometry.row_norms``), not reduced along each
+short row, which costs numpy one strided inner loop per sample; the order
+of addition, and so every estimate, stays that of ``np.linalg.norm``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .curvature import CurvatureResult, QuadratureConfig
 from .errors import DisjointnessError, InvalidPointError
-from .geometry import Body, Box
+from .geometry import Body, Box, row_norms
 
 _SHELL_RATIO = math.sqrt(2.0)
 
@@ -29,14 +34,14 @@ def _sphere_area(n: int) -> float:
 
 def _unit_directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     v = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    norms = row_norms(v)
     # resample the (measure-zero) degenerate draws instead of dividing by ~0
-    bad = norms[:, 0] < 1e-12
+    bad = norms < 1e-12
     while bad.any():
         v[bad] = rng.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(v, axis=1, keepdims=True)
-        bad = norms[:, 0] < 1e-12
-    return v / norms
+        norms = row_norms(v)
+        bad = norms < 1e-12
+    return v / norms[:, None]
 
 
 def _check_on_boundary(body: Body, point: np.ndarray) -> None:
@@ -88,13 +93,14 @@ def direct_curvature(body: Body, point, n: int, alpha: float,
         u = rng.random(pairs_per_shell)
         rho = (a ** d + u * (b ** d - a ** d)) ** (1.0 / d)
         omega = _unit_directions(rng, pairs_per_shell, d)
-        ys = point[None, :] + rho[:, None] * omega
-        ym = point[None, :] - rho[:, None] * omega
-        sp = np.where(body.contains(ys), -1.0, 1.0)
-        sm = np.where(body.contains(ym), -1.0, 1.0)
+        step = rho[:, None] * omega
+        # the pair's sign 0.5 (s+ + s-), with s = -1 inside and +1 outside,
+        # is (not inside+) - inside-: -1, 0 or 1 exactly
+        sign = np.subtract(~body.contains(point + step), body.contains(point - step),
+                           dtype=float)
         # shell volume over sample count converts the mean into an integral
         vol = sphere / d * (b ** d - a ** d)
-        w = 0.5 * (sp + sm) * rho ** (-(d + alpha)) * vol
+        w = sign * rho ** (-(d + alpha)) * vol
         mean = float(np.mean(w))
         var = float(np.var(w, ddof=1)) / pairs_per_shell
         total += mean
@@ -142,6 +148,9 @@ def _pair_estimate(box: Box, n: int, alpha: float, samples: int, seed: int,
     d = n + 1
     if box.dim != d:
         raise ValueError(f"window must live in R^{d}")
+    if samples < 2:
+        # the error is a sample standard deviation: one pair has none
+        raise ValueError(f"samples must be >= 2, not {samples!r}")
     rng_x, rng_d = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     near = 1e-4 * box.diameter
     far = 4.0 * box.diameter

@@ -141,8 +141,12 @@ class PiecewisePolyProfile(RadialProfile):
 
     def _horner(self, rows, r):
         # one gathered coefficient row per step, so temporaries stay the size
-        # of r; leading zero rows leave a piece's value exact
-        idx = self._knot_arr.searchsorted(r, side="right")
+        # of r; leading zero rows leave a piece's value exact.  Without knots
+        # every radius is in piece 0, and searchsorted would only say so
+        if self._knot_arr.size:
+            idx = self._knot_arr.searchsorted(r, side="right")
+        else:
+            idx = np.zeros(np.shape(r), dtype=np.intp)
         acc = rows[-1][idx]
         if len(rows) > 1:
             t = r - self._anchors[idx]

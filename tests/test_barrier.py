@@ -128,6 +128,15 @@ def test_sweep_rejects_fewer_than_two_slopes(grid, monkeypatch):
         sweep_cone_constant(grid, 1, 0.5)
 
 
+@pytest.mark.parametrize("grid, bad", [([math.inf, 0.2], "inf"), ([0.4, -0.2], "-0.2"),
+                                       ([0.4, 0.0], "0.0"), ([0.4, math.nan], "nan")])
+def test_sweep_rejects_slopes_that_are_not_finite_and_positive(grid, bad, monkeypatch):
+    """Each slope is checked before any cone constant is evaluated."""
+    _no_cone_evaluation(monkeypatch)
+    with pytest.raises(ValueError, match=f"epsilons must be positive and finite, not {bad}"):
+        sweep_cone_constant(grid, 1, 0.5)
+
+
 def test_derived_seed_is_deterministic_and_tag_sensitive():
     assert derived_seed(0, "x", 0.5, 3) == derived_seed(0, "x", 0.5, 3)
     assert derived_seed(0, "x", 0.5, 3) != derived_seed(0, "x", 0.5, 4)

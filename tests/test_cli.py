@@ -282,6 +282,34 @@ def test_cone_sweep_with_fewer_than_two_slopes_exits_1(epsilons, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epsilons, bad", [("inf,0.2", "inf"), ("0.4,-0.2", "-0.2"),
+                                            ("0.4,nan", "nan")])
+def test_cone_sweep_with_a_slope_that_is_not_finite_and_positive_exits_1(epsilons, bad,
+                                                                         tmp_path, capsys):
+    cfg = tmp_path / "cone.ini"
+    cfg.write_text(f"[cone-sweep]\nepsilons = {epsilons}\n")
+    out = tmp_path / "cone"
+    assert run_cli("cone-sweep", cfg, out) == 1
+    assert f"epsilons must be positive and finite, not {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("perimeter", "samples", "1", "samples must be >= 2, not 1"),
+    ("perimeter", "samples", "0", "samples must be >= 2, not 0"),
+    ("curvature", "oracle_samples", "0", "oracle_samples must be >= 1, not 0"),
+    ("curvature", "oracle_samples", "-5", "oracle_samples must be >= 1, not -5"),
+])
+def test_sample_count_too_small_exits_1_naming_it(command, key, value, message,
+                                                  tmp_path, capsys):
+    cfg = tmp_path / "count.ini"
+    cfg.write_text(f"[{command}]\n{key} = {value}\n")
+    out = tmp_path / "count"
+    assert run_cli(command, cfg, out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_slide_touch_outcome_schema(small_config, tmp_path):
     out = tmp_path / "slide"
     assert run_cli("slide", small_config, out) == 0

@@ -241,6 +241,13 @@ def test_config_validation():
         QuadratureConfig(angular_order=7)
 
 
+@pytest.mark.parametrize("budget", [0, -1, -1_000_000])
+def test_config_rejects_an_oracle_budget_below_one(budget):
+    with pytest.raises(ValueError, match=f"oracle_samples must be >= 1, not {budget}"):
+        QuadratureConfig(oracle_samples=budget)
+    assert QuadratureConfig(oracle_samples=1).oracle_samples == 1
+
+
 def test_config_pivot_tracks_barrier_height():
     assert QuadratureConfig.for_profile(BarrierProfile(0.1)).pv_inner_radius == 0.05
     assert QuadratureConfig.for_profile(ConstantProfile(0.1)).pv_inner_radius == 0.1

@@ -6,6 +6,7 @@ import pytest
 from fracsurf import (Ball, BarrierProfile, Box, Complement, Cone,
                       ConstantProfile, HalfSpace, LinearProfile, Scaled,
                       SqrtProfile, Subgraph, TwoLeaf, profile_values)
+from fracsurf.geometry import row_norms
 
 from fracsurf import BumpProfile
 
@@ -146,3 +147,51 @@ def test_membership_far_from_origin():
     h = float(np.sqrt(r))
     pts = np.array([[r, h - 1.0], [r, h + 1.0]])
     np.testing.assert_array_equal(body.contains(pts), [True, False])
+
+
+def _random_rows(rng, cols):
+    # one magnitude per array, from 1e-150 to 1e150, so squares stay normal
+    mag = 10.0 ** rng.uniform(-150.0, 150.0)
+    return mag * rng.standard_normal((400, cols))
+
+
+@pytest.mark.parametrize("cols", range(1, 8))
+def test_row_norms_equal_numpy_bit_for_bit_up_to_seven_columns(cols):
+    rng = np.random.default_rng(cols)
+    for _ in range(40):
+        x = _random_rows(rng, cols)
+        got = row_norms(x)
+        want = np.linalg.norm(x, axis=-1)
+        assert got.tobytes() == want.tobytes()
+        # a single point gives a scalar, as numpy does
+        assert row_norms(x[0]) == np.linalg.norm(x[0], axis=-1)
+        assert np.shape(row_norms(x[0])) == ()
+
+
+@pytest.mark.parametrize("cols", [8, 9, 16, 33])
+def test_row_norms_agree_within_one_ulp_per_column_from_eight_columns(cols):
+    """numpy's 8-way unrolled sum adds in another order from 8 columns on;
+    both sums of d squares lie within (d - 1) roundoffs of the exact one."""
+    rng = np.random.default_rng(100 + cols)
+    for _ in range(40):
+        x = _random_rows(rng, cols)
+        got = row_norms(x)
+        want = np.linalg.norm(x, axis=-1)
+        assert np.all(np.abs(got - want) <= cols * np.spacing(want))
+
+
+def test_box_membership_matches_the_all_form_and_keeps_its_faces():
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 3, 4):
+        box = Box(tuple(-1.0 - k for k in range(dim)), tuple(0.5 + k for k in range(dim)))
+        lo, hi = np.array(box.lo), np.array(box.hi)
+        pts = rng.uniform(-3.0, 3.0, size=(2000, dim))
+        # put every third point exactly on a lower or an upper face
+        face = rng.integers(0, dim, size=2000)
+        on = np.arange(2000) % 3 == 0
+        pts[on, face[on]] = np.where(rng.random(on.sum()) < 0.5, lo[face[on]], hi[face[on]])
+        want = np.all((pts >= lo) & (pts <= hi), axis=-1)
+        np.testing.assert_array_equal(box.contains(pts), want)
+        assert box.contains(lo) and box.contains(hi)
+        assert not box.contains(hi + 1e-12)
+        assert box.contains(pts[0]) == want[0]

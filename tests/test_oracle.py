@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fracsurf import (Ball, Complement, ConstantProfile, HalfSpace,
-                      InvalidPointError, QuadratureConfig, TwoLeaf,
-                      direct_curvature)
+from fracsurf import (Ball, Box, Complement, Cone, ConstantProfile, HalfSpace,
+                      InvalidPointError, QuadratureConfig, TwoLeaf, cone_constant,
+                      direct_curvature, interaction_energy, relative_perimeter)
 
 
 def test_half_space_is_exact_zero():
@@ -102,3 +102,71 @@ def test_flat_boundary_has_zero_near_field_bound():
     assert res.error_core == 0.0
     assert res.error_midfield > 0.0
     assert res.error_tail > 0.0
+
+
+# repr pins recorded while membership tests still reduced along rows and
+# shell signs came from np.where: working column by column moves no bit
+_PIN_CONFIG = QuadratureConfig(oracle_samples=100_000)
+_DIRECT_PINS = {
+    "slab n=1": (TwoLeaf(ConstantProfile(0.3)), [0.7, 0.3], 1, 0.5, 5,
+        'CurvatureResult(value=12.185205881983608, error_core=0.0, '
+        'error_midfield=0.20926795942670806, error_tail=0.039738353063184406, '
+        'outer_radius=100000.0, warnings=())'),
+    "slab n=2": (TwoLeaf(ConstantProfile(0.3)), [0.7, 0.0, 0.3], 2, 0.35, 6,
+        'CurvatureResult(value=30.87126184430215, error_core=0.0, '
+        'error_midfield=0.4704741205506823, error_tail=0.6384719463552312, '
+        'outer_radius=100000.0, warnings=())'),
+    "slab n=3": (TwoLeaf(ConstantProfile(0.3)), [0.7, 0.0, 0.0, 0.3], 3, 0.65, 7,
+        'CurvatureResult(value=22.699215744642295, error_core=0.0, '
+        'error_midfield=0.6277850161197758, error_tail=0.017077188978501814, '
+        'outer_radius=100000.0, warnings=())'),
+    "half-space": (HalfSpace(0.25), [1.5, 0.0, 0.25], 2, 0.5, 8,
+        'CurvatureResult(value=0.0, error_core=0.0, error_midfield=0.0, '
+        'error_tail=0.07947670612636881, outer_radius=100000.0, warnings=())'),
+    "ball": (Ball(1.0), [0.6, 0.8], 1, 0.5, 9,
+        'CurvatureResult(value=14.581999742410376, error_core=0.4359619250468803, '
+        'error_midfield=0.5330487776464199, error_tail=0.039738353063184406, '
+        'outer_radius=100000.0, warnings=())'),
+    "cone": (Cone(0.4), [2.0, 0.8], 1, 0.5, 10,
+        'CurvatureResult(value=4.883886774385714, error_core=0.0, '
+        'error_midfield=0.1947945758525369, error_tail=0.039738353063184406, '
+        'outer_radius=100000.0, warnings=())'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIRECT_PINS))
+def test_direct_curvature_is_pinned_bit_for_bit(case):
+    body, point, n, alpha, seed, pinned = _DIRECT_PINS[case]
+    assert repr(direct_curvature(body, point, n, alpha, _PIN_CONFIG, seed=seed)) == pinned
+
+
+def test_cone_constant_is_pinned_bit_for_bit():
+    assert repr(cone_constant(0.4, 1, 0.5, _PIN_CONFIG, seed=11)) == (
+        'ConeConstantReport(epsilon=0.4, value=7.292889937754098, '
+        'error=0.4002971497808883, entries=((2.0, 7.241015477808101, 0.34473328632208544), '
+        '(5.0, 7.372613047427964, 0.3632497738156494), (10.0, 7.265041288026231, '
+        '0.4002971497808883)), warnings=())')
+
+
+def test_relative_perimeter_is_pinned_bit_for_bit():
+    window = Box((-2.0, -2.0), (2.0, 2.0))
+    got = relative_perimeter(TwoLeaf(ConstantProfile(0.3)), window, 1, 0.5,
+                             samples=50_000, seed=12)
+    assert repr(got) == (
+        'EnergyResult(value=13.409663840584226, error=4.35977986482047, '
+        'near_cut=0.001365685424949238, far_cut=54.62741699796952)')
+    cube = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
+    got = relative_perimeter(Ball(0.8), cube, 2, 0.5, samples=50_000, seed=13)
+    assert repr(got) == (
+        'EnergyResult(value=30.5005296410065, error=13.485100746049325, '
+        'near_cut=0.0009464101615137756, far_cut=37.85640646055102)')
+
+
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_pair_estimates_need_two_samples(samples):
+    window = Box((-2.0, -2.0), (2.0, 2.0))
+    with pytest.raises(ValueError, match=f"samples must be >= 2, not {samples}"):
+        relative_perimeter(HalfSpace(0.0), window, 1, 0.5, samples=samples)
+    with pytest.raises(ValueError, match=f"samples must be >= 2, not {samples}"):
+        interaction_energy(Ball(0.5), ~Ball(1.0), window, 1, 0.5, samples=samples)
+    assert relative_perimeter(HalfSpace(0.0), window, 1, 0.5, samples=2).error >= 0.0
