@@ -56,6 +56,9 @@ def cmd_curvature(sections, n, alpha, seed):
     geometry = sec["geometry"].strip().lower()
     method = sec["method"].strip().lower()
     points = cfgmod.parse_floats(sec, "points")
+    for r in points:
+        if not math.isfinite(r):
+            raise ValueError(f"points must be finite, not {r!r}")
     complement = cfgmod.parse_bool(sec.get("complement", "false"))
     if method not in ("formula", "direct"):
         raise ValueError(f"unknown method {method!r}")

@@ -117,8 +117,13 @@ class QuadratureConfig:
     def __post_init__(self):
         if not self.pv_inner_radius > 0:
             raise ValueError("pv_inner_radius must be positive")
+        if not math.isfinite(self.truncation_radius):
+            raise ValueError(f"truncation_radius must be finite, not {self.truncation_radius!r}")
         if not self.pv_inner_radius < self.truncation_radius:
             raise ValueError("pv_inner_radius must stay below truncation_radius")
+        if not 0.0 < self.target_tolerance < math.inf:
+            raise ValueError("target_tolerance must be finite and positive, "
+                             f"not {self.target_tolerance!r}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         if self.oracle_samples < 1:
@@ -253,6 +258,8 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
     if config is None:
         config = QuadratureConfig.for_profile(profile)
     s = abs(float(radius))
+    if not math.isfinite(s):
+        raise ValueError(f"radius must be finite, not {float(radius)!r}")
     if not profile.smooth_at(s):
         raise NonSmoothPointError(f"profile {profile.kind!r} is not smooth at r = {s}")
     vs = profile.value(s)

@@ -310,6 +310,33 @@ def test_sample_count_too_small_exits_1_naming_it(command, key, value, message,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["formula", "direct"])
+@pytest.mark.parametrize("points, bad", [("0.5,nan", "nan"), ("inf", "inf"), ("2.5,-inf", "-inf")])
+def test_curvature_points_that_are_not_finite_exit_1(method, points, bad, tmp_path, capsys):
+    cfg = tmp_path / "points.ini"
+    cfg.write_text(f"[curvature]\ngeometry = twoleaf\nkind = constant\nlevel = 1.0\n"
+                   f"method = {method}\npoints = {points}\n")
+    out = tmp_path / "points"
+    assert run_cli("curvature", cfg, out) == 1
+    assert f"points must be finite, not {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("truncation_radius", "inf", "truncation_radius must be finite, not inf"),
+    ("target_tolerance", "nan", "target_tolerance must be finite and positive, not nan"),
+    ("target_tolerance", "-1", "target_tolerance must be finite and positive, not -1.0"),
+])
+def test_quadrature_keys_that_are_not_finite_and_positive_exit_1(key, value, message,
+                                                                  tmp_path, capsys):
+    cfg = tmp_path / "quad.ini"
+    cfg.write_text(f"[curvature]\n{key} = {value}\n")
+    out = tmp_path / "quad"
+    assert run_cli("curvature", cfg, out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_slide_touch_outcome_schema(small_config, tmp_path):
     out = tmp_path / "slide"
     assert run_cli("slide", small_config, out) == 0

@@ -248,6 +248,27 @@ def test_config_rejects_an_oracle_budget_below_one(budget):
     assert QuadratureConfig(oracle_samples=1).oracle_samples == 1
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("truncation_radius", math.inf, "truncation_radius must be finite, not inf"),
+    ("truncation_radius", math.nan, "truncation_radius must be finite, not nan"),
+    ("target_tolerance", math.nan, "target_tolerance must be finite and positive, not nan"),
+    ("target_tolerance", math.inf, "target_tolerance must be finite and positive, not inf"),
+    ("target_tolerance", -1.0, "target_tolerance must be finite and positive, not -1.0"),
+    ("target_tolerance", 0.0, "target_tolerance must be finite and positive, not 0.0"),
+])
+def test_config_rejects_a_radius_or_tolerance_that_is_not_finite(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        QuadratureConfig(**{key: value})
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_a_radius_that_is_not_finite_is_rejected(radius):
+    with pytest.raises(ValueError, match=f"radius must be finite, not {radius!r}"):
+        two_leaf_curvature(ConstantProfile(0.5), radius, 1, 0.5)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        subgraph_curvature(BarrierProfile(0.2), radius, 2, 0.5)
+
+
 def test_config_pivot_tracks_barrier_height():
     assert QuadratureConfig.for_profile(BarrierProfile(0.1)).pv_inner_radius == 0.05
     assert QuadratureConfig.for_profile(ConstantProfile(0.1)).pv_inner_radius == 0.1
@@ -596,8 +617,8 @@ RUNAWAY_POINTS = {
     1: "CurvatureResult(value=10.361297433560607, error_core=9.976173885871189e-15, "
        "error_midfield=9.377924704289972e-12, error_tail=0.0009832067692772813, "
        "outer_radius=100000000.0, warnings=())",
-    2: "CurvatureResult(value=18.059493961355106, error_core=4.123274240760024e-16, "
-       "error_midfield=1.923932712604815e-11, error_tail=0.0022742270356211703, "
+    2: "CurvatureResult(value=18.059493961355113, error_core=4.1001971539674877e-16, "
+       "error_midfield=1.9239113114703696e-11, error_tail=0.0022742270356211703, "
        "outer_radius=100000000.0, warnings=())",
 }
 
