@@ -132,21 +132,11 @@ def sweep_cone_constant(epsilons, n: int, alpha: float,
 
 
 @dataclass(frozen=True)
-class BarrierSamplePoint:
-    point: tuple
-    radius: float
-    value: float
-    error: float
-    outer_radius: float
-    warnings: tuple
-
-
-@dataclass(frozen=True)
 class BarrierReport:
     epsilon: float
     n: int
     alpha: float
-    samples: tuple
+    samples: tuple  # (point, CurvatureResult) per sample radius, in radius order
     min_margin: float
     verdict: str
     empirical_eps0: float
@@ -178,27 +168,22 @@ def _sample_radii(count: int) -> np.ndarray:
 
 def _evaluate_boundary(epsilon, n, alpha, config, count):
     profile = build_barrier(epsilon)
-    pts = []
+    samples = []
     for r in map(float, _sample_radii(count)):
         res = two_leaf_curvature(profile, r, n, alpha, config)
-        point = (r,) + (0.0,) * (n - 1) + (float(profile.value(r)),)
-        pts.append(BarrierSamplePoint(point=point, radius=r, value=res.value,
-                                      error=res.total_error,
-                                      outer_radius=float(res.outer_radius),
-                                      warnings=res.warnings))
-    return pts, any(p.warnings for p in pts)
+        samples.append(((r,) + (0.0,) * (n - 1) + (float(profile.value(r)),), res))
+    return samples, any(res.warnings for _, res in samples)
 
 
 def _positivity_probe(epsilon, n, alpha, config, count, notes):
     try:
-        pts, failed = _evaluate_boundary(epsilon, n, alpha, config, count)
+        samples, failed = _evaluate_boundary(epsilon, n, alpha, config, count)
     except FracsurfError as exc:
         # an invalid barrier at this height reads as "not positive", with its
         # reason in the notes; any other exception is a fault and propagates
         notes.append(f"positivity probe at epsilon = {epsilon!r} failed: {exc}")
         return None, True
-    margin = min(p.value - p.error for p in pts)
-    return margin, failed
+    return min(res.value - res.total_error for _, res in samples), failed
 
 
 def verify_barrier(epsilon: float, n: int, alpha: float,
@@ -216,25 +201,28 @@ def verify_barrier(epsilon: float, n: int, alpha: float,
     field must match the straight cone's quadrature curvature at the far
     radius within their summed total errors, with no cone warnings.
     """
+    if min_samples < 1:
+        raise ValueError(f"samples must be >= 1, not {min_samples!r}")
     notes = []
     try:
-        pts, failed = _evaluate_boundary(epsilon, n, alpha, config, min_samples)
+        samples, failed = _evaluate_boundary(epsilon, n, alpha, config, min_samples)
     except FracsurfError as exc:
         return BarrierReport(epsilon=epsilon, n=n, alpha=alpha, samples=(),
                              min_margin=float("nan"),
                              verdict=VERDICT_INCONCLUSIVE, empirical_eps0=0.0,
                              notes=(f"evaluation failed: {exc}",))
-    min_margin = min(p.value - p.error for p in pts)
+    min_margin = min(res.value - res.total_error for _, res in samples)
     if failed:
         verdict = VERDICT_INCONCLUSIVE
         notes.append("some evaluations did not reach their error target")
     else:
         verdict = VERDICT_POSITIVE if min_margin > 0.0 else VERDICT_NOT_POSITIVE
 
-    far = max(pts, key=lambda p: p.radius)
-    scale = (far.radius * math.sqrt(1.0 + epsilon * epsilon)) ** alpha
-    cone = two_leaf_curvature(LinearProfile(epsilon), far.radius, n, alpha, config)
-    far_agrees = bool(abs(far.value - cone.value) <= far.error + cone.total_error
+    far_point, far = samples[-1]  # the radii run in increasing order
+    far_r = far_point[0]
+    scale = (far_r * math.sqrt(1.0 + epsilon * epsilon)) ** alpha
+    cone = two_leaf_curvature(LinearProfile(epsilon), far_r, n, alpha, config)
+    far_agrees = bool(abs(far.value - cone.value) <= far.total_error + cone.total_error
                       and not cone.warnings)
     if not far_agrees:
         notes.append(f"far field disagrees with the cone; cone warnings: {list(cone.warnings)}")
@@ -261,7 +249,7 @@ def verify_barrier(epsilon: float, n: int, alpha: float,
             notes.append("positivity did not persist at half the height scale")
 
     return BarrierReport(epsilon=float(epsilon), n=int(n), alpha=float(alpha),
-                         samples=tuple(pts), min_margin=float(min_margin),
+                         samples=tuple(samples), min_margin=float(min_margin),
                          verdict=verdict, empirical_eps0=float(eps0),
                          far_scaled=float(scale * far.value), cone_value=float(scale * cone.value),
                          cone_error=float(scale * cone.total_error), far_agrees=far_agrees,

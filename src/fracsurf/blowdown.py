@@ -43,8 +43,8 @@ def flatness_certificate(profile: RadialProfile, envelope: RadialProfile,
         raise InvalidEpsilonError(
             f"flatness tolerance must lie in (0, 1/4), got {eps}")
     R = float(R)
-    if not R > 0:
-        raise ValueError("rescaling radius must be positive")
+    if not 0.0 < R < np.inf:
+        raise ValueError(f"rescaling radius R must be positive and finite, not {R!r}")
     # raw u(R r)/R, no vertical translation: a nonzero apex height must
     # count against flatness (it decays like u(0)/R under the rescaling);
     # its extremes on [0, 1] sit at the profile's extremes on [0, R]
@@ -84,6 +84,8 @@ def holder_rescaling_check(profile: RadialProfile, R: float,
     if not 0.0 < beta < 1.0:
         raise InvalidExponentError(f"Holder exponent must lie in (0, 1), got {beta}")
     R = float(R)
+    if not 0.0 < R < np.inf:
+        raise ValueError(f"Holder rescaling radius R must be positive and finite, not {R!r}")
     radii = (0.25 * R) * (np.arange(60) + 1.0) / 60
     lhs = _seminorm(radii, profile_slopes(profile, radii), beta)
 

@@ -92,16 +92,8 @@ def cmd_curvature(sections, n, alpha, seed):
         else:
             res = direct_curvature(body, point, n, alpha, cfg,
                                    seed=cfgmod.derived_seed(seed, "curvature", i))
-        records.append({
-            "point": [float(c) for c in point],
-            "value": float(res.value),
-            "error_core": float(res.error_core),
-            "error_midfield": float(res.error_midfield),
-            "error_tail": float(res.error_tail),
-            "outer_radius": float(res.outer_radius),
-            "warnings": list(res.warnings),
-            "config_hash": digest,
-        })
+        records.append({**asdict(res), "point": [float(c) for c in point],
+                        "config_hash": digest})
         csv_lines.append(_csv_line(float(r), float(point[-1]), float(res.value),
                                    float(res.total_error)))
     return 0, {"points.json": _json(records), "sweep.csv": "\n".join(csv_lines) + "\n"}
@@ -116,9 +108,9 @@ def cmd_barrier_verify(sections, n, alpha, seed):
                             bisect_eps0=cfgmod.parse_bool(sec["bisect"]),
                             check_shrink=cfgmod.parse_bool(sec["check_shrink"]))
     payload = {**asdict(report),
-               "samples": [{"point": list(p.point), "H": p.value, "err": p.error,
-                            "outer_radius": p.outer_radius, "warnings": list(p.warnings)}
-                           for p in report.samples]}
+               "samples": [{"point": list(point), "H": res.value, "err": res.total_error,
+                            "outer_radius": res.outer_radius, "warnings": list(res.warnings)}
+                           for point, res in report.samples]}
     return 0 if report.verdict == "POSITIVE" else 2, {"report.json": _json(payload)}
 
 
@@ -146,15 +138,16 @@ def cmd_slide(sections, n, alpha, seed):
     candidate = profile_from_config(sec, "candidate_")
     plan = rescale_for_slide(envelope, eps0)
     outcome = slide(candidate, plan.lam, eps0, n, alpha)
+    res = outcome.curvature
     payload = {
         "lambda": outcome.lam,
         "eps_star": outcome.eps_star,
         "floor": outcome.floor,
         "touch_point": list(outcome.touch_point) if outcome.touch_point else None,
-        "H_at_touch": outcome.curvature_at_touch,
-        "err": outcome.curvature_error,
-        "outer_radius": outcome.outer_radius,
-        "warnings": list(outcome.warnings),
+        "H_at_touch": res.value if res else None,
+        "err": res.total_error if res else None,
+        "outer_radius": res.outer_radius if res else None,
+        "warnings": list(res.warnings) if res else [],
         "verdict": outcome.verdict,
         "interpretation": outcome.interpretation,
     }

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import QuadratureConfig, two_leaf_curvature
+from .curvature import CurvatureResult, QuadratureConfig, two_leaf_curvature
 from .errors import InitialInclusionError
 from .profiles import (BarrierProfile, RadialProfile, profile_extremes,
                        profile_values, sublinearity_modulus)
@@ -58,12 +58,8 @@ class SlideOutcome:
     floor: float
     verdict: str
     interpretation: str
-    touch_radius: float | None = None
     touch_point: tuple | None = None
-    curvature_at_touch: float | None = None
-    curvature_error: float | None = None
-    outer_radius: float | None = None
-    warnings: tuple = ()
+    curvature: CurvatureResult | None = None  # the barrier's, at the touch point
 
 
 def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: float,
@@ -108,14 +104,10 @@ def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: floa
                 "grows too fast for the sliding mechanism, no bounded first contact exists"))
 
     touch_radius = float(radii[idx])
-    touch_point = (touch_radius,) + (0.0,) * (n - 1) + (rescaled.value(touch_radius),)
-    barrier = BarrierProfile(eps_star)
-    res = two_leaf_curvature(barrier, touch_radius, n, alpha, config)
     return SlideOutcome(
         lam=lam, eps_star=eps_star, floor=SLIDE_FLOOR, verdict=VERDICT_TOUCH,
-        touch_radius=touch_radius, touch_point=touch_point,
-        curvature_at_touch=float(res.value), curvature_error=float(res.total_error),
-        outer_radius=res.outer_radius, warnings=res.warnings,
+        touch_point=(touch_radius,) + (0.0,) * (n - 1) + (rescaled.value(touch_radius),),
+        curvature=two_leaf_curvature(BarrierProfile(eps_star), touch_radius, n, alpha, config),
         interpretation=(
             "the barrier cannot shrink past this height without contacting the "
             "candidate; at the contact radius the barrier curvature is strictly "

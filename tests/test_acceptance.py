@@ -151,7 +151,7 @@ def test_criterion_7_sliding_mechanism():
         assert empty.verdict == "RIGIDITY_MECHANISM_CONFIRMED"
         slab = slide(ConstantProfile(0.1), plan.lam, plan.eps0, 1, 0.5)
         assert slab.verdict == "TOUCH_FOUND"
-        assert slab.curvature_at_touch > 0.0
+        assert slab.curvature.value > 0.0
         with pytest.raises(NotSublinearError):
             rescale_for_slide(PiecewisePolyProfile((), [(0.0, (1.0, 1.0))]), 0.05)
 

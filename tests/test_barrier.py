@@ -164,11 +164,12 @@ def test_samples_sit_on_the_upper_leaf(n, monkeypatch):
                         lambda *args: CurvatureResult(1.0, 0.0, 0.0, 0.0))
     pts, failed = barrier_mod._evaluate_boundary(0.1, n, 0.5, None, 16)
     assert not failed
-    assert [p.radius for p in pts] == list(barrier_mod._sample_radii(16))
+    assert [point[0] for point, _ in pts] == list(barrier_mod._sample_radii(16))
     profile = BarrierProfile(0.1)
-    for p in pts:
-        assert p.point == (p.radius,) + (0.0,) * (n - 1) + (profile.value(p.radius),)
-    heights = {p.radius: p.point[-1] for p in pts}
+    for point, res in pts:
+        assert point == (point[0],) + (0.0,) * (n - 1) + (profile.value(point[0]),)
+        assert res == CurvatureResult(1.0, 0.0, 0.0, 0.0)
+    heights = {point[0]: point[-1] for point, _ in pts}
     assert heights[0.0] == 0.1
     assert heights[2.01] == pytest.approx(0.201, rel=1e-15)
     assert heights[50.0] == pytest.approx(5.0, rel=1e-15)
@@ -182,7 +183,7 @@ def test_verify_barrier_positive_on_a_small_budget():
     assert rep.notes == ()
     assert rep.far_agrees
     assert len(rep.samples) >= 32
-    radii = [p.radius for p in rep.samples]
+    radii = [point[0] for point, _ in rep.samples]
     assert min(radii) == 0.0
     assert max(radii) == pytest.approx(50.0)
     # knot refinement shows up as sample radii straddling both knots
@@ -190,11 +191,18 @@ def test_verify_barrier_positive_on_a_small_budget():
     assert any(abs(r - 2.01) < 1e-9 for r in radii)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_verify_barrier_rejects_fewer_than_one_sample_by_name(count):
+    """No silent fallback to the minimum grid of the sample radii."""
+    with pytest.raises(ValueError, match=f"samples must be >= 1, not {count}"):
+        verify_barrier(0.05, 1, 0.5, min_samples=count)
+
+
 def test_verify_barrier_margin_is_worst_case():
     rep = verify_barrier(0.05, 1, 0.5, min_samples=32,
                          bisect_eps0=False, check_shrink=False)
     assert rep.min_margin == pytest.approx(
-        min(p.value - p.error for p in rep.samples))
+        min(res.value - res.total_error for _, res in rep.samples))
 
 
 def test_verify_barrier_goes_inconclusive_when_quadrature_is_starved():
@@ -204,8 +212,8 @@ def test_verify_barrier_goes_inconclusive_when_quadrature_is_starved():
     assert rep.verdict == "INCONCLUSIVE"
     assert any("error target" in note for note in rep.notes)
     # each sample names its own misses, so the report shows which radii failed
-    assert any("quadrature-above-target" in p.warnings for p in rep.samples)
-    assert all(p.outer_radius >= cfg.truncation_radius for p in rep.samples)
+    assert any("quadrature-above-target" in res.warnings for _, res in rep.samples)
+    assert all(res.outer_radius >= cfg.truncation_radius for _, res in rep.samples)
 
 
 def test_positivity_probe_reads_invalid_barriers_as_not_positive(monkeypatch):
@@ -269,7 +277,8 @@ def test_verify_barrier_report_holds_python_types():
     assert type(rep.shrink_consistent) is bool
     assert type(rep.far_agrees) is bool
     assert type(rep.min_margin) is float
-    assert all(type(p.value) is float and type(p.error) is float for p in rep.samples)
+    assert all(type(res.value) is float and type(res.total_error) is float
+               for _, res in rep.samples)
 
 
 def test_far_field_off_the_cone_is_noted(monkeypatch):
@@ -301,9 +310,9 @@ def test_far_field_check_fails_when_the_cone_point_warns():
 def test_cone_value_is_the_scaled_cone_point_at_the_far_radius():
     rep = verify_barrier(0.05, 1, 0.5, min_samples=32, bisect_eps0=False,
                          check_shrink=False)
-    far = max(rep.samples, key=lambda p: p.radius)
-    cone = two_leaf_curvature(LinearProfile(0.05), far.radius, 1, 0.5)
-    scale = float(np.linalg.norm(far.point)) ** 0.5
+    far_point, far = max(rep.samples, key=lambda s: s[0][0])
+    cone = two_leaf_curvature(LinearProfile(0.05), far_point[0], 1, 0.5)
+    scale = float(np.linalg.norm(far_point)) ** 0.5
     assert rep.cone_value == pytest.approx(scale * cone.value, rel=1e-13)
     assert rep.cone_error == pytest.approx(scale * cone.total_error, rel=1e-13)
     assert rep.far_scaled == pytest.approx(scale * far.value, rel=1e-13)

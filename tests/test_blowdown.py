@@ -119,6 +119,14 @@ def test_flatness_epsilon_window():
         flatness_certificate(SqrtProfile(1.0), SQRT_ENV, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("R", [math.inf, math.nan, 0.0, -5.0])
+def test_flatness_radius_that_is_not_finite_and_positive_is_rejected_by_name(R):
+    """An infinite R would pass vacuously: u(R r)/R reads 0 or nan everywhere."""
+    with pytest.raises(ValueError, match=f"rescaling radius R must be positive and finite, "
+                                         f"not {R!r}"):
+        flatness_certificate(SqrtProfile(1.0), SQRT_ENV, 0.1, R)
+
+
 HOLDER_POLY = PiecewisePolyProfile(
     (4.0,),
     [(0.0, (0.0, 0.0, 1.0, 0.0, -3.0 / 16.0, 0.0, 3.0 / 256.0, 0.0,
@@ -157,6 +165,13 @@ def test_holder_exponent_window():
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(InvalidExponentError):
             holder_rescaling_check(SqrtProfile(1.0), 10.0, beta=bad)
+
+
+@pytest.mark.parametrize("R", [-5.0, 0.0, math.inf, math.nan])
+def test_holder_radius_that_is_not_finite_and_positive_is_rejected_by_name(R):
+    with pytest.raises(ValueError, match=f"Holder rescaling radius R must be positive and "
+                                         f"finite, not {R!r}"):
+        holder_rescaling_check(SqrtProfile(1.0), R)
 
 
 def _loop_seminorm(points, values, beta):

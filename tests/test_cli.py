@@ -299,6 +299,8 @@ def test_cone_sweep_with_a_slope_that_is_not_finite_and_positive_exits_1(epsilon
     ("perimeter", "samples", "0", "samples must be >= 2, not 0"),
     ("curvature", "oracle_samples", "0", "oracle_samples must be >= 1, not 0"),
     ("curvature", "oracle_samples", "-5", "oracle_samples must be >= 1, not -5"),
+    ("barrier-verify", "samples", "0", "samples must be >= 1, not 0"),
+    ("barrier-verify", "samples", "-3", "samples must be >= 1, not -3"),
 ])
 def test_sample_count_too_small_exits_1_naming_it(command, key, value, message,
                                                   tmp_path, capsys):
@@ -428,6 +430,24 @@ def test_blowdown_report_schema(small_config, tmp_path):
     for line in lines[1:]:
         _, _, lhs, rhs = (float(tok) for tok in line.split(","))
         assert lhs == pytest.approx(rhs, rel=1e-2)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("R = inf", "rescaling radius R must be positive and finite, not inf"),
+    ("R = 1e400", "rescaling radius R must be positive and finite, not inf"),
+    ("holder_R = 5.0,-5.0", "Holder rescaling radius R must be positive and finite, not -5.0"),
+    ("holder_R = 5.0,0.0", "Holder rescaling radius R must be positive and finite, not 0.0"),
+    ("holder_R = 5.0,inf", "Holder rescaling radius R must be positive and finite, not inf"),
+    ("holder_R = 5.0,nan", "Holder rescaling radius R must be positive and finite, not nan"),
+])
+def test_blowdown_radius_that_is_not_finite_and_positive_exits_1_naming_it(line, message,
+                                                                          tmp_path, capsys):
+    cfg = tmp_path / "radius.ini"
+    cfg.write_text(f"[blowdown]\n{line}\n")
+    out = tmp_path / "radius"
+    assert run_cli("blowdown", cfg, out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_barrier_verify_positive_exits_0(small_config, tmp_path):

@@ -88,21 +88,26 @@ def _cone_constant(eps, alpha=0.5):
     return 5.0 ** alpha * res.value, 5.0 ** alpha * res.total_error, res.warnings
 
 
+WEDGE_ALPHAS = (0.2, 0.5, 0.8)
+
+
 def test_right_angle_cone_has_zero_cone_constant():
     """At eps = 1 the cone's complement is the cone turned by a right angle,
-    and H changes sign with the complement, so C(1) = 0."""
-    value, error, warnings = _cone_constant(1.0)
-    assert abs(value) <= error
-    assert set(warnings) <= {"tail-above-target"}
+    and H changes sign with the complement, so C(1) = 0 at every alpha."""
+    for alpha in WEDGE_ALPHAS:
+        value, error, warnings = _cone_constant(1.0, alpha)
+        assert abs(value) <= error, alpha
+        assert set(warnings) <= {"tail-above-target"}
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.5])
 def test_cone_constants_of_complementary_cones_cancel(eps):
     """The complement of the eps-cone is the 1/eps-cone turned by a right
-    angle, so C(eps) + C(1/eps) = 0."""
-    value, error, _ = _cone_constant(eps)
-    twin, twin_error, _ = _cone_constant(1.0 / eps)
-    assert abs(value + twin) <= error + twin_error
+    angle, so C(eps) + C(1/eps) = 0 at every alpha."""
+    for alpha in WEDGE_ALPHAS:
+        value, error, _ = _cone_constant(eps, alpha)
+        twin, twin_error, _ = _cone_constant(1.0 / eps, alpha)
+        assert abs(value + twin) <= error + twin_error, alpha
 
 
 def test_half_space_is_exactly_flat():

@@ -58,19 +58,17 @@ def test_zero_candidate_slides_to_the_floor():
     out = slide(ConstantProfile(0.0), 0.00625, 0.05, 1, 0.5)
     assert out.verdict == "RIGIDITY_MECHANISM_CONFIRMED"
     assert out.eps_star == out.floor
-    assert out.touch_radius is None
     assert out.touch_point is None
-    assert out.curvature_at_touch is None
+    assert out.curvature is None
 
 
 def test_flat_candidate_touches_at_the_cusp():
     out = slide(ConstantProfile(0.01), 1.0, 0.05, 1, 0.5)
     assert out.verdict == "TOUCH_FOUND"
     assert out.eps_star == pytest.approx(0.01, rel=1e-6)
-    assert out.touch_radius == 0.0
     assert out.touch_point[0] == 0.0
     assert out.touch_point[1] == pytest.approx(0.01, rel=1e-6)
-    assert out.curvature_at_touch > 0.0
+    assert out.curvature.value > 0.0
 
 
 def test_pipeline_touch_through_the_plan():
@@ -79,8 +77,8 @@ def test_pipeline_touch_through_the_plan():
     assert out.verdict == "TOUCH_FOUND"
     assert out.eps_star == pytest.approx(0.000625, rel=1e-6)
     assert out.touch_point[1] == pytest.approx(0.1 * plan.lam, rel=1e-6)
-    assert out.curvature_at_touch == pytest.approx(271.07156344927694, rel=1e-6)
-    assert out.curvature_error < 0.1
+    assert out.curvature.value == pytest.approx(271.07156344927694, rel=1e-6)
+    assert out.curvature.total_error < 0.1
 
 
 def test_sqrt_candidate_touches_in_the_blend():
@@ -90,8 +88,8 @@ def test_sqrt_candidate_touches_in_the_blend():
     # sup of 0.12 sqrt(r) / u(r) over the blend, from a bounded
     # minimize_scalar on [1, 2] at xatol 1e-12 and a 2e6-point evaluation
     assert out.eps_star == pytest.approx(0.1308112969215282, rel=1e-12)
-    assert out.touch_radius == pytest.approx(1.261445, abs=1e-6)
-    assert out.curvature_at_touch > 0.0
+    assert out.touch_point[0] == pytest.approx(1.261445, abs=1e-6)
+    assert out.curvature.value > 0.0
 
 
 def test_escaping_candidate_is_reported_unbounded():
@@ -102,8 +100,8 @@ def test_escaping_candidate_is_reported_unbounded():
     # past its last node the candidate continues with the terminal slope,
     # which its ratio to the cone r approaches from below
     assert out.eps_star == pytest.approx(PchipInterpolator(r, u)(120.0, 1), rel=1e-12)
-    assert out.touch_radius is None
-    assert out.curvature_at_touch is None
+    assert out.touch_point is None
+    assert out.curvature is None
 
 
 def test_bump_between_old_grid_nodes_is_not_contained():
@@ -118,7 +116,7 @@ def test_bump_touches_exactly_at_its_peak():
     out = slide(RampBumpProfile(0.01, 0.33), 1.0, 0.05, 1, 0.5)
     assert out.verdict == "TOUCH_FOUND"
     assert out.eps_star == pytest.approx(0.01, rel=1e-12)
-    assert out.touch_radius == pytest.approx(0.165, rel=1e-12)
+    assert out.touch_point[0] == pytest.approx(0.165, rel=1e-12)
     assert out.touch_point[1] == pytest.approx(0.01, rel=1e-12)
 
 
