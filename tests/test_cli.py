@@ -775,3 +775,26 @@ def test_graph_bodies_reproduce_the_cone_and_half_space(run, body, values, tmp_p
     assert run_cli("curvature", cfg, out) == 0
     records = json.loads((out / "points.json").read_text())
     assert [rec["value"] for rec in records] == values
+
+
+ORACLE_SECTIONS = {
+    "perimeter": "[perimeter]\nsamples = 1000\n",
+    "curvature": "[curvature]\nmethod = direct\npoints = 0.5\noracle_samples = 1000\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ORACLE_SECTIONS))
+@pytest.mark.parametrize("line, message", [
+    ("alpha = 0.0", "order must lie strictly inside (0, 1), not 0.0"),
+    ("alpha = 1.0", "order must lie strictly inside (0, 1), not 1.0"),
+    ("alpha = 1.5", "order must lie strictly inside (0, 1), not 1.5"),
+    ("n = 0", "ambient graph dimension must be >= 1, not 0"),
+])
+def test_oracle_commands_reject_an_order_or_dimension_out_of_range(command, line, message,
+                                                                  tmp_path, capsys):
+    cfg = tmp_path / "order.ini"
+    cfg.write_text(f"[run]\n{line}\n\n{ORACLE_SECTIONS[command]}")
+    out = tmp_path / "order"
+    assert run_cli(command, cfg, out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fracsurf import (Ball, Body, Box, Complement, ConstantProfile, DisjointnessError,
-                      HalfSpace, Scaled, TwoLeaf, interaction_energy, relative_perimeter)
+                      HalfSpace, Scaled, TwoLeaf, interaction_energy, oracle,
+                      relative_perimeter)
 
 WINDOW = Box((-2.0, -2.0), (2.0, 2.0))
 # the window padded by half its diameter: relative_perimeter's base-point box
@@ -112,3 +115,43 @@ def test_perimeter_is_the_sum_of_its_three_energies():
                                                   (body - WINDOW, ~body & WINDOW)])]
     assert abs(res.value - sum(t.value for t in terms)) <= res.error + sum(t.error for t in terms)
     assert res.error < sum(t.error for t in terms)
+
+
+def test_perimeter_keeps_only_radii_and_indicator_whole():
+    """Holding all 400 000 pairs peaked at 42e6 bytes; radii and indicator are 6.4e6."""
+    tracemalloc.start()
+    try:
+        relative_perimeter(TwoLeaf(ConstantProfile(0.3)), Box((-2, -2), (2, 2)), 1, 0.5,
+                           samples=400_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+# repr results of the whole-array sampler, from tests/make_oracle_references.py
+ENERGY_BLOCK_CASES = {
+    "perimeter n=1": lambda: relative_perimeter(TwoLeaf(ConstantProfile(0.3)), WINDOW, 1, 0.5,
+                                                samples=5003, seed=31),
+    "perimeter n=2": lambda: relative_perimeter(Ball(0.8), Box((-1.0,) * 3, (1.0,) * 3), 2,
+                                                0.35, samples=5003, seed=32),
+    "energy": lambda: interaction_energy(UPPER, LOWER, WINDOW, 1, 0.5, samples=5003, seed=33),
+}
+ENERGY_BLOCK_PINS = {
+    "perimeter n=1": (
+        'EnergyResult(value=20.496599678733343, error=17.033732652256823,'
+        ' near_cut=0.001365685424949238, far_cut=54.62741699796952)'),
+    "perimeter n=2": (
+        'EnergyResult(value=20.803849763693975, error=23.575196142436244,'
+        ' near_cut=0.0009464101615137756, far_cut=37.85640646055102)'),
+    "energy": (
+        'EnergyResult(value=2.101575239326889, error=2.818431458830922,'
+        ' near_cut=0.000565685424949238, far_cut=22.627416997969522)'),
+}
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+@pytest.mark.parametrize("case", sorted(ENERGY_BLOCK_PINS))
+def test_pair_estimates_do_not_depend_on_the_block_size(case, block, monkeypatch):
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    assert repr(ENERGY_BLOCK_CASES[case]()) == ENERGY_BLOCK_PINS[case]

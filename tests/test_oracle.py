@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy import special
 
 from fracsurf import (Ball, Box, Complement, Cone, ConstantProfile, HalfSpace,
                       InvalidPointError, QuadratureConfig, TwoLeaf, cone_constant,
-                      direct_curvature, interaction_energy, relative_perimeter)
+                      direct_curvature, interaction_energy, oracle, relative_perimeter)
 
 
 def test_half_space_is_exact_zero():
@@ -170,3 +171,48 @@ def test_pair_estimates_need_two_samples(samples):
     with pytest.raises(ValueError, match=f"samples must be >= 2, not {samples}"):
         interaction_energy(Ball(0.5), ~Ball(1.0), window, 1, 0.5, samples=samples)
     assert relative_perimeter(HalfSpace(0.0), window, 1, 0.5, samples=2).error >= 0.0
+
+
+# each shell holds about 2800 pairs; repr results of the whole-shell sampler,
+# from tests/make_oracle_references.py
+_BLOCK_CONFIG = QuadratureConfig(oracle_samples=300_000)
+DIRECT_BLOCK_CASES = {
+    "slab n=1": (TwoLeaf(ConstantProfile(0.3)), [0.7, 0.3], 1, 0.5, 34),
+    "cone n=1": (Cone(0.4), [2.0, 0.8], 1, 0.65, 35),
+}
+DIRECT_BLOCK_PINS = {
+    "slab n=1": (
+        'CurvatureResult(value=12.333673591939915, error_core=0.0,'
+        ' error_midfield=0.12305238183944257, error_tail=0.039738353063184406,'
+        ' outer_radius=100000.0, warnings=())'),
+    "cone n=1": (
+        'CurvatureResult(value=3.5746038866092156, error_core=0.0,'
+        ' error_midfield=0.0881174546635385, error_tail=0.005435838080085998,'
+        ' outer_radius=100000.0, warnings=())'),
+}
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+@pytest.mark.parametrize("case", sorted(DIRECT_BLOCK_PINS))
+def test_direct_curvature_does_not_depend_on_the_block_size(case, block, monkeypatch):
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    body, point, n, alpha, seed = DIRECT_BLOCK_CASES[case]
+    got = direct_curvature(body, point, n, alpha, _BLOCK_CONFIG, seed=seed)
+    assert repr(got) == DIRECT_BLOCK_PINS[case]
+
+
+@pytest.mark.parametrize("n, alpha, message", [
+    (1, 0.0, "order must lie strictly inside (0, 1), not 0.0"),
+    (1, 1.0, "order must lie strictly inside (0, 1), not 1.0"),
+    (1, 1.5, "order must lie strictly inside (0, 1), not 1.5"),
+    (0, 0.5, "ambient graph dimension must be >= 1, not 0"),
+])
+def test_oracle_rejects_an_order_or_dimension_out_of_range(n, alpha, message):
+    body = TwoLeaf(ConstantProfile(0.3))
+    window = Box((-2.0,) * (n + 1), (2.0,) * (n + 1))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        direct_curvature(body, [0.0] * n + [0.3], n, alpha)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        relative_perimeter(body, window, n, alpha, samples=1000)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        interaction_energy(Ball(0.5), ~Ball(1.0), window, n, alpha, samples=1000)
