@@ -76,11 +76,9 @@ def _cone_report(epsilon, alpha, ray_curvature) -> ConeConstantReport:
 
 
 def cone_constant(epsilon: float, n: int, alpha: float,
-                  config: QuadratureConfig | None = None,
+                  config: QuadratureConfig = QuadratureConfig(),
                   seed: int = 0) -> ConeConstantReport:
     """The cone constant from the Monte Carlo oracle, one seed per ray."""
-    if config is None:
-        config = QuadratureConfig()
     cone = Cone(epsilon)
 
     def oracle(r, m):
@@ -100,7 +98,7 @@ class ConeSweepReport:
 
 
 def sweep_cone_constant(epsilons, n: int, alpha: float,
-                        config: QuadratureConfig | None = None) -> ConeSweepReport:
+                        config: QuadratureConfig = QuadratureConfig()) -> ConeSweepReport:
     """Quadrature cone constants across an opening-slope grid, largest slope first.
 
     The blow-up flag is set when the constant strictly increases as the
@@ -187,7 +185,7 @@ def _positivity_probe(epsilon, n, alpha, config, count, notes):
 
 
 def verify_barrier(epsilon: float, n: int, alpha: float,
-                   config: QuadratureConfig | None = None,
+                   config: QuadratureConfig = QuadratureConfig(),
                    min_samples: int = 200,
                    bisect_eps0: bool = True,
                    check_shrink: bool = True) -> BarrierReport:

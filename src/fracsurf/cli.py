@@ -16,13 +16,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
-from .barrier import build_barrier, sweep_cone_constant, verify_barrier
+from .barrier import sweep_cone_constant, verify_barrier
 from .blowdown import flatness_certificate, holder_rescaling_check
 from .curvature import QuadratureConfig, graph_curvature
 from .errors import FracsurfError
@@ -32,12 +32,12 @@ from .profiles import profile_from_config
 from .sliding import (VERDICT_UNBOUNDED, rescale_for_slide, slide)
 
 
-def _quadrature_from(section: dict, profile=None) -> QuadratureConfig:
+def _quadrature_from(section: dict) -> QuadratureConfig:
     """The quadrature settings, each read from and recorded in ``section``."""
     kwargs = {f.name: (cfgmod.parse_int if isinstance(f.default, int)
                        else cfgmod.parse_float)(section, f.name)
               for f in fields(QuadratureConfig) if section.get(f.name, "").strip()}
-    cfg = replace(QuadratureConfig.for_profile(profile), **kwargs)
+    cfg = QuadratureConfig(**kwargs)
     for f in fields(QuadratureConfig):
         section[f.name] = repr(getattr(cfg, f.name))
     return cfg
@@ -56,6 +56,8 @@ def cmd_curvature(sections, n, alpha, seed):
     geometry = sec["geometry"].strip().lower()
     method = sec["method"].strip().lower()
     points = cfgmod.parse_floats(sec, "points")
+    if not points:
+        raise ValueError("points must list at least one radius")
     for r in points:
         if not math.isfinite(r):
             raise ValueError(f"points must be finite, not {r!r}")
@@ -76,7 +78,7 @@ def cmd_curvature(sections, n, alpha, seed):
                          "not a ball or a complement; use method = direct")
     if complement:
         body = ~body
-    cfg = _quadrature_from(sec, profile)
+    cfg = _quadrature_from(sec)
     digest = cfgmod.config_hash(sections)
 
     records = []
@@ -103,7 +105,7 @@ def cmd_barrier_verify(sections, n, alpha, seed):
     sec = sections["barrier-verify"]
     eps = cfgmod.parse_float(sec, "epsilon")
     samples = cfgmod.parse_int(sec, "samples")
-    cfg = _quadrature_from(sec, build_barrier(eps))
+    cfg = _quadrature_from(sec)
     report = verify_barrier(eps, n, alpha, config=cfg, min_samples=samples,
                             bisect_eps0=cfgmod.parse_bool(sec["bisect"]),
                             check_shrink=cfgmod.parse_bool(sec["check_shrink"]))
@@ -182,9 +184,12 @@ def cmd_perimeter(sections, n, alpha, seed):
     body = TwoLeaf(profile)
     w = cfgmod.parse_float(sec, "window")
     samples = cfgmod.parse_int(sec, "samples")
+    scales = cfgmod.parse_floats(sec, "scales")
+    if not scales:
+        raise ValueError("scales must list at least one scale")
     lines = ["scale,value,err"]
     rows = []
-    for scale in cfgmod.parse_floats(sec, "scales"):
+    for scale in scales:
         scaled = Scaled(body, scale)
         window = Box((-w * scale,) * (n + 1), (w * scale,) * (n + 1))
         res = relative_perimeter(scaled, window, n, alpha, samples=samples,

@@ -4,12 +4,11 @@ A command sees two sections, ``[run]`` and its own; an INI file may hold
 other commands' sections, which are ignored, but a section named neither
 ``run`` nor a command is an error.  Each section notes the keys the command
 reads.  The record of a run is exactly those keys with their values
-(defaults, file values, command-line overrides, and values computed at run
-time such as the quadrature pivot), in one canonical INI text.  That text
-is written beside the outputs as ``resolved.ini`` and its md5 is stamped
-into the result records, so a result can always be traced to the exact
-knobs that produced it and reruns are byte-identical.  A key the user set
-that the command never read has no effect and makes the run fail.
+(defaults, file values, command-line overrides), in one canonical INI text.
+That text is written beside the outputs as ``resolved.ini`` and its md5 is
+stamped into the result records, so a result can always be traced to the
+exact knobs that produced it and reruns are byte-identical.  A key the user
+set that the command never read has no effect and makes the run fail.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ F(dv * cos) term is the principal-value regularizer; its angular average
 vanishes identically (F is odd, the angular rule is symmetric), so the
 subtraction is free of bias while making the integrand bounded at rho = 0.
 
-Assembly splits at a pivot radius delta:
+Assembly splits at a pivot radius delta, pv_inner_radius or at a two-leaf
+point half its height v(s) if smaller: the mirror part switches on near
+rho = 2 v(s), so the core ends below the height, however thin the body.
 
   * core (0, delta): the graph part uses the difference quotient written
     through profile chords and bends so no floating-point cancellation is
@@ -58,7 +60,7 @@ from scipy import integrate, special
 
 from .errors import NonSmoothPointError
 from .kernelfn import SliceIntegral
-from .profiles import BarrierProfile, RadialProfile, profile_values, profile_zeros
+from .profiles import RadialProfile, profile_values, profile_zeros
 
 # Lipschitz probe grid for the tail bound: dense through the near field,
 # decades out to 1e8 to catch slopes that keep growing
@@ -92,7 +94,8 @@ _PANEL_BATCH = 16
 class QuadratureConfig:
     """Knobs for the deterministic curvature quadrature.
 
-    pv_inner_radius: pivot between the stabilized core and the midfield.
+    pv_inner_radius: largest pivot between the stabilized core and the
+        midfield; a two-leaf point pivots at half its height below it.
     truncation_radius: initial outer radius R; escalates tenfold as needed.
     target_tolerance: absolute error floor the tail bound must reach when
         the value itself is near zero.
@@ -131,13 +134,6 @@ class QuadratureConfig:
         if self.angular_order % 2 or self.angular_order < 2:
             raise ValueError("angular_order must be even and >= 2")
 
-    @classmethod
-    def for_profile(cls, profile: RadialProfile) -> "QuadratureConfig":
-        """Default config, with the pivot tied to the barrier height scale."""
-        if isinstance(profile, BarrierProfile):
-            return cls(pv_inner_radius=min(0.1, 0.5 * profile.epsilon))
-        return cls()
-
 
 @dataclass(frozen=True)
 class CurvatureResult:
@@ -168,10 +164,13 @@ def angular_rule(n: int, order: int):
     return nodes, sphere * weights
 
 
-def _quad(func, lo, hi, **kw):
-    # full_output keeps scipy from emitting IntegrationWarning; the returned
-    # abserr is honest either way and is what gets propagated
+def _quad(func, lo, hi, warnings, **kw):
+    # full_output keeps scipy from emitting IntegrationWarning.  A spent
+    # subdivision budget still leaves an honest abserr; any other report
+    # (roundoff, bad integrand, divergence) warns
     ret = integrate.quad(func, lo, hi, full_output=1, **kw)
+    if len(ret) > 3 and not ret[3].startswith("The maximum number of subdivisions"):
+        warnings.append("quadrature-failed")
     return ret[0], ret[1]
 
 
@@ -246,7 +245,7 @@ def _slope_bound(profile: RadialProfile, extra: float) -> float:
 
 
 def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
-                    config: QuadratureConfig | None = None,
+                    config: QuadratureConfig = QuadratureConfig(),
                     two_leaf: bool = True) -> CurvatureResult:
     """Curvature at the boundary point above horizontal radius ``radius``.
 
@@ -255,8 +254,6 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
     used and the mirror term is dropped.  The lower leaf of a two-leaf body
     has the same value by symmetry.
     """
-    if config is None:
-        config = QuadratureConfig.for_profile(profile)
     s = abs(float(radius))
     if not math.isfinite(s):
         raise ValueError(f"radius must be finite, not {float(radius)!r}")
@@ -271,7 +268,7 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
     cj, wang = angular_rule(n, config.angular_order)
     ang_mass = float(np.sum(wang))
     dvs = profile.first_derivative(s)
-    delta = config.pv_inner_radius
+    delta = min(config.pv_inner_radius, 0.5 * vs) if two_leaf else config.pv_inner_radius
     # QUADPACK's weighted routine rejects subdivision limits below 2
     limit = max(2, config.max_subdivisions)
     quad_kw = dict(epsabs=1e-12, epsrel=1e-12, limit=limit)
@@ -369,16 +366,17 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
             points = np.unique(bends[(lo < bends) & (bends < hi)]).tolist()
             kw = dict(quad_kw, points=points) if 0 < len(points) < limit else quad_kw
             return _quad(lambda u: np.sum(plain(math.exp(u))) * math.exp(-alpha * u),
-                         lo, hi, **kw)
+                         lo, hi, warnings, **kw)
         return _gk21_band(lambda u, j: plain(np.exp(u), j) * np.exp(-alpha * u),
                           *node_panels(lo, hi, bends), limit)
 
+    warnings = []
     if n == 1:
         core_val, core_err = _quad(lambda rho: np.sum(core_graph(rho)), 0.0, delta,
-                                   weight="alg", wvar=(-alpha, 0.0), **quad_kw)
+                                   warnings, weight="alg", wvar=(-alpha, 0.0), **quad_kw)
         if two_leaf:
             m_val, m_err = _quad(lambda rho: np.sum(core_mirror(rho)) * rho ** -alpha,
-                                 0.0, delta, **quad_kw)
+                                 0.0, delta, warnings, **quad_kw)
             core_val += m_val
             core_err += m_err
     else:
@@ -393,7 +391,6 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
 
     lips = _slope_bound(profile, s)
     tail_coeff = 2.0 * ang_mass * (2.0 * F.value(lips) + (F.limit if two_leaf else 0.0)) / alpha
-    warnings = []
     decades = 0
     while True:
         tail = tail_coeff * outer ** (-alpha)
@@ -423,12 +420,12 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
                            error_midfield=float(2.0 * mid_err),
                            error_tail=float(tail),
                            outer_radius=float(outer),
-                           warnings=tuple(warnings))
+                           warnings=tuple(dict.fromkeys(warnings)))
 
 
-def two_leaf_curvature(profile, radius, n, alpha, config=None):
+def two_leaf_curvature(profile, radius, n, alpha, config=QuadratureConfig()):
     return graph_curvature(profile, radius, n, alpha, config, two_leaf=True)
 
 
-def subgraph_curvature(profile, radius, n, alpha, config=None):
+def subgraph_curvature(profile, radius, n, alpha, config=QuadratureConfig()):
     return graph_curvature(profile, radius, n, alpha, config, two_leaf=False)

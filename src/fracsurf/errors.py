@@ -1,8 +1,8 @@
 """Exception types raised by the public operations.
 
-Every error that a command-line run can hit maps onto one of these, so the
-CLI can distinguish "the input was bad" (exit 1) from "the computation ran
-but the outcome is not conclusive" (exit 2).
+One that reaches the command line makes it exit 1, as any bad input does;
+exit 2 comes only from a verdict, when the computation ran but its outcome
+is negative or not conclusive.
 """
 
 

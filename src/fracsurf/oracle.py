@@ -93,7 +93,7 @@ def _check_on_boundary(body: Body, point: np.ndarray) -> None:
 
 
 def direct_curvature(body: Body, point, n: int, alpha: float,
-                     config: QuadratureConfig | None = None,
+                     config: QuadratureConfig = QuadratureConfig(),
                      seed: int = 0) -> CurvatureResult:
     """Shell-stratified antipodal Monte Carlo estimate of the curvature.
 
@@ -104,8 +104,6 @@ def direct_curvature(body: Body, point, n: int, alpha: float,
     error_tail.
     """
     _check_order(n, alpha)
-    if config is None:
-        config = QuadratureConfig()
     point = np.asarray(point, dtype=float)
     d = n + 1
     if point.shape != (d,):

@@ -63,7 +63,7 @@ class SlideOutcome:
 
 
 def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: float,
-          config: QuadratureConfig | None = None) -> SlideOutcome:
+          config: QuadratureConfig = QuadratureConfig()) -> SlideOutcome:
     """Lower the barrier height onto the rescaled candidate.
 
     The rescaled candidate c(r) = lam * candidate(r / lam) lies strictly

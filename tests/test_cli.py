@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
+from fracsurf import verify_barrier
 from fracsurf.cli import main
 from fracsurf.config import parse_bool
 
@@ -127,8 +128,9 @@ truncation_radius = 500
     lines = (out / "resolved.ini").read_text().splitlines()
     assert "max_subdivisions = 100" in lines
     assert "truncation_radius = 500.0" in lines
-    # the INI sets no pivot; it comes from the barrier height scale
-    assert "pv_inner_radius = 0.05" in lines
+    # the INI sets no pivot, so the record holds the default largest pivot;
+    # each two-leaf point lowers it to half its own height
+    assert "pv_inner_radius = 0.1" in lines
 
 
 def test_defaults_supplied_at_the_read_are_recorded(tmp_path):
@@ -279,6 +281,16 @@ def test_cone_sweep_with_fewer_than_two_slopes_exits_1(epsilons, tmp_path, capsy
     out = tmp_path / "cone"
     assert run_cli("cone-sweep", cfg, out) == 1
     assert "two or more slopes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [("curvature", "points"), ("perimeter", "scales")])
+def test_an_empty_list_key_exits_1_naming_it(command, key, tmp_path, capsys):
+    cfg = tmp_path / "empty.ini"
+    cfg.write_text(f"[{command}]\n{key} =\n")
+    out = tmp_path / "empty"
+    assert run_cli(command, cfg, out) == 1
+    assert f"{key} must list at least one" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -464,6 +476,21 @@ def test_barrier_verify_positive_exits_0(small_config, tmp_path):
     for sample in payload["samples"]:
         assert sorted(sample.keys()) == ["H", "err", "outer_radius", "point", "warnings"]
         assert sample["warnings"] == []
+
+
+def test_barrier_verify_matches_the_api_exactly(tmp_path):
+    """The command and ``verify_barrier`` take the same pivot at every point,
+    the far cone's included."""
+    cfg = tmp_path / "bv.ini"
+    cfg.write_text("[barrier-verify]\nepsilon = 0.1\nsamples = 16\nbisect = false\n"
+                   "check_shrink = false\n")
+    out = tmp_path / "bv"
+    assert run_cli("barrier-verify", cfg, out) == 0
+    payload = json.loads((out / "report.json").read_text())
+    report = verify_barrier(0.1, 1, 0.5, min_samples=16, bisect_eps0=False,
+                            check_shrink=False)
+    assert payload["cone_value"] == report.cone_value
+    assert [s["H"] for s in payload["samples"]] == [res.value for _, res in report.samples]
 
 
 def test_barrier_verify_with_default_shrink_check_writes_report(small_config, tmp_path):

@@ -81,6 +81,51 @@ def test_sublinear_graph_flattens_into_a_slab_and_outgrows_every_cone(n, tol):
     assert abs(1.0 - ratios[-1][0]) <= tol
 
 
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("h", [1e-8, 1e-10, 1e-12])
+def test_thin_slab_matches_the_slab_law(h, n, alpha):
+    """A two-leaf core ends below half the height, so it resolves a slab
+    however thin.  With the core out to 0.1 the n = 1 slab of half-height
+    1e-8 read -9.6e-6 +- 9.6e-6 at alpha = 0.5, against 67 777."""
+    res = two_leaf_curvature(ConstantProfile(h), 1.0, n, alpha)
+    assert abs(res.value - slab_exact(n, alpha, h)) <= res.total_error
+    assert res.warnings == ()
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("eps", [1e-9, 1e-12])
+def test_thin_cone_matches_the_slab_of_its_height(eps, n, alpha):
+    """At |x| = 5 the cone of slope eps differs from the slab of its height
+    by 1e-4 relative at most.  The value also leaves out the field beyond its
+    outer radius, which its total error bounds: 1.6e-4 of the slab at
+    alpha = 0.2."""
+    r = 5.0 / math.sqrt(1.0 + eps * eps)
+    res = two_leaf_curvature(LinearProfile(eps), r, n, alpha)
+    slab = slab_exact(n, alpha, eps * r)
+    assert abs(res.value - slab) <= 1e-4 * slab + res.total_error
+    assert res.warnings == ()
+
+
+def test_quadpack_reports_other_than_the_subdivision_limit_warn(monkeypatch):
+    """A spent subdivision budget keeps QUADPACK's error estimate and adds
+    nothing; any other report warns.  The n = 1 mirror core once reported
+    divergence on a thin cone and returned -15.155 +- 4.3e-11 unflagged."""
+    from fracsurf import curvature
+
+    quad = curvature.integrate.quad
+    plain = two_leaf_curvature(ConstantProfile(0.5), 2.0, 1, 0.5)
+    for report, warnings in (("The maximum number of subdivisions (200) has been achieved.", ()),
+                             ("The integral is probably divergent, or slowly convergent.",
+                              ("quadrature-failed",))):
+        monkeypatch.setattr(curvature.integrate, "quad",
+                            lambda *args, report=report, **kw: quad(*args, **kw)[:3] + (report,))
+        res = two_leaf_curvature(ConstantProfile(0.5), 2.0, 1, 0.5)
+        assert res.warnings == warnings
+        assert dataclasses.replace(res, warnings=()) == plain
+
+
 def _cone_constant(eps, alpha=0.5):
     """C(eps) = |x|^alpha H on the two-leaf cone |y| < eps |x'| at n = 1,
     taken at |x| = 5, with its error and warnings."""
@@ -275,11 +320,18 @@ def test_a_radius_that_is_not_finite_is_rejected(radius):
 
 
 def test_config_pivot_tracks_barrier_height():
-    assert QuadratureConfig.for_profile(BarrierProfile(0.1)).pv_inner_radius == 0.05
-    assert QuadratureConfig.for_profile(ConstantProfile(0.1)).pv_inner_radius == 0.1
-    # a pivot the INI sets wins over the barrier's
-    forced = _quadrature_from(Section({}, {"pv_inner_radius": "0.02"}), BarrierProfile(0.1))
+    """A two-leaf point pivots at half its height below pv_inner_radius: on
+    the cap of the barrier 0.1 that is 0.05, on its blend at r = 1.5 it is
+    0.0625.  A subgraph point pivots at pv_inner_radius."""
+    prof = BarrierProfile(0.1)
+    for r in (0.5, 1.5):
+        half = QuadratureConfig(pv_inner_radius=0.5 * prof.value(r))
+        assert two_leaf_curvature(prof, r, 1, 0.5) == two_leaf_curvature(prof, r, 1, 0.5, half)
+    assert QuadratureConfig().pv_inner_radius == 0.1
+    # a pivot the INI sets is the largest pivot, and wins over half the height
+    forced = _quadrature_from(Section({}, {"pv_inner_radius": "0.02"}))
     assert forced.pv_inner_radius == 0.02
+    assert two_leaf_curvature(prof, 0.5, 1, 0.5, forced) != two_leaf_curvature(prof, 0.5, 1, 0.5)
 
 
 def test_nonsmooth_points_are_rejected():
@@ -321,8 +373,11 @@ def test_two_leaf_neck_reads_negative_heights_as_empty_slices():
     two-leaf body {|x_last| < max(v, 0)} has empty slices.  Reading those
     heights as reversed intervals gave 4.65409 +- 6.5e-4 at n = 1 and r = 3;
     the Monte Carlo oracle, which classifies points by membership, disagrees
-    with that beyond both error bars.  At r = 1.5 the crossing lies inside
-    the stabilized core, which read 28.9708 there."""
+    with that beyond both error bars.  At r = 1.5 the core, which read
+    28.9708 there when it held the crossing, ends at half the height 0.025,
+    before the crossing.  The neck five times as tall crosses zero at the
+    same radius with slope 3.23 > 2, so there the crossing lies inside the
+    core, which ends at half the height 0.125."""
     prof = BarrierProfile(0.5).shifted(0.6)
     assert prof.value(0.0) < 0.0 < prof.value(3.0)
     flat = two_leaf_curvature(prof, 3.0, 1, 0.5)
@@ -332,10 +387,18 @@ def test_two_leaf_neck_reads_negative_heights_as_empty_slices():
     mc = direct_curvature(TwoLeaf(prof), np.array([3.0, prof.value(3.0)]), 1, 0.5,
                           QuadratureConfig(oracle_samples=4_000_000), seed=11)
     assert abs(mc.value - flat.value) <= mc.total_error + flat.total_error
-    assert 1.5 - 1.463 < QuadratureConfig.for_profile(prof).pv_inner_radius
+    assert 1.5 - 1.463 > 0.5 * prof.value(1.5)
     near = two_leaf_curvature(prof, 1.5, 1, 0.5)
     assert abs(near.value - 27.68773523644817) <= near.total_error
     mc = direct_curvature(TwoLeaf(prof), np.array([1.5, prof.value(1.5)]), 1, 0.5,
+                          QuadratureConfig(oracle_samples=4_000_000), seed=11)
+    assert abs(mc.value - near.value) <= mc.total_error + near.total_error
+    steep = BarrierProfile(2.5).shifted(3.0)
+    assert 1.5 - 1.4634 < 0.5 * steep.value(1.5) < 0.1
+    assert steep.first_derivative(1.4634) > 2.0
+    near = two_leaf_curvature(steep, 1.5, 1, 0.5)
+    assert near.warnings == ()
+    mc = direct_curvature(TwoLeaf(steep), np.array([1.5, steep.value(1.5)]), 1, 0.5,
                           QuadratureConfig(oracle_samples=4_000_000), seed=11)
     assert abs(mc.value - near.value) <= mc.total_error + near.total_error
 
@@ -587,8 +650,7 @@ def test_tail_bound_covers_the_decades_it_leaves_out(profile, r, n, alpha):
     """Integrated in one band out to 1e12, the point may differ from the
     escalated one by no more than the two total errors."""
     res = two_leaf_curvature(profile, r, n, alpha)
-    far = two_leaf_curvature(profile, r, n, alpha, dataclasses.replace(
-        QuadratureConfig.for_profile(profile), truncation_radius=1e12))
+    far = two_leaf_curvature(profile, r, n, alpha, QuadratureConfig(truncation_radius=1e12))
     assert abs(res.value - far.value) <= res.total_error + far.total_error
 
 
@@ -601,7 +663,7 @@ def test_escalation_stops_where_the_bound_meets_its_goal(profile, r, n, alpha, b
     past the first decade where it meets the goal at the final value, since
     each step takes every decade that the value before it needs; it warns
     exactly when the cap or the escalation budget stopped it short."""
-    cfg = dataclasses.replace(QuadratureConfig.for_profile(profile), max_subdivisions=budget)
+    cfg = QuadratureConfig(max_subdivisions=budget)
     res = two_leaf_curvature(profile, r, n, alpha, cfg)
     coeff = res.error_tail * res.outer_radius ** alpha
     goal = max(cfg.target_tolerance, TAIL_SHARE * abs(res.value))
