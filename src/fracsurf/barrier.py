@@ -76,7 +76,7 @@ def _cone_report(epsilon, alpha, ray_curvature) -> ConeConstantReport:
 
 
 def cone_constant(epsilon: float, n: int, alpha: float,
-                  config: QuadratureConfig = QuadratureConfig(),
+                  oracle_samples: int = 1_000_000,
                   seed: int = 0) -> ConeConstantReport:
     """The cone constant from the Monte Carlo oracle, one seed per ray."""
     cone = Cone(epsilon)
@@ -85,7 +85,7 @@ def cone_constant(epsilon: float, n: int, alpha: float,
         point = np.zeros(n + 1)
         point[0] = r
         point[-1] = epsilon * r
-        return direct_curvature(cone, point, n, alpha, config,
+        return direct_curvature(cone, point, n, alpha, oracle_samples,
                                 seed=derived_seed(seed, "cone", epsilon, m))
     return _cone_report(epsilon, alpha, oracle)
 

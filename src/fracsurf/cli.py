@@ -78,7 +78,11 @@ def cmd_curvature(sections, n, alpha, seed):
                          "not a ball or a complement; use method = direct")
     if complement:
         body = ~body
-    cfg = _quadrature_from(sec)
+    if method == "formula":
+        cfg = _quadrature_from(sec)
+    else:
+        oracle_samples = cfgmod.parse_int(sec, "oracle_samples")
+        sec["oracle_samples"] = repr(oracle_samples)
     digest = cfgmod.config_hash(sections)
 
     records = []
@@ -92,7 +96,7 @@ def cmd_curvature(sections, n, alpha, seed):
         if method == "formula":
             res = graph_curvature(profile, r, n, alpha, cfg, two_leaf=(geometry == "twoleaf"))
         else:
-            res = direct_curvature(body, point, n, alpha, cfg,
+            res = direct_curvature(body, point, n, alpha, oracle_samples,
                                    seed=cfgmod.derived_seed(seed, "curvature", i))
         records.append({**asdict(res), "point": [float(c) for c in point],
                         "config_hash": digest})
@@ -163,6 +167,9 @@ def cmd_blowdown(sections, n, alpha, seed):
     eps = cfgmod.parse_float(sec, "epsilon")
     R = cfgmod.parse_float(sec, "R")
     beta = cfgmod.parse_float(sec, "beta")
+    holder_R = cfgmod.parse_floats(sec, "holder_R")
+    if not holder_R:
+        raise ValueError("holder_R must list at least one radius")
     report = flatness_certificate(profile, envelope, eps, R)
     payload = {
         "R": report.R,
@@ -172,7 +179,7 @@ def cmd_blowdown(sections, n, alpha, seed):
         "violator": report.violator,
     }
     lines = ["R,beta,lhs,rhs"]
-    for rr in cfgmod.parse_floats(sec, "holder_R"):
+    for rr in holder_R:
         h = holder_rescaling_check(profile, rr, beta)
         lines.append(_csv_line(h.R, h.beta, h.lhs, h.rhs))
     return 0, {"report.json": _json(payload), "holder.csv": "\n".join(lines) + "\n"}

@@ -29,6 +29,7 @@ COMMAND_DEFAULTS = {
         "epsilon": "0.2",
         "method": "formula",
         "points": "0.5,1.5,2.5,5.0,10.0",
+        "oracle_samples": "1000000",
     },
     "barrier-verify": {
         "epsilon": "0.2",

@@ -94,6 +94,9 @@ _PANEL_BATCH = 16
 class QuadratureConfig:
     """Knobs for the deterministic curvature quadrature.
 
+    The Monte Carlo oracle reads none of them: ``direct_curvature`` takes
+    its own sample count and samples out to a fixed radius.
+
     pv_inner_radius: largest pivot between the stabilized core and the
         midfield; a two-leaf point pivots at half its height below it.
     truncation_radius: initial outer radius R; escalates tenfold as needed.
@@ -105,7 +108,6 @@ class QuadratureConfig:
         Breakpoints and panel edges count against it (at n >= 2 a node's
         edges may take half of it, leaving room to bisect): a band, or at
         n >= 2 a node, whose edges do not fit starts whole.
-    oracle_samples: Monte Carlo budget used by the sampling cross-check.
     angular_order: Gauss-Jacobi node count for n >= 2 (even; n = 1 uses the
         exact two-direction rule).
     """
@@ -114,7 +116,6 @@ class QuadratureConfig:
     truncation_radius: float = 1e3
     target_tolerance: float = 1e-6
     max_subdivisions: int = 200
-    oracle_samples: int = 1_000_000
     angular_order: int = 48
 
     def __post_init__(self):
@@ -129,8 +130,6 @@ class QuadratureConfig:
                              f"not {self.target_tolerance!r}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.oracle_samples < 1:
-            raise ValueError(f"oracle_samples must be >= 1, not {self.oracle_samples!r}")
         if self.angular_order % 2 or self.angular_order < 2:
             raise ValueError("angular_order must be even and >= 2")
 

@@ -12,12 +12,12 @@ short row, which costs numpy one strided inner loop per sample; the order
 of addition, and so every estimate, stays that of ``np.linalg.norm``.
 
 Both samplers build their directions, offsets and membership tests
-``_BLOCK`` = 32768 rows at a time.  Only the radii and the per-sample
-result (the pair indicator or the shell sign) are kept whole, 16 bytes per
-sample, so a 16 M-sample perimeter peaks near 0.45 GB.  Every generator
-is drawn in the order of one whole-array draw, which keeps each estimate
-bit for bit; only the measure-zero redraw of a degenerate direction lands
-inside its own block.
+``_BLOCK`` = 32768 rows at a time.  Only the radii are kept whole, 8 bytes
+per sample: the pair samplers count each block's hits, and a shell keeps
+its own signs, so a 16 M-sample perimeter peaks near 0.21 GB.  Every
+generator is drawn in the order of one whole-array draw, which keeps each
+estimate bit for bit; only the measure-zero redraw of a degenerate
+direction lands inside its own block.
 """
 
 from __future__ import annotations
@@ -27,11 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureResult, QuadratureConfig
+from .curvature import CurvatureResult
 from .errors import DisjointnessError, InvalidPointError
 from .geometry import Body, Box, row_norms
 
 _SHELL_RATIO = math.sqrt(2.0)
+# the direct estimate samples shells out to this radius and bounds the rest
+_OUTER_RADIUS = 1e5
 # rows of pair samples built at a time
 _BLOCK = 32768
 
@@ -53,7 +55,7 @@ def _unit_directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarr
     """``count`` uniform directions in R^dim, normalised Gaussian draws.
 
     Both samplers call it through ``_offset_blocks`` on ``_BLOCK`` = 32768
-    rows at a time (16 bytes per sample stay whole: radii and results).  A
+    rows at a time (8 bytes per sample stay whole: the radii).  A
     draw of norm below 1e-12 (measure zero) is redrawn from ``rng`` right
     away, so it lands inside its own block, before the next block's draws.
     """
@@ -93,10 +95,12 @@ def _check_on_boundary(body: Body, point: np.ndarray) -> None:
 
 
 def direct_curvature(body: Body, point, n: int, alpha: float,
-                     config: QuadratureConfig = QuadratureConfig(),
+                     oracle_samples: int = 1_000_000,
                      seed: int = 0) -> CurvatureResult:
     """Shell-stratified antipodal Monte Carlo estimate of the curvature.
 
+    ``oracle_samples`` is the sample budget, split evenly over the shells
+    (at least 256 pairs each); the shells reach out to radius 1e5.
     Error accounting: the Monte Carlo standard error lands in
     error_midfield; the unsampled core below the innermost shell is bounded
     by extrapolating the shell magnitudes and goes to error_core; the
@@ -104,6 +108,8 @@ def direct_curvature(body: Body, point, n: int, alpha: float,
     error_tail.
     """
     _check_order(n, alpha)
+    if oracle_samples < 1:
+        raise ValueError(f"oracle_samples must be >= 1, not {oracle_samples!r}")
     point = np.asarray(point, dtype=float)
     d = n + 1
     if point.shape != (d,):
@@ -111,11 +117,11 @@ def direct_curvature(body: Body, point, n: int, alpha: float,
     _check_on_boundary(body, point)
 
     r_lo = 1e-3 * max(1.0, float(np.linalg.norm(point)))
-    r_hi = 100.0 * config.truncation_radius
+    r_hi = _OUTER_RADIUS
     n_shells = max(1, int(math.ceil(math.log(r_hi / r_lo) / math.log(_SHELL_RATIO))))
     edges = r_lo * _SHELL_RATIO ** np.arange(n_shells + 1)
     edges[-1] = r_hi
-    pairs_per_shell = max(256, int(config.oracle_samples) // (2 * n_shells))
+    pairs_per_shell = max(256, int(oracle_samples) // (2 * n_shells))
 
     streams = np.random.SeedSequence(seed).spawn(n_shells)
     total = 0.0
@@ -193,16 +199,21 @@ def _pair_estimate(box: Box, n: int, alpha: float, samples: int, seed: int,
     # kernel mass of the offset annulus, exact: |S^n| (near^-a - far^-a)/a
     mass = _sphere_area(n) * (near ** (-alpha) - far ** (-alpha)) / alpha
     # inverse CDF of rho^(-1-alpha) restricted to [near, far], from uniforms
-    rho = (near ** (-alpha)
-           - rng_d.random(samples) * (near ** (-alpha) - far ** (-alpha))) ** (-1.0 / alpha)
-    vals = np.empty(samples)
-    for rows, step in _offset_blocks(rng_d, rho, d):
+    # formed in place: a - u c is a + u (-c) bit for bit
+    rho = rng_d.random(samples)
+    rho *= -(near ** (-alpha) - far ** (-alpha))
+    rho += near ** (-alpha)
+    rho **= -1.0 / alpha
+    hits = 0
+    for _, step in _offset_blocks(rng_d, rho, d):
         xs = box.sample(rng_x, step.shape[0])
-        vals[rows] = indicator(xs, xs + step)
+        hits += int(np.count_nonzero(indicator(xs, xs + step)))
     scale = alpha * (1.0 - alpha) * box.volume * mass
-    value = scale * float(np.mean(vals))
-    # three standard errors, same one-sided reading as everywhere else
-    err = 3.0 * scale * float(np.std(vals, ddof=1)) / math.sqrt(samples)
+    mean = hits / samples
+    value = scale * mean
+    # three standard errors, same one-sided reading as everywhere else; the
+    # sample variance of k ones among N draws is (k / N) (N - k) / (N - 1)
+    err = 3.0 * scale * math.sqrt(mean * (samples - hits) / (samples - 1)) / math.sqrt(samples)
     return EnergyResult(value=value, error=err, near_cut=near, far_cut=far)
 
 

@@ -6,6 +6,7 @@ for the same ``repr`` as here.  The sample counts are no multiple of the
 tested blocks, and each ``direct_curvature`` shell holds about 2800 pairs.
 The output is the Python block the two test files hold.  Give the source
 tree to freeze on the command line, for instance that of an older checkout
+whose ``direct_curvature`` takes the sample count as its fifth argument
 (default ``src``); run from the repository root:
 
     python tests/make_oracle_references.py path/to/src
@@ -15,13 +16,13 @@ import sys
 
 sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else "src")
 
-from fracsurf import (Ball, Box, ConstantProfile, Cone, QuadratureConfig,  # noqa: E402
-                      TwoLeaf, direct_curvature, interaction_energy, relative_perimeter)
+from fracsurf import (Ball, Box, ConstantProfile, Cone, TwoLeaf,  # noqa: E402
+                      direct_curvature, interaction_energy, relative_perimeter)
 
 WINDOW = Box((-2.0, -2.0), (2.0, 2.0))
 CUBE = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
 SLAB = TwoLeaf(ConstantProfile(0.3))
-CONFIG = QuadratureConfig(oracle_samples=300_000)
+ORACLE_SAMPLES = 300_000
 
 # name: call, as the test files spell it
 ENERGY_CASES = {
@@ -32,8 +33,8 @@ ENERGY_CASES = {
                                          samples=5003, seed=33),
 }
 DIRECT_CASES = {
-    "slab n=1": lambda: direct_curvature(SLAB, [0.7, 0.3], 1, 0.5, CONFIG, seed=34),
-    "cone n=1": lambda: direct_curvature(Cone(0.4), [2.0, 0.8], 1, 0.65, CONFIG, seed=35),
+    "slab n=1": lambda: direct_curvature(SLAB, [0.7, 0.3], 1, 0.5, ORACLE_SAMPLES, seed=34),
+    "cone n=1": lambda: direct_curvature(Cone(0.4), [2.0, 0.8], 1, 0.65, ORACLE_SAMPLES, seed=35),
 }
 
 

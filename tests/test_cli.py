@@ -131,6 +131,15 @@ truncation_radius = 500
     # the INI sets no pivot, so the record holds the default largest pivot;
     # each two-leaf point lowers it to half its own height
     assert "pv_inner_radius = 0.1" in lines
+    assert not any(line.startswith("oracle_samples") for line in lines)
+    cfg.write_text("[curvature]\nmethod = direct\nepsilon = 0.1\npoints = 0.5\n")
+    out = tmp_path / "direct"
+    assert run_cli("curvature", cfg, out) == 0
+    lines = (out / "resolved.ini").read_text().splitlines()
+    assert "oracle_samples = 1000000" in lines
+    for key in ("pv_inner_radius", "truncation_radius", "target_tolerance",
+                "max_subdivisions", "angular_order"):
+        assert not any(line.startswith(key) for line in lines)
 
 
 def test_defaults_supplied_at_the_read_are_recorded(tmp_path):
@@ -177,16 +186,22 @@ r_max = 100.0
 
 
 def test_quadrature_key_in_a_command_that_ignores_it_exits_1(tmp_path, capsys):
-    cfg = tmp_path / "cone.ini"
-    cfg.write_text("""\
-[cone-sweep]
-epsilons = 0.4,0.2
-oracle_samples = 20000
-""")
-    out = tmp_path / "cone"
-    assert run_cli("cone-sweep", cfg, out) == 1
-    assert "oracle_samples" in capsys.readouterr().err
-    assert not out.exists()
+    # the oracle reads only oracle_samples, the quadrature everything else
+    cases = [("cone-sweep", "epsilons = 0.4,0.2\n", "oracle_samples = 20000"),
+             ("barrier-verify", "samples = 16\nbisect = false\ncheck_shrink = false\n",
+              "oracle_samples = 20000"),
+             ("curvature", "method = formula\npoints = 0.5\n", "oracle_samples = 20000")]
+    cases += [("curvature", "method = direct\npoints = 0.5\noracle_samples = 1000\n", line)
+              for line in ("pv_inner_radius = 0.05", "truncation_radius = 500",
+                           "target_tolerance = 1e-8", "max_subdivisions = 50",
+                           "angular_order = 16")]
+    for i, (command, section, line) in enumerate(cases):
+        cfg = tmp_path / f"ignored{i}.ini"
+        cfg.write_text(f"[{command}]\n{section}{line}\n")
+        out = tmp_path / f"ignored{i}"
+        assert run_cli(command, cfg, out) == 1
+        assert f"does not read the key {line.split()[0]!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_curvature_direct_ball_interprets_points_as_angles(tmp_path):
@@ -284,7 +299,8 @@ def test_cone_sweep_with_fewer_than_two_slopes_exits_1(epsilons, tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, key", [("curvature", "points"), ("perimeter", "scales")])
+@pytest.mark.parametrize("command, key", [("curvature", "points"), ("perimeter", "scales"),
+                                          ("blowdown", "holder_R")])
 def test_an_empty_list_key_exits_1_naming_it(command, key, tmp_path, capsys):
     cfg = tmp_path / "empty.ini"
     cfg.write_text(f"[{command}]\n{key} =\n")
@@ -317,7 +333,9 @@ def test_cone_sweep_with_a_slope_that_is_not_finite_and_positive_exits_1(epsilon
 def test_sample_count_too_small_exits_1_naming_it(command, key, value, message,
                                                   tmp_path, capsys):
     cfg = tmp_path / "count.ini"
-    cfg.write_text(f"[{command}]\n{key} = {value}\n")
+    # only the Monte Carlo oracle reads oracle_samples
+    method = "method = direct\n" if key == "oracle_samples" else ""
+    cfg.write_text(f"[{command}]\n{method}{key} = {value}\n")
     out = tmp_path / "count"
     assert run_cli(command, cfg, out) == 1
     assert message in capsys.readouterr().err
@@ -674,7 +692,9 @@ def test_misspelled_boolean_exits_1_and_writes_nothing(command, key, word, tmp_p
 def test_integer_key_with_a_fraction_exits_1_and_writes_nothing(command, section, key, value,
                                                                 tmp_path, capsys):
     cfg = tmp_path / "int.ini"
-    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    # only the Monte Carlo oracle reads oracle_samples
+    method = "method = direct\n" if key == "oracle_samples" else ""
+    cfg.write_text(f"[{section}]\n{method}{key} = {value}\n")
     out = tmp_path / "int"
     assert run_cli(command, cfg, out) == 1
     assert f"{key} = {value!r} is not an integer" in capsys.readouterr().err
