@@ -8,8 +8,7 @@ estimates used in the blow-down analysis.
 """
 
 from .barrier import (BarrierReport, ConeConstantReport, ConeSweepReport,
-                      build_barrier, cone_constant, sweep_cone_constant,
-                      verify_barrier)
+                      cone_constant, sweep_cone_constant, verify_barrier)
 from .blowdown import (FlatnessReport, HolderReport, flatness_certificate,
                        holder_rescaling_check)
 from .config import derived_seed
@@ -17,10 +16,9 @@ from .curvature import (CurvatureResult, QuadratureConfig, angular_rule,
                         graph_curvature, subgraph_curvature,
                         two_leaf_curvature)
 from .errors import (DisjointnessError, FracsurfError, HomogeneityViolationError,
-                     InitialInclusionError, InvalidCutoffError,
-                     InvalidEnvelopeError, InvalidEpsilonError,
-                     InvalidExponentError, InvalidPointError,
-                     NonSmoothPointError, NotSublinearError)
+                     InitialInclusionError, InvalidEnvelopeError, InvalidEpsilonError,
+                     InvalidExponentError, InvalidPointError, NonSmoothPointError,
+                     NotSublinearError)
 from .geometry import (Ball, Body, Box, Complement, Cone, HalfSpace, Scaled,
                        Subgraph, TwoLeaf)
 from .kernelfn import SliceIntegral
@@ -59,7 +57,6 @@ __all__ = [
     "HolderReport",
     "HomogeneityViolationError",
     "InitialInclusionError",
-    "InvalidCutoffError",
     "InvalidEnvelopeError",
     "InvalidEpsilonError",
     "InvalidExponentError",
@@ -84,7 +81,6 @@ __all__ = [
     "VERDICT_TOUCH",
     "VERDICT_UNBOUNDED",
     "angular_rule",
-    "build_barrier",
     "cone_constant",
     "derived_seed",
     "direct_curvature",

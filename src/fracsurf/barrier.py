@@ -1,13 +1,17 @@
 """Barrier construction, cone-constant measurement, and positivity audits.
 
 The barrier is the two-leaf body over the capped-cone profile: flat height
-eps out to radius 1, a C^2 quintic blend on [1, 2], then the straight cone
+eps out to radius 1, a C^2 sextic blend on [1, 2], then the straight cone
 eps * r.  The claim under audit is that its curvature stays strictly
 positive on the whole boundary once eps is small, with the far field
 governed by the curvature of the matching straight cone, which the audit
 evaluates by quadrature at its farthest sample.  The cone sweep takes the
 cone constants by quadrature as well; the Monte Carlo cone constant stays
-as the oracle's referee.
+as the oracle's referee.  The audit and its eps0 and half-height probes
+share one failure path: a package error at some radius (a non-smooth point,
+say) leaves no samples at that height and a note with the height and the
+reason, which reads as INCONCLUSIVE for the audit and as not positive for a
+probe.  Any other exception is a fault and propagates.
 """
 
 from __future__ import annotations
@@ -19,23 +23,10 @@ import numpy as np
 
 from .config import derived_seed
 from .curvature import QuadratureConfig, two_leaf_curvature
-from .errors import FracsurfError, HomogeneityViolationError, InvalidCutoffError
+from .errors import FracsurfError, HomogeneityViolationError
 from .geometry import Cone
 from .oracle import direct_curvature
 from .profiles import BarrierProfile, LinearProfile
-
-
-def build_barrier(epsilon: float) -> BarrierProfile:
-    """Construct the barrier profile and verify the blend is C^2 at both knots."""
-    prof = BarrierProfile(epsilon)
-    h = 1e-7
-    for knot in (1.0, 2.0):
-        ds = prof.first_derivative(knot + h) - prof.first_derivative(knot - h)
-        dc = prof.second_derivative(knot + h) - prof.second_derivative(knot - h)
-        if abs(ds) > 1e-5 * epsilon or abs(dc) > 1e-3 * epsilon:
-            raise InvalidCutoffError(
-                f"blend fails C^2 check at r = {knot}: slope jump {ds}, curvature jump {dc}")
-    return prof
 
 
 @dataclass(frozen=True)
@@ -164,24 +155,25 @@ def _sample_radii(count: int) -> np.ndarray:
     return np.unique(np.concatenate([grid, knots.ravel(), ray]))
 
 
-def _evaluate_boundary(epsilon, n, alpha, config, count):
-    profile = build_barrier(epsilon)
+def _evaluate_boundary(epsilon, n, alpha, config, count, notes):
+    """The barrier's samples at this height, and whether any evaluation failed:
+    missed its error target, or raised a package error and left no samples."""
+    profile = BarrierProfile(epsilon)
     samples = []
-    for r in map(float, _sample_radii(count)):
-        res = two_leaf_curvature(profile, r, n, alpha, config)
-        samples.append(((r,) + (0.0,) * (n - 1) + (float(profile.value(r)),), res))
+    try:
+        for r in map(float, _sample_radii(count)):
+            res = two_leaf_curvature(profile, r, n, alpha, config)
+            samples.append(((r,) + (0.0,) * (n - 1) + (float(profile.value(r)),), res))
+    except FracsurfError as exc:
+        notes.append(f"evaluation at epsilon = {epsilon!r} failed: {exc}")
+        return [], True
     return samples, any(res.warnings for _, res in samples)
 
 
 def _positivity_probe(epsilon, n, alpha, config, count, notes):
-    try:
-        samples, failed = _evaluate_boundary(epsilon, n, alpha, config, count)
-    except FracsurfError as exc:
-        # an invalid barrier at this height reads as "not positive", with its
-        # reason in the notes; any other exception is a fault and propagates
-        notes.append(f"positivity probe at epsilon = {epsilon!r} failed: {exc}")
-        return None, True
-    return min(res.value - res.total_error for _, res in samples), failed
+    """Whether the barrier at this height is positive and no evaluation failed."""
+    samples, failed = _evaluate_boundary(epsilon, n, alpha, config, count, notes)
+    return not failed and min(res.value - res.total_error for _, res in samples) > 0.0
 
 
 def verify_barrier(epsilon: float, n: int, alpha: float,
@@ -202,13 +194,11 @@ def verify_barrier(epsilon: float, n: int, alpha: float,
     if min_samples < 1:
         raise ValueError(f"samples must be >= 1, not {min_samples!r}")
     notes = []
-    try:
-        samples, failed = _evaluate_boundary(epsilon, n, alpha, config, min_samples)
-    except FracsurfError as exc:
+    samples, failed = _evaluate_boundary(epsilon, n, alpha, config, min_samples, notes)
+    if not samples:
         return BarrierReport(epsilon=epsilon, n=n, alpha=alpha, samples=(),
-                             min_margin=float("nan"),
-                             verdict=VERDICT_INCONCLUSIVE, empirical_eps0=0.0,
-                             notes=(f"evaluation failed: {exc}",))
+                             min_margin=float("nan"), verdict=VERDICT_INCONCLUSIVE,
+                             empirical_eps0=0.0, notes=tuple(notes))
     min_margin = min(res.value - res.total_error for _, res in samples)
     if failed:
         verdict = VERDICT_INCONCLUSIVE
@@ -226,13 +216,12 @@ def verify_barrier(epsilon: float, n: int, alpha: float,
         notes.append(f"far field disagrees with the cone; cone warnings: {list(cone.warnings)}")
 
     eps0 = 0.0
+    probe_count = max(64, min_samples // 2)
     if bisect_eps0:
         lo, hi = EPS0_WINDOW
-        probe_count = max(64, min_samples // 2)
         for _ in range(EPS0_STEPS):
             mid = 0.5 * (lo + hi)
-            margin, bad = _positivity_probe(mid, n, alpha, config, probe_count, notes)
-            if margin is not None and not bad and margin > 0.0:
+            if _positivity_probe(mid, n, alpha, config, probe_count, notes):
                 lo = mid
             else:
                 hi = mid
@@ -240,9 +229,7 @@ def verify_barrier(epsilon: float, n: int, alpha: float,
 
     shrink_ok = None
     if check_shrink:
-        margin, bad = _positivity_probe(0.5 * epsilon, n, alpha, config,
-                                        max(64, min_samples // 2), notes)
-        shrink_ok = bool(margin is not None and not bad and margin > 0.0)
+        shrink_ok = _positivity_probe(0.5 * epsilon, n, alpha, config, probe_count, notes)
         if verdict == VERDICT_POSITIVE and not shrink_ok:
             notes.append("positivity did not persist at half the height scale")
 

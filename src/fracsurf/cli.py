@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Six subcommands: curvature, barrier-verify, cone-sweep, slide, blowdown,
-perimeter.  Each handler reads its section once and returns its exit status
-and its files; ``main`` writes them together with ``resolved.ini``, the
-record of every key the run read.  A key the user set that the run never
-read is an error, and any error leaves no output directory.  Reruns with
-the same inputs are byte-identical.  Exit status: 0 when the run completed
-with a positive or neutral outcome, 2 when the outcome is inconclusive or
-the mechanism under test did not close, 1 on any error.
+perimeter.  Each handler reads every key of its section and returns its
+computation as a call without arguments, which gives the exit status and
+the files.  ``main`` refuses a key the user set that nothing read before it
+makes that call, so a misspelling costs no computation, then writes the
+files together with ``resolved.ini``, the record of every key the run read.
+Any error leaves no output directory.  Reruns with the same inputs are
+byte-identical.  Exit status: 0 when the run completed with a positive or
+neutral outcome, 2 when the outcome is inconclusive or the mechanism under
+test did not close, 1 on any error.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def cmd_curvature(sections, n, alpha, seed):
     for r in points:
         if not math.isfinite(r):
             raise ValueError(f"points must be finite, not {r!r}")
-    complement = cfgmod.parse_bool(sec.get("complement", "false"))
+    complement = cfgmod.parse_bool(sec, "complement", "false")
     if method not in ("formula", "direct"):
         raise ValueError(f"unknown method {method!r}")
     profile = None
@@ -85,24 +87,26 @@ def cmd_curvature(sections, n, alpha, seed):
         sec["oracle_samples"] = repr(oracle_samples)
     digest = cfgmod.config_hash(sections)
 
-    records = []
-    csv_lines = ["r,height,H,err_total"]
-    for i, r in enumerate(points):
-        point = np.zeros(n + 1)
-        if profile is None:  # a polar angle on the ball
-            point[0], point[-1] = radius * math.cos(r), radius * math.sin(r)
-        else:
-            point[0], point[-1] = r, profile.value(r)
-        if method == "formula":
-            res = graph_curvature(profile, r, n, alpha, cfg, two_leaf=(geometry == "twoleaf"))
-        else:
-            res = direct_curvature(body, point, n, alpha, oracle_samples,
-                                   seed=cfgmod.derived_seed(seed, "curvature", i))
-        records.append({**asdict(res), "point": [float(c) for c in point],
-                        "config_hash": digest})
-        csv_lines.append(_csv_line(float(r), float(point[-1]), float(res.value),
-                                   float(res.total_error)))
-    return 0, {"points.json": _json(records), "sweep.csv": "\n".join(csv_lines) + "\n"}
+    def run():
+        records = []
+        csv_lines = ["r,height,H,err_total"]
+        for i, r in enumerate(points):
+            point = np.zeros(n + 1)
+            if profile is None:  # a polar angle on the ball
+                point[0], point[-1] = radius * math.cos(r), radius * math.sin(r)
+            else:
+                point[0], point[-1] = r, profile.value(r)
+            if method == "formula":
+                res = graph_curvature(profile, r, n, alpha, cfg, two_leaf=(geometry == "twoleaf"))
+            else:
+                res = direct_curvature(body, point, n, alpha, oracle_samples,
+                                       seed=cfgmod.derived_seed(seed, "curvature", i))
+            records.append({**asdict(res), "point": [float(c) for c in point],
+                            "config_hash": digest})
+            csv_lines.append(_csv_line(float(r), float(point[-1]), float(res.value),
+                                       float(res.total_error)))
+        return 0, {"points.json": _json(records), "sweep.csv": "\n".join(csv_lines) + "\n"}
+    return run
 
 
 def cmd_barrier_verify(sections, n, alpha, seed):
@@ -110,31 +114,38 @@ def cmd_barrier_verify(sections, n, alpha, seed):
     eps = cfgmod.parse_float(sec, "epsilon")
     samples = cfgmod.parse_int(sec, "samples")
     cfg = _quadrature_from(sec)
-    report = verify_barrier(eps, n, alpha, config=cfg, min_samples=samples,
-                            bisect_eps0=cfgmod.parse_bool(sec["bisect"]),
-                            check_shrink=cfgmod.parse_bool(sec["check_shrink"]))
-    payload = {**asdict(report),
-               "samples": [{"point": list(point), "H": res.value, "err": res.total_error,
-                            "outer_radius": res.outer_radius, "warnings": list(res.warnings)}
-                           for point, res in report.samples]}
-    return 0 if report.verdict == "POSITIVE" else 2, {"report.json": _json(payload)}
+    bisect = cfgmod.parse_bool(sec, "bisect")
+    check_shrink = cfgmod.parse_bool(sec, "check_shrink")
+
+    def run():
+        report = verify_barrier(eps, n, alpha, config=cfg, min_samples=samples,
+                                bisect_eps0=bisect, check_shrink=check_shrink)
+        payload = {**asdict(report),
+                   "samples": [{"point": list(point), "H": res.value, "err": res.total_error,
+                                "outer_radius": res.outer_radius, "warnings": list(res.warnings)}
+                               for point, res in report.samples]}
+        return 0 if report.verdict == "POSITIVE" else 2, {"report.json": _json(payload)}
+    return run
 
 
 def cmd_cone_sweep(sections, n, alpha, seed):
     sec = sections["cone-sweep"]
     epsilons = cfgmod.parse_floats(sec, "epsilons")
-    report = sweep_cone_constant(epsilons, n, alpha)
-    lines = ["epsilon,M,err"]
-    for entry in report.entries:
-        lines.append(_csv_line(entry.epsilon, entry.value, entry.error))
-    payload = {
-        "entries": [{"epsilon": e.epsilon, "M": e.value, "err": e.error,
-                     "rays": [list(t) for t in e.entries], "warnings": list(e.warnings)}
-                    for e in report.entries],
-        "blow_up_trend": report.blow_up_trend,
-        "monotone": report.monotone,
-    }
-    return 0, {"sweep.csv": "\n".join(lines) + "\n", "report.json": _json(payload)}
+
+    def run():
+        report = sweep_cone_constant(epsilons, n, alpha)
+        lines = ["epsilon,M,err"]
+        for entry in report.entries:
+            lines.append(_csv_line(entry.epsilon, entry.value, entry.error))
+        payload = {
+            "entries": [{"epsilon": e.epsilon, "M": e.value, "err": e.error,
+                         "rays": [list(t) for t in e.entries], "warnings": list(e.warnings)}
+                        for e in report.entries],
+            "blow_up_trend": report.blow_up_trend,
+            "monotone": report.monotone,
+        }
+        return 0, {"sweep.csv": "\n".join(lines) + "\n", "report.json": _json(payload)}
+    return run
 
 
 def cmd_slide(sections, n, alpha, seed):
@@ -142,22 +153,25 @@ def cmd_slide(sections, n, alpha, seed):
     eps0 = cfgmod.parse_float(sec, "eps0")
     envelope = profile_from_config(sec, "envelope_")
     candidate = profile_from_config(sec, "candidate_")
-    plan = rescale_for_slide(envelope, eps0)
-    outcome = slide(candidate, plan.lam, eps0, n, alpha)
-    res = outcome.curvature
-    payload = {
-        "lambda": outcome.lam,
-        "eps_star": outcome.eps_star,
-        "floor": outcome.floor,
-        "touch_point": list(outcome.touch_point) if outcome.touch_point else None,
-        "H_at_touch": res.value if res else None,
-        "err": res.total_error if res else None,
-        "outer_radius": res.outer_radius if res else None,
-        "warnings": list(res.warnings) if res else [],
-        "verdict": outcome.verdict,
-        "interpretation": outcome.interpretation,
-    }
-    return 2 if outcome.verdict == VERDICT_UNBOUNDED else 0, {"outcome.json": _json(payload)}
+
+    def run():
+        plan = rescale_for_slide(envelope, eps0)
+        outcome = slide(candidate, plan.lam, eps0, n, alpha)
+        res = outcome.curvature
+        payload = {
+            "lambda": outcome.lam,
+            "eps_star": outcome.eps_star,
+            "floor": outcome.floor,
+            "touch_point": list(outcome.touch_point) if outcome.touch_point else None,
+            "H_at_touch": res.value if res else None,
+            "err": res.total_error if res else None,
+            "outer_radius": res.outer_radius if res else None,
+            "warnings": list(res.warnings) if res else [],
+            "verdict": outcome.verdict,
+            "interpretation": outcome.interpretation,
+        }
+        return 2 if outcome.verdict == VERDICT_UNBOUNDED else 0, {"outcome.json": _json(payload)}
+    return run
 
 
 def cmd_blowdown(sections, n, alpha, seed):
@@ -170,19 +184,22 @@ def cmd_blowdown(sections, n, alpha, seed):
     holder_R = cfgmod.parse_floats(sec, "holder_R")
     if not holder_R:
         raise ValueError("holder_R must list at least one radius")
-    report = flatness_certificate(profile, envelope, eps, R)
-    payload = {
-        "R": report.R,
-        "epsilon": report.epsilon,
-        "R_eps_predicted": report.R_eps_predicted,
-        "passed": report.passed,
-        "violator": report.violator,
-    }
-    lines = ["R,beta,lhs,rhs"]
-    for rr in holder_R:
-        h = holder_rescaling_check(profile, rr, beta)
-        lines.append(_csv_line(h.R, h.beta, h.lhs, h.rhs))
-    return 0, {"report.json": _json(payload), "holder.csv": "\n".join(lines) + "\n"}
+
+    def run():
+        report = flatness_certificate(profile, envelope, eps, R)
+        payload = {
+            "R": report.R,
+            "epsilon": report.epsilon,
+            "R_eps_predicted": report.R_eps_predicted,
+            "passed": report.passed,
+            "violator": report.violator,
+        }
+        lines = ["R,beta,lhs,rhs"]
+        for rr in holder_R:
+            h = holder_rescaling_check(profile, rr, beta)
+            lines.append(_csv_line(h.R, h.beta, h.lhs, h.rhs))
+        return 0, {"report.json": _json(payload), "holder.csv": "\n".join(lines) + "\n"}
+    return run
 
 
 def cmd_perimeter(sections, n, alpha, seed):
@@ -194,16 +211,20 @@ def cmd_perimeter(sections, n, alpha, seed):
     scales = cfgmod.parse_floats(sec, "scales")
     if not scales:
         raise ValueError("scales must list at least one scale")
-    lines = ["scale,value,err"]
-    rows = []
-    for scale in scales:
-        scaled = Scaled(body, scale)
-        window = Box((-w * scale,) * (n + 1), (w * scale,) * (n + 1))
-        res = relative_perimeter(scaled, window, n, alpha, samples=samples,
-                                 seed=cfgmod.derived_seed(seed, "perimeter", scale))
-        lines.append(_csv_line(scale, res.value, res.error))
-        rows.append({"scale": float(scale), "value": res.value, "err": res.error})
-    return 0, {"perimeter.csv": "\n".join(lines) + "\n", "report.json": _json({"rows": rows})}
+
+    def run():
+        lines = ["scale,value,err"]
+        rows = []
+        for scale in scales:
+            scaled = Scaled(body, scale)
+            window = Box((-w * scale,) * (n + 1), (w * scale,) * (n + 1))
+            res = relative_perimeter(scaled, window, n, alpha, samples=samples,
+                                     seed=cfgmod.derived_seed(seed, "perimeter", scale))
+            lines.append(_csv_line(scale, res.value, res.error))
+            rows.append({"scale": float(scale), "value": res.value, "err": res.error})
+        return 0, {"perimeter.csv": "\n".join(lines) + "\n",
+                   "report.json": _json({"rows": rows})}
+    return run
 
 
 _HANDLERS = {
@@ -240,12 +261,13 @@ def main(argv=None) -> int:
         # values nor bytes, so they stay out of the resolved config and its hash
         run.pop("threads", None)
         out = run.pop("out", None)
-        code, files = _HANDLERS[run["command"]](sections, cfgmod.parse_int(run, "n"),
-                                                 cfgmod.parse_float(run, "alpha"),
-                                                 cfgmod.parse_int(run, "seed"))
+        compute = _HANDLERS[run["command"]](sections, cfgmod.parse_int(run, "n"),
+                                            cfgmod.parse_float(run, "alpha"),
+                                            cfgmod.parse_int(run, "seed"))
         unread = cfgmod.unread(sections)
         if unread:
             raise ValueError(f"{args.command} does not read the key {unread[0]!r}")
+        code, files = compute()
         files["resolved.ini"] = cfgmod.canonical_text(cfgmod.record(sections))
         out_dir = Path(args.out or out or f"runs/{args.command}")
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -7,8 +7,10 @@ reads.  The record of a run is exactly those keys with their values
 (defaults, file values, command-line overrides), in one canonical INI text.
 That text is written beside the outputs as ``resolved.ini`` and its md5 is
 stamped into the result records, so a result can always be traced to the
-exact knobs that produced it and reruns are byte-identical.  A key the user
-set that the command never read has no effect and makes the run fail.
+exact knobs that produced it and reruns are byte-identical.  A command reads
+all of its keys before it computes anything, and a key the user set that it
+never read would have no effect, so it makes the run fail at once.  Each
+reader's error names its key.
 """
 
 from __future__ import annotations
@@ -170,10 +172,12 @@ def parse_int(section: dict, key: str) -> int:
     return int(value)
 
 
-def parse_bool(text: str) -> bool:
-    """1, true, yes or on; 0, false, no or off; stripped and in any case."""
+def parse_bool(section: dict, key: str, default=None) -> bool:
+    """A boolean key, ``default`` when unset: 1, true, yes or on; 0, false, no
+    or off; stripped and in any case.  Any other word is an error naming the key."""
+    text = section[key] if default is None else section.get(key, default)
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
     except KeyError:
-        raise ValueError(f"{text!r} is not a boolean: use true/false, yes/no, on/off "
-                         "or 1/0") from None
+        raise ValueError(f"{key} = {text!r} is not a boolean: use true/false, yes/no, "
+                         "on/off or 1/0") from None

@@ -30,10 +30,6 @@ class DisjointnessError(FracsurfError):
     """Two sets handed to the interaction energy overlap inside the box."""
 
 
-class InvalidCutoffError(FracsurfError):
-    """Barrier blend region failed its smoothness verification."""
-
-
 class NonSmoothPointError(FracsurfError):
     """Curvature requested at a point where the profile is not C^2."""
 

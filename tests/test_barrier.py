@@ -6,34 +6,19 @@ import pytest
 
 import fracsurf.barrier as barrier_mod
 from fracsurf import (BarrierProfile, CurvatureResult, HomogeneityViolationError,
-                      InvalidCutoffError, LinearProfile, QuadratureConfig, build_barrier,
+                      LinearProfile, NonSmoothPointError, QuadratureConfig,
                       cone_constant, derived_seed, sweep_cone_constant,
                       two_leaf_curvature, verify_barrier)
 
 
-def test_build_barrier_rejects_nonpositive_epsilon():
+def test_barrier_profile_rejects_nonpositive_epsilon():
     with pytest.raises(ValueError):
-        build_barrier(0.0)
+        BarrierProfile(0.0)
 
 
-def test_build_barrier_rejects_infinite_epsilon():
-    """An infinite height would pass the C^2 probe, whose jumps are nan."""
+def test_barrier_profile_rejects_infinite_epsilon():
     with pytest.raises(ValueError, match="finite"):
-        build_barrier(math.inf)
-
-
-def test_broken_blend_is_caught(monkeypatch):
-    """The C^2 gate passes the true blend and fires on a slope jump."""
-    assert build_barrier(0.2).epsilon == 0.2
-
-    class KinkedProfile(BarrierProfile):
-        def first_derivative(self, r):
-            base = BarrierProfile.first_derivative(self, r)
-            return base + (0.01 if r > 1.0 else 0.0)
-
-    monkeypatch.setattr(barrier_mod, "BarrierProfile", KinkedProfile)
-    with pytest.raises(InvalidCutoffError):
-        build_barrier(0.2)
+        BarrierProfile(math.inf)
 
 
 def test_cone_constant_regression_and_ray_agreement():
@@ -162,8 +147,9 @@ def test_sample_radii_pin_the_grid_the_knot_offsets_and_the_ray(count, grid, ray
 def test_samples_sit_on_the_upper_leaf(n, monkeypatch):
     monkeypatch.setattr(barrier_mod, "two_leaf_curvature",
                         lambda *args: CurvatureResult(1.0, 0.0, 0.0, 0.0))
-    pts, failed = barrier_mod._evaluate_boundary(0.1, n, 0.5, None, 16)
-    assert not failed
+    notes = []
+    pts, failed = barrier_mod._evaluate_boundary(0.1, n, 0.5, None, 16, notes)
+    assert not failed and notes == []
     assert [point[0] for point, _ in pts] == list(barrier_mod._sample_radii(16))
     profile = BarrierProfile(0.1)
     for point, res in pts:
@@ -216,57 +202,53 @@ def test_verify_barrier_goes_inconclusive_when_quadrature_is_starved():
     assert all(res.outer_radius >= cfg.truncation_radius for _, res in rep.samples)
 
 
+def non_smooth_below(height):
+    """two_leaf_curvature that raises the package's error on barriers lower
+    than ``height``, as at a non-smooth point, and evaluates all else."""
+    def curvature(profile, *args):
+        if isinstance(profile, BarrierProfile) and profile.epsilon < height:
+            raise NonSmoothPointError("profile is not smooth here")
+        return two_leaf_curvature(profile, *args)
+    return curvature
+
+
+def broken(*args, **kwargs):
+    raise RuntimeError("fault in the evaluation")
+
+
 def test_positivity_probe_reads_invalid_barriers_as_not_positive(monkeypatch):
-    def invalid(*args, **kwargs):
-        raise InvalidCutoffError("blend fails its C^2 check")
-
-    evaluate = barrier_mod._evaluate_boundary
-    monkeypatch.setattr(barrier_mod, "_evaluate_boundary", invalid)
+    monkeypatch.setattr(barrier_mod, "two_leaf_curvature", non_smooth_below(math.inf))
     notes = []
-    assert barrier_mod._positivity_probe(0.2, 1, 0.5, None, 16, notes) == (None, True)
-    assert notes == ["positivity probe at epsilon = 0.2 failed: blend fails its C^2 check"]
+    assert barrier_mod._positivity_probe(0.2, 1, 0.5, None, 16, notes) is False
+    assert notes == ["evaluation at epsilon = 0.2 failed: profile is not smooth here"]
 
-    # through verify_barrier: only the probes at other heights fail, and
-    # each failure leaves its height and reason in the report
-    def invalid_below(epsilon, *args):
-        if epsilon < 0.2:
-            invalid()
-        return evaluate(epsilon, *args)
-
-    monkeypatch.setattr(barrier_mod, "_evaluate_boundary", invalid_below)
+    # through verify_barrier: only the probe at half the height fails, and
+    # its failure leaves its height and reason in the report
+    monkeypatch.setattr(barrier_mod, "two_leaf_curvature", non_smooth_below(0.2))
     rep = verify_barrier(0.2, 1, 0.5, min_samples=16, bisect_eps0=False)
-    assert rep.shrink_consistent is False
-    assert "positivity probe at epsilon = 0.1 failed: blend fails its C^2 check" in rep.notes
+    assert rep.samples and rep.shrink_consistent is False
+    assert "evaluation at epsilon = 0.1 failed: profile is not smooth here" in rep.notes
 
 
 def test_positivity_probe_lets_faults_propagate(monkeypatch):
     """A bug must not silently read as 'not positive' and lower eps0."""
-    def broken(*args, **kwargs):
-        raise RuntimeError("fault in the evaluation")
-
-    monkeypatch.setattr(barrier_mod, "_evaluate_boundary", broken)
+    monkeypatch.setattr(barrier_mod, "two_leaf_curvature", broken)
     with pytest.raises(RuntimeError, match="fault in the evaluation"):
         barrier_mod._positivity_probe(0.2, 1, 0.5, None, 16, [])
 
 
 def test_verify_barrier_reads_invalid_barriers_as_inconclusive(monkeypatch):
-    def invalid(*args, **kwargs):
-        raise InvalidCutoffError("blend fails its C^2 check")
-
-    monkeypatch.setattr(barrier_mod, "_evaluate_boundary", invalid)
+    monkeypatch.setattr(barrier_mod, "two_leaf_curvature", non_smooth_below(math.inf))
     rep = verify_barrier(0.2, 1, 0.5, min_samples=16, bisect_eps0=False,
                          check_shrink=False)
     assert rep.verdict == "INCONCLUSIVE"
     assert rep.samples == ()
-    assert any(note.startswith("evaluation failed") for note in rep.notes)
+    assert rep.notes == ("evaluation at epsilon = 0.2 failed: profile is not smooth here",)
 
 
 def test_verify_barrier_lets_faults_propagate(monkeypatch):
     """A bug must surface, not hide behind an INCONCLUSIVE report."""
-    def broken(*args, **kwargs):
-        raise RuntimeError("fault in the evaluation")
-
-    monkeypatch.setattr(barrier_mod, "_evaluate_boundary", broken)
+    monkeypatch.setattr(barrier_mod, "two_leaf_curvature", broken)
     with pytest.raises(RuntimeError, match="fault in the evaluation"):
         verify_barrier(0.2, 1, 0.5, min_samples=16, bisect_eps0=False,
                        check_shrink=False)

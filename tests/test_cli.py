@@ -186,7 +186,9 @@ r_max = 100.0
 
 
 def test_quadrature_key_in_a_command_that_ignores_it_exits_1(tmp_path, capsys):
-    # the oracle reads only oracle_samples, the quadrature everything else
+    # the oracle reads only oracle_samples, the quadrature everything else.
+    # The key is refused before the command computes anything; the small
+    # workloads keep each case cheap should that order ever break
     cases = [("cone-sweep", "epsilons = 0.4,0.2\n", "oracle_samples = 20000"),
              ("barrier-verify", "samples = 16\nbisect = false\ncheck_shrink = false\n",
               "oracle_samples = 20000"),
@@ -202,6 +204,19 @@ def test_quadrature_key_in_a_command_that_ignores_it_exits_1(tmp_path, capsys):
         assert run_cli(command, cfg, out) == 1
         assert f"does not read the key {line.split()[0]!r}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_unread_key_is_refused_before_any_computation(monkeypatch, tmp_path, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the audit ran before its keys were checked")
+
+    monkeypatch.setattr("fracsurf.cli.verify_barrier", never)
+    cfg = tmp_path / "stray.ini"
+    cfg.write_text("[barrier-verify]\nsampels = 3\n")
+    out = tmp_path / "stray"
+    assert run_cli("barrier-verify", cfg, out) == 1
+    assert "barrier-verify does not read the key 'sampels'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_curvature_direct_ball_interprets_points_as_angles(tmp_path):
@@ -676,7 +691,7 @@ def test_misspelled_boolean_exits_1_and_writes_nothing(command, key, word, tmp_p
     cfg.write_text(f"[{command}]\n{key} = {word}\n")
     out = tmp_path / "bool"
     assert run_cli(command, cfg, out) == 1
-    assert f"{word!r} is not a boolean" in capsys.readouterr().err
+    assert f"{key} = {word!r} is not a boolean" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -771,9 +786,9 @@ def test_booleans_read_in_any_case(small_config, tmp_path):
         assert ((tmp_path / "spelled" / command / name).read_bytes()
                 == (tmp_path / "plain" / command / name).read_bytes())
     for word in ("1", "true", "Yes", " ON "):
-        assert parse_bool(word) is True
+        assert parse_bool({"bisect": word}, "bisect") is True
     for word in ("0", "FALSE", "no", "Off\t"):
-        assert parse_bool(word) is False
+        assert parse_bool({"bisect": word}, "bisect") is False
 
 
 def test_run_threads_and_out_are_accepted_and_unrecorded(tmp_path):

@@ -81,19 +81,6 @@ def test_chord_across_knots():
                                                  rel=1e-10, abs=1e-13)
 
 
-def test_barrier_is_c2_at_the_cutoff_knots():
-    eps = 0.2
-    prof = BarrierProfile(eps)
-    h = 1e-6
-    for knot in (1.0, 2.0):
-        left_d = prof.first_derivative(knot - h)
-        right_d = prof.first_derivative(knot + h)
-        assert abs(left_d - right_d) < 1e-4 * max(1.0, eps)
-        left_s = prof.second_derivative(knot - h)
-        right_s = prof.second_derivative(knot + h)
-        assert abs(left_s - right_s) < 1e-2
-
-
 def test_barrier_height_envelope():
     """Plateau at the cusp height, cone far out, controlled in between."""
     eps = 0.15
@@ -437,6 +424,26 @@ def reference_bends(profile, radii, steps):
                     + max(slope_size, abs(slope)) / abs(h))
             out.append(((chord - Fraction(slope)) / Fraction(h), size))
     return as_floats(out)
+
+
+def test_barrier_is_c2_at_the_cutoff_knots():
+    """Value, slope and curvature of the pieces on either side of each knot,
+    in exact arithmetic on each piece's own stored coefficients: equal where
+    10 eps, 15 eps and 6 eps are binary-exact, and within a few ulps of the
+    terms' sizes where they are rounded."""
+    for eps in (1.0, 0.25, 0.2):
+        prof = BarrierProfile(eps)
+        for knot in prof.knots:
+            sides = [exact_piece(prof, x) for x in (knot - 0.5, knot)]
+            for deriv in range(3):
+                (left, left_size), (right, right_size) = [
+                    exact_poly(coeffs, Fraction(knot) - Fraction(anchor), deriv)
+                    for anchor, coeffs in sides]
+                if eps == 0.2:
+                    size = float(max(left_size, right_size))
+                    assert abs(left - right) <= 4 * np.spacing(size), (eps, knot, deriv)
+                else:
+                    assert left == right, (eps, knot, deriv)
 
 
 @pytest.mark.parametrize("profile", ARRAY_FAMILIES.values(), ids=list(ARRAY_FAMILIES))
