@@ -39,8 +39,10 @@ Node j's term w_j part_j(rho) of A bends where its offset radius
 rho = -s c_j +- sqrt(k^2 - s^2 (1 - c_j^2)): one formula for every n, where
 n = 1 is the two nodes c = +-1 and the roots are |k -+ s|.  k runs over the
 axis, the knots and the zero crossings of v (two-leaf only: the slice height
-is max(v, 0)).  At n = 1 QUADPACK integrates A with the rho of both nodes
-inside each band as breakpoints.  At n >= 2 each node's term is integrated
+is max(v, 0)), which each profile solves once, on first use (``zeros``), as
+``angular_rule`` solves each node set once per (n, order).  At n = 1
+QUADPACK integrates A with the rho of both nodes inside each band as
+breakpoints.  At n >= 2 each node's term is integrated
 in u = log rho (the core in x) on its own panels, split at its own bends,
 by adaptive Gauss-Kronrod 21/10 that refines the panels of all nodes from
 one pool and evaluates every new panel at once.  Edges count against the
@@ -51,6 +53,7 @@ whose edges do not fit starts whole.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -60,7 +63,7 @@ from scipy import integrate, special
 
 from .errors import NonSmoothPointError
 from .kernelfn import SliceIntegral
-from .profiles import RadialProfile, profile_values, profile_zeros
+from .profiles import RadialProfile, profile_values
 
 # Lipschitz probe grid for the tail bound: dense through the near field,
 # decades out to 1e8 to catch slopes that keep growing
@@ -148,19 +151,24 @@ class CurvatureResult:
         return self.error_core + self.error_midfield + self.error_tail
 
 
+@functools.cache
 def angular_rule(n: int, order: int):
     """Nodes (cosines) and weights integrating over offset directions.
 
     Directions theta on S^(n-1) against a function of cos = theta . x'hat
     reduce to int_-1^1 f(c) (1-c^2)^((n-3)/2) dc times the sphere factor
-    |S^(n-2)|.  n = 1 degenerates to the two directions c = +-1.
+    |S^(n-2)|.  n = 1 degenerates to the two directions c = +-1.  Each
+    (n, order) is solved once; every caller shares its read-only arrays.
     """
     if n == 1:
-        return np.array([1.0, -1.0]), np.array([1.0, 1.0])
-    expo = 0.5 * (n - 3)
-    nodes, weights = special.roots_jacobi(order, expo, expo)
-    sphere = 2.0 * math.pi ** (0.5 * (n - 1)) / math.gamma(0.5 * (n - 1))
-    return nodes, sphere * weights
+        nodes, weights = np.array([1.0, -1.0]), np.array([1.0, 1.0])
+    else:
+        expo = 0.5 * (n - 3)
+        nodes, weights = special.roots_jacobi(order, expo, expo)
+        sphere = 2.0 * math.pi ** (0.5 * (n - 1)) / math.gamma(0.5 * (n - 1))
+        weights = sphere * weights
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _quad(func, lo, hi, warnings, **kw):
@@ -342,7 +350,7 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
 
     outer = config.truncation_radius
     bend_node, bend_rho = node_bends(np.concatenate(
-        ([0.0], profile.knots, profile_zeros(profile) if two_leaf else ())))
+        ([0.0], profile.knots, profile.zeros if two_leaf else ())))
     bends = np.log(bend_rho)
 
     def node_panels(lo, hi, at):

@@ -25,11 +25,16 @@ takes the series that needs no cancellation where it can: F is theta K
 below |t| = 1 and limit - gap beyond; gap is w^(n+a) G from |t| = 0.5 on
 and limit - theta K below.  That lower split costs the factor
 limit / gap(0.5) to cancellation, 1.8 to 3.2 at n = 2 to 4 and up to 6 at
-n = 8; a split at 1 lost up to 2e-14 relative just below t = 1.
+n = 8; a split at 1 lost up to 2e-14 relative just below t = 1.  Each
+element evaluates only the series its split selects, one angle and one
+Horner loop, by the same operations in the same order wherever it sits in
+its batch.
 
 At n = 1 the curvature quadrature calls the kernel from QUADPACK, two
-elements at a time, where the series' two Horner loops cost six to ten
-times one call of ``betainc`` or ``stdtr``; n = 1 keeps those.  So does n > 8: there
+elements at a time.  There one series costs about five times one call of
+``betainc`` and eight to eleven times one of ``stdtr`` (timeit, shared
+2-vCPU host), and two elements on both sides of a split pay for both
+series; n = 1 keeps those.  So does n > 8: there
 cos^m narrows, the fixed degrees leave Chebyshev terms of 1e-10 at n = 20,
 and the cancellation factor reaches 30.  The path depends on n alone,
 never on the size of the array, so F(t) does not depend on the batch t
@@ -104,12 +109,31 @@ def _horner(coeffs, u):
     return out
 
 
+def _split(t, at, below, above):
+    """below(|t|) where |t| < at or is nan, above(|t|) from at on, each
+    function on its own elements only; flat, in the order of t."""
+    a = np.abs(t.ravel())
+    far = a >= at
+    # a batch on one side, as most are, skips the masks and the other
+    # series' calls on no elements
+    if far.all():
+        return above(a)
+    near = ~far
+    if near.all():
+        return below(a)
+    out = np.empty_like(a)
+    out[near] = below(a[near])
+    out[far] = above(a[far])
+    return out
+
+
 class SliceIntegral:
     """Evaluator for F and its derivative at fixed (n, alpha).
 
     For 2 <= n <= 8, F and gap come from the angle series of the module
-    docstring.  At n = 1 and n > 8 the closed form uses the regularized
-    incomplete beta function,
+    docstring, each element from the one series its split selects.  At
+    n = 1 and n > 8 the closed form uses the regularized incomplete beta
+    function,
 
         F(t) = sign(t) * B(1/2, (n+a)/2) * I_x(1/2, (n+a)/2) / 2,
         x = t^2 / (1 + t^2),
@@ -135,21 +159,25 @@ class SliceIntegral:
         self._tail_scale = -np.sqrt(self._dof)
         self._coeffs = _series(self.n, self.alpha) if 2 <= self.n <= 8 else None
 
-    def _angle_parts(self, a, far):
-        """theta K(theta^2), and w^(n+a) G(w^2) as w^a u^(n//2) w^(n%2),
-        which keeps n + a from rounding; the angle is w where ``far``."""
-        angle = np.where(far, np.arctan2(1.0, a), np.arctan(a))
+    def _near(self, a):
+        """theta K(theta^2), theta = arctan(a)."""
+        angle = np.arctan(a)
+        out = _horner(self._coeffs[0], angle * angle)
+        out *= angle
+        return out
+
+    def _tail(self, a):
+        """w^(n+a) G(w^2), w = arctan(1/a), as w^a u^(n//2) w^(n%2) with
+        u = w^2, which keeps n + a from rounding."""
+        angle = np.arctan2(1.0, a)
         u = angle * angle
-        k_coeffs, g_coeffs = self._coeffs
-        near = _horner(k_coeffs, u)
-        near *= angle
-        tail = _horner(g_coeffs, u)
-        tail *= angle ** self.alpha
+        out = _horner(self._coeffs[1], u)
+        out *= angle ** self.alpha
         for _ in range(self.n // 2):
-            tail *= u
+            out *= u
         if self.n % 2:
-            tail *= angle
-        return near, tail
+            out *= angle
+        return out
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -157,10 +185,8 @@ class SliceIntegral:
             a = np.minimum(np.abs(t), 1e150)
             out = np.sign(t) * self.limit * special.betainc(0.5, self._b, a * a / (1.0 + a * a))
         else:
-            a = np.abs(t)
-            far = a >= 1.0
-            near, tail = self._angle_parts(a, far)
-            out = np.copysign(np.where(far, self.limit - tail, near), t)
+            out = _split(t, 1.0, self._near, lambda a: self.limit - self._tail(a))
+            out = np.copysign(out.reshape(t.shape), t)
         return float(out) if t.ndim == 0 else out
 
     __call__ = value
@@ -179,10 +205,8 @@ class SliceIntegral:
             tail = special.stdtr(self._dof, self._tail_scale * np.minimum(np.abs(t), 1e300))
             out = 2.0 * self.limit * tail
         else:
-            a = np.abs(t)
-            far = a >= 0.5
-            near, tail = self._angle_parts(a, far)
-            out = np.where(far, tail, self.limit - near)
+            out = _split(t, 0.5, lambda a: self.limit - self._near(a),
+                         self._tail).reshape(t.shape)
         return float(out) if t.ndim == 0 else out
 
     def deriv(self, t):

@@ -25,6 +25,7 @@ under x' -> -x'); negative arguments are folded through that symmetry.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -77,6 +78,14 @@ class RadialProfile:
     """
 
     kind = "abstract"
+
+    @functools.cached_property
+    def zeros(self) -> np.ndarray:
+        """``profile_zeros`` of this profile, solved on first use and kept,
+        read-only: a profile never changes after it is built."""
+        radii = profile_zeros(self)
+        radii.flags.writeable = False
+        return radii
 
     def value(self, r: float) -> float:
         return float(self._values(abs(r)))

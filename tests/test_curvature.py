@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from fracsurf import profiles
 from fracsurf import (BarrierProfile, ConstantProfile, CurvatureResult, DilatedGraphProfile,
                       LinearProfile, NonSmoothPointError, PiecewisePolyProfile,
                       QuadratureConfig, RampBumpProfile, SampledProfile, SqrtProfile,
@@ -278,6 +279,38 @@ def test_angular_rule_n1_is_the_two_direction_rule():
     t, w = angular_rule(1, 48)
     assert sorted(t.tolist()) == [-1.0, 1.0]
     assert w.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_angular_rule_is_solved_once_and_read_only(n):
+    nodes, weights = angular_rule(n, 16)
+    assert angular_rule(n, 16)[0] is nodes
+    for array in (nodes, weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_profile_zeros_are_solved_once_per_profile(monkeypatch):
+    """Two-leaf points share their profile's zero crossings, a shifted or
+    dilated profile solves its own, and a subgraph point solves none."""
+    solved = []
+    solve = profiles.profile_zeros
+    monkeypatch.setattr(profiles, "profile_zeros", lambda p: solved.append(p) or solve(p))
+    config = QuadratureConfig(angular_order=8)
+    neck = BarrierProfile(0.5).shifted(0.6)
+    first = two_leaf_curvature(neck, 2.5, 2, 0.5, config)
+    assert two_leaf_curvature(neck, 3.0, 2, 0.5, config).value != first.value
+    assert solved == [neck]
+    assert neck.zeros.tolist() == solve(neck).tolist() != []
+    with pytest.raises(ValueError):
+        neck.zeros[0] = 0.0
+    lower, wider = neck.shifted(0.01), neck.dilated(2.0)
+    for profile in (lower, wider):
+        two_leaf_curvature(profile, 2.5, 2, 0.5, config)
+    assert solved == [neck, lower, wider]
+    assert wider.zeros == pytest.approx([0.5 * neck.zeros[0]], rel=1e-13, abs=0.0)
+    subgraph_curvature(BarrierProfile(0.5), 2.5, 2, 0.5, config)
+    assert solved == [neck, lower, wider]
 
 
 def test_config_validation():
