@@ -207,6 +207,8 @@ def cmd_perimeter(sections, n, alpha, seed):
     profile = profile_from_config(sec)
     body = TwoLeaf(profile)
     w = cfgmod.parse_float(sec, "window")
+    if not 0.0 < w < math.inf:
+        raise ValueError(f"window must be positive and finite, not {w!r}")
     samples = cfgmod.parse_int(sec, "samples")
     scales = cfgmod.parse_floats(sec, "scales")
     if not scales:

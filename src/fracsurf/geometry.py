@@ -15,6 +15,7 @@ runs it once per column.  ``row_norms`` keeps the order of addition of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,8 +152,9 @@ class Box(Body):
     def __post_init__(self):
         lo = tuple(float(v) for v in self.lo)
         hi = tuple(float(v) for v in self.hi)
-        if len(lo) != len(hi) or any(h <= l for l, h in zip(lo, hi)):
-            raise ValueError("box corners must satisfy lo < hi componentwise")
+        if len(lo) != len(hi) or any(not l < h or not math.isfinite(l) or not math.isfinite(h)
+                                     for l, h in zip(lo, hi)):
+            raise ValueError("box corners must be finite and satisfy lo < hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

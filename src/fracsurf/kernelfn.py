@@ -37,8 +37,9 @@ elements at a time.  There one series costs about five times one call of
 series; n = 1 keeps those.  So does n > 8: there
 cos^m narrows, the fixed degrees leave Chebyshev terms of 1e-10 at n = 20,
 and the cancellation factor reaches 30.  The path depends on n alone,
-never on the size of the array, so F(t) does not depend on the batch t
-arrives in.
+never on the size of the array, and every path forms |F| first and then
+takes t's sign bit, so F(t) does not depend on the batch t arrives in, to
+the sign of a zero or a nan.
 """
 
 from __future__ import annotations
@@ -181,12 +182,13 @@ class SliceIntegral:
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
+        # the magnitude, then t's sign bit: -0 and -nan keep theirs in any batch
         if self._coeffs is None:
             a = np.minimum(np.abs(t), 1e150)
-            out = np.sign(t) * self.limit * special.betainc(0.5, self._b, a * a / (1.0 + a * a))
+            out = self.limit * special.betainc(0.5, self._b, a * a / (1.0 + a * a))
         else:
-            out = _split(t, 1.0, self._near, lambda a: self.limit - self._tail(a))
-            out = np.copysign(out.reshape(t.shape), t)
+            out = _split(t, 1.0, self._near, lambda a: self.limit - self._tail(a)).reshape(t.shape)
+        out = np.copysign(out, t)
         return float(out) if t.ndim == 0 else out
 
     __call__ = value

@@ -60,14 +60,16 @@ def _poly_divided(coeffs, a, b):
 class RadialProfile:
     """Base class: an even height profile r >= 0 -> height.
 
-    Each family implements five one-sided array accessors: ``_values``,
-    ``_slopes`` and ``_curves`` for r >= 0, and ``_chords`` and ``_bends``
-    for r >= 0, r + h >= 0 (at h = 0, their limits).  They take arrays of
-    one shape, or plain floats, and run the same numpy code on both.  The
-    public scalar accessors below fold negative arguments and mixed-sign
-    steps through evenness and call them; ``profile_values`` and
-    ``profile_slopes`` are the array entry points.  The curvature core
-    steps only from r >= 0 to r + h >= 0 and calls ``_bends`` directly.
+    Each family implements three one-sided array accessors: ``_values``
+    and ``_slopes`` for r >= 0, and ``_divided(r, h)``, the pair (chord,
+    bend) for r >= 0, r + h >= 0, which at h = 0 is its limit (v', v''/2).
+    They take arrays of one shape, or plain floats, and run the same numpy
+    code on both.  ``_bends`` is the second of the pair, and
+    ``second_derivative`` twice the bend of a zero step.  The public scalar
+    accessors below fold negative arguments and mixed-sign steps through
+    evenness and call them; ``profile_values`` and ``profile_slopes`` are
+    the array entry points.  The curvature core steps only from r >= 0 to
+    r + h >= 0 and calls ``_bends`` directly.
 
     Each family is closed under ``shifted(h)``, the graph lowered by h, and
     ``dilated(f)``, the rescaled graph v(f r) / f.  Each is also, piece by
@@ -95,27 +97,28 @@ class RadialProfile:
         return g if r >= 0 else -g
 
     def second_derivative(self, r: float) -> float:
-        return float(self._curves(abs(r)))
+        return 2.0 * float(self._bends(abs(r), 0.0))
 
     def chord(self, r: float, h: float) -> float:
         if h == 0.0:
             return self.first_derivative(r)
         b = r + h
         if r >= 0.0 and b >= 0.0:
-            return float(self._chords(abs(r), h))
+            return float(self._divided(abs(r), h)[0])
         if r <= 0.0 and b <= 0.0:
-            return -float(self._chords(abs(r), -h))
+            return -float(self._divided(abs(r), -h)[0])
         return (self.value(b) - self.value(r)) / h
 
     def bend(self, r: float, h: float) -> float:
-        if h == 0.0:
-            return 0.5 * self.second_derivative(r)
         b = r + h
         if r >= 0.0 and b >= 0.0:
             return float(self._bends(abs(r), h))
         if r <= 0.0 and b <= 0.0:
             return float(self._bends(abs(r), -h))
         return (self.chord(r, h) - self.first_derivative(r)) / h
+
+    def _bends(self, r, h):
+        return self._divided(r, h)[1]
 
 
 class PiecewisePolyProfile(RadialProfile):
@@ -135,8 +138,8 @@ class PiecewisePolyProfile(RadialProfile):
         assert len(pieces) == len(knots) + 1
         self.knots = tuple(float(k) for k in knots)
         self.pieces = [(float(a), tuple(float(c) for c in cs)) for a, cs in pieces]
-        # padded with zeros to the highest degree; the derivative rows k c_k
-        # and k (k - 1) c_k keep at least one (zero) row
+        # padded with zeros to the highest degree; the slope rows k c_k keep
+        # at least one (zero) row
         self._knot_arr = np.array(self.knots)
         self._anchors = np.array([a for a, _ in self.pieces])
         degree = max(len(cs) for _, cs in self.pieces)
@@ -146,7 +149,6 @@ class PiecewisePolyProfile(RadialProfile):
         zero = np.zeros((1, len(self.pieces)))
         self._coef = tuple(coef)
         self._slope_coef = tuple((k * coef)[1:] if degree > 1 else zero)
-        self._curve_coef = tuple((k * (k - 1) * coef)[2:] if degree > 2 else zero)
 
     def _horner(self, rows, r):
         # one gathered coefficient row per step, so temporaries stay the size
@@ -169,9 +171,6 @@ class PiecewisePolyProfile(RadialProfile):
 
     def _slopes(self, r):
         return self._horner(self._slope_coef, r)
-
-    def _curves(self, r):
-        return self._horner(self._curve_coef, r)
 
     def _divided(self, r, h):
         # a step that ends on a knot stays in the closed piece through its
@@ -205,12 +204,6 @@ class PiecewisePolyProfile(RadialProfile):
             chord = np.where(crossing, across, chord)
             bend = np.where(crossing, (across - self._slopes(r)) / step, bend)
         return chord, bend
-
-    def _chords(self, r, h):
-        return self._divided(r, h)[0]
-
-    def _bends(self, r, h):
-        return self._divided(r, h)[1]
 
     def smooth_at(self, r):
         # the even extension has a corner at the axis unless the slope is 0
@@ -273,19 +266,13 @@ class SqrtProfile(RadialProfile):
         with np.errstate(divide="ignore"):
             return 0.5 * self.scale / np.sqrt(r)
 
-    def _curves(self, r):
-        # a plain float would raise at 0 ** -1.5; as np.float64 it takes inf
-        with np.errstate(divide="ignore"):
-            return -0.25 * self.scale * np.float64(r) ** -1.5
-
-    def _chords(self, r, h):
-        # (sqrt(r+h) - sqrt(r))/h = 1/(sqrt(r) + sqrt(r+h))
-        return self.scale / (np.sqrt(r) + np.sqrt(r + h))
-
-    def _bends(self, r, h):
+    def _divided(self, r, h):
+        # (sqrt(r+h) - sqrt(r))/h = 1/(sqrt(r) + sqrt(r+h)); at the cusp
+        # with h = 0 the sum is 0 and both quotients are infinite
         sa = np.sqrt(r)
+        total = sa + np.sqrt(r + h)
         with np.errstate(divide="ignore"):
-            return -self.scale / (2.0 * sa * (sa + np.sqrt(r + h)) ** 2)
+            return self.scale / total, -self.scale / (2.0 * sa * total ** 2)
 
     def smooth_at(self, r):
         return r != 0.0
@@ -507,9 +494,13 @@ def profile_from_csv(path) -> SampledProfile:
 
 def profile_from_config(options: dict, prefix: str = "") -> RadialProfile:
     """Build a profile from flat config options (kind plus parameters, each
-    key read as ``prefix + key``)."""
+    key read as ``prefix + key``); a parameter that is not finite is an
+    error naming its key."""
     def num(key, default):
-        return parse_float(options, prefix + key, default)
+        value = parse_float(options, prefix + key, default)
+        if not math.isfinite(value):
+            raise ValueError(f"{prefix + key} must be finite, not {value!r}")
+        return value
 
     kind = options.get(prefix + "kind", "").strip().lower()
     if kind == "constant":

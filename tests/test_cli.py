@@ -384,6 +384,37 @@ def test_quadrature_keys_that_are_not_finite_and_positive_exit_1(key, value, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, lines, key", [
+    ("curvature", "geometry = subgraph\nkind = constant\nlevel = nan", "level"),
+    ("curvature", "kind = bump\namplitude = inf", "amplitude"),
+    ("slide", "envelope_level = nan", "envelope_level"),
+    ("slide", "candidate_level = -inf", "candidate_level"),
+    ("blowdown", "envelope_scale = nan", "envelope_scale"),
+    ("perimeter", "level = inf", "level"),
+])
+def test_a_profile_parameter_that_is_not_finite_exits_1_naming_it(command, lines, key,
+                                                                  tmp_path, capsys):
+    cfg = tmp_path / "profile.ini"
+    cfg.write_text(f"[{command}]\n{lines}\n")
+    out = tmp_path / "profile"
+    assert run_cli(command, cfg, out) == 1
+    value = lines.rsplit(" = ", 1)[1]
+    assert f"{key} must be finite, not {float(value)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", ["nan", "inf", "0.0", "-2.0"])
+def test_perimeter_window_that_is_not_finite_and_positive_exits_1_naming_it(window, tmp_path,
+                                                                           capsys):
+    cfg = tmp_path / "window.ini"
+    cfg.write_text(f"[perimeter]\nwindow = {window}\n")
+    out = tmp_path / "window"
+    assert run_cli("perimeter", cfg, out) == 1
+    assert (f"window must be positive and finite, not {float(window)!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_slide_touch_outcome_schema(small_config, tmp_path):
     out = tmp_path / "slide"
     assert run_cli("slide", small_config, out) == 0

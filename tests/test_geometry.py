@@ -195,3 +195,12 @@ def test_box_membership_matches_the_all_form_and_keeps_its_faces():
         assert box.contains(lo) and box.contains(hi)
         assert not box.contains(hi + 1e-12)
         assert box.contains(pts[0]) == want[0]
+
+
+@pytest.mark.parametrize("lo, hi", [((0.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), (1.0, 0.5)),
+                                    ((0.0, np.nan), (1.0, 1.0)), ((0.0, 0.0), (np.nan, 1.0)),
+                                    ((-np.inf, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, np.inf)),
+                                    ((0.0,), (1.0, 1.0))])
+def test_box_refuses_corners_that_are_not_finite_and_ordered(lo, hi):
+    with pytest.raises(ValueError, match="box corners must be finite"):
+        Box(lo, hi)

@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -474,7 +475,7 @@ def test_array_bends_match_scalar_reference(profile):
     r, h = seeded_steps(profile, rng)
     right = (r >= 0.0) & (r + h >= 0.0)
     ra, ha = r[right & (h != 0.0)], h[right & (h != 0.0)]
-    chords = profile._chords(ra, ha)
+    chords = profile._divided(ra, ha)[0]
     reference = reference_for(profile)
     ref, size = as_floats(reference.step(float(a), float(b))[0] for a, b in zip(ra, ha))
     assert_within_ulps(chords, ref, size=size)
@@ -486,6 +487,37 @@ def test_array_bends_match_scalar_reference(profile):
     steps = h[:48][2.5 + h[:48] >= 0.0]
     ref, size = reference_bends(profile, np.full(steps.shape, 2.5), steps)
     assert_within_ulps(profile._bends(2.5, steps), ref, size=size)
+
+
+@pytest.mark.parametrize("profile", ARRAY_FAMILIES.values(), ids=list(ARRAY_FAMILIES))
+def test_zero_step_limits(profile):
+    """At h = 0 the divided pair is (v', v''/2): second_derivative is twice
+    the reference bend of a zero step and even in r, and chord(r, 0) is
+    first_derivative bit for bit, on either side of the axis."""
+    rs = np.concatenate([np.random.default_rng(25).uniform(0.05, 8.0, 200),
+                         [1.0, 2.0, 3.0, 1e6], getattr(profile, "knots", ())])
+    ref, size = reference_bends(profile, rs, np.zeros_like(rs))
+    curves = [profile.second_derivative(float(x)) for x in rs]
+    assert_within_ulps(curves, 2.0 * ref, size=2.0 * size)
+    assert [profile.second_derivative(-float(x)) for x in rs] == curves
+    for x in np.concatenate([rs, -rs, [0.0, -0.0]]).tolist():
+        assert (np.float64(profile.chord(x, 0.0)).tobytes()
+                == np.float64(profile.first_derivative(x)).tobytes())
+
+
+def test_sqrt_cusp_is_infinite_without_a_warning():
+    """v' = +inf and v'' = -inf at the cusp, through every accessor."""
+    for profile in (SqrtProfile(1.2), SqrtProfile(2.0).dilated(3.0),
+                    SqrtProfile(1.0).shifted(0.4)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert profile.first_derivative(0.0) == math.inf
+            assert profile.chord(0.0, 0.0) == math.inf
+            assert profile_slopes(profile, [0.0]).tolist() == [math.inf]
+            assert profile.second_derivative(0.0) == -math.inf
+            assert profile.bend(0.0, 0.0) == -math.inf
+            assert profile._divided(np.zeros(2), np.zeros(2))[0].tolist() == [math.inf] * 2
+            assert profile._bends(np.zeros(2), np.zeros(2)).tolist() == [-math.inf] * 2
 
 
 def test_profile_values_matches_scalar_loop():
