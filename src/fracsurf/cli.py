@@ -213,6 +213,10 @@ def cmd_perimeter(sections, n, alpha, seed):
     scales = cfgmod.parse_floats(sec, "scales")
     if not scales:
         raise ValueError("scales must list at least one scale")
+    for scale in scales:
+        if not 0.0 < scale < math.inf or not math.isfinite(w * scale):
+            raise ValueError(f"scales = {scale!r}: scale factor must be positive and finite, "
+                             "and so must window * scale")
 
     def run():
         lines = ["scale,value,err"]

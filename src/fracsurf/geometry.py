@@ -104,6 +104,10 @@ def HalfSpace(height: float) -> Subgraph:
 class Ball(Body):
     radius: float
 
+    def __post_init__(self):
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, not {self.radius!r}")
+
     def contains(self, points):
         p = np.asarray(points, dtype=float)
         return row_norms(p) < self.radius
@@ -137,8 +141,8 @@ class Intersection(Body):
 
 def Scaled(body: Body, factor: float) -> Body:
     """factor * body: x is a member iff x / factor is a member of body."""
-    if not factor > 0:
-        raise ValueError("scale factor must be positive")
+    if not 0.0 < factor < math.inf:
+        raise ValueError(f"scale factor must be positive and finite, not {factor!r}")
     return body.scaled(float(factor))
 
 

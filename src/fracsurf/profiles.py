@@ -60,6 +60,10 @@ def _poly_divided(coeffs, a, b):
 class RadialProfile:
     """Base class: an even height profile r >= 0 -> height.
 
+    Two families: ``PiecewisePolyProfile`` and ``SqrtProfile``.  The named
+    shapes (constant, linear, bump, ramp bump, barrier, sampled) are functions
+    returning a piecewise polynomial whose ``kind`` names the shape.
+
     Each family implements three one-sided array accessors: ``_values``
     and ``_slopes`` for r >= 0, and ``_divided(r, h)``, the pair (chord,
     bend) for r >= 0, r + h >= 0, which at h = 0 is its limit (v', v''/2).
@@ -78,8 +82,6 @@ class RadialProfile:
     i covers [knots[i-1], knots[i]).  As arrays: ``_knot_arr``, ``_anchors``
     and ``_coef``, whose row k holds every piece's t^k coefficient.
     """
-
-    kind = "abstract"
 
     @functools.cached_property
     def zeros(self) -> np.ndarray:
@@ -131,11 +133,12 @@ class PiecewisePolyProfile(RadialProfile):
     of the step, weighted by that share's length.
     """
 
-    kind = "piecewise"
     root = 1
 
-    def __init__(self, knots: Sequence[float], pieces: Sequence[tuple]):
+    def __init__(self, knots: Sequence[float], pieces: Sequence[tuple],
+                 kind: str = "piecewise"):
         assert len(pieces) == len(knots) + 1
+        self.kind = kind
         self.knots = tuple(float(k) for k in knots)
         self.pieces = [(float(a), tuple(float(c) for c in cs)) for a, cs in pieces]
         # padded with zeros to the highest degree; the slope rows k c_k keep
@@ -223,22 +226,6 @@ class PiecewisePolyProfile(RadialProfile):
              for a, cs in self.pieces])
 
 
-class ConstantProfile(PiecewisePolyProfile):
-    kind = "constant"
-
-    def __init__(self, level: float):
-        super().__init__((), ((0.0, (float(level),)),))
-
-
-class LinearProfile(PiecewisePolyProfile):
-    """v(r) = slope * r for r >= 0; even extension has a corner at 0."""
-
-    kind = "linear"
-
-    def __init__(self, gradient: float):
-        super().__init__((), ((0.0, (0.0, float(gradient))),))
-
-
 class SqrtProfile(RadialProfile):
     """v(r) = scale * sqrt(r) + offset; chord and bend have exact algebraic
     forms, in which the offset cancels.
@@ -285,40 +272,41 @@ class SqrtProfile(RadialProfile):
         return SqrtProfile(self.scale / math.sqrt(f), self.offset / f)
 
 
-class BumpProfile(PiecewisePolyProfile):
+def ConstantProfile(level: float) -> PiecewisePolyProfile:
+    return PiecewisePolyProfile((), ((0.0, (float(level),)),), "constant")
+
+
+def LinearProfile(gradient: float) -> PiecewisePolyProfile:
+    """v(r) = slope * r for r >= 0; even extension has a corner at 0."""
+    return PiecewisePolyProfile((), ((0.0, (0.0, float(gradient))),), "linear")
+
+
+def BumpProfile(amplitude: float = 1.0, width: float = 1.0) -> PiecewisePolyProfile:
     """amplitude * (1 - (r/width)^2)^3 on [0, width], zero beyond.
 
     C^2 across the support edge (triple zero) and even in r.
     """
-
-    kind = "bump"
-
-    def __init__(self, amplitude: float = 1.0, width: float = 1.0):
-        a = float(amplitude)
-        w = float(width)
-        coeffs = (a, 0.0, -3.0 * a / w ** 2, 0.0, 3.0 * a / w ** 4, 0.0, -a / w ** 6)
-        super().__init__((w,), ((0.0, coeffs), (0.0, (0.0,))))
+    a = float(amplitude)
+    w = float(width)
+    coeffs = (a, 0.0, -3.0 * a / w ** 2, 0.0, 3.0 * a / w ** 4, 0.0, -a / w ** 6)
+    return PiecewisePolyProfile((w,), ((0.0, coeffs), (0.0, (0.0,))), "bump")
 
 
-class RampBumpProfile(PiecewisePolyProfile):
+def RampBumpProfile(amplitude: float = 1.0, width: float = 1.0) -> PiecewisePolyProfile:
     """amplitude-scaled (r/w)^2 (1 - (r/w)^2)^3, peaking at r = width/2.
 
     The scaling is chosen so the peak height equals ``amplitude`` exactly;
     the profile vanishes to second order at 0 and third order at width.
     """
-
-    kind = "rampbump"
-
-    def __init__(self, amplitude: float = 1.0, width: float = 1.0):
-        w = float(width)
-        # raw x^2(1-x^2)^3 peaks at x = 1/2 with value (1/4)(3/4)^3 = 27/256
-        a = float(amplitude) * 256.0 / 27.0
-        coeffs = (0.0, 0.0, a / w ** 2, 0.0, -3.0 * a / w ** 4, 0.0,
-                  3.0 * a / w ** 6, 0.0, -a / w ** 8)
-        super().__init__((w,), ((0.0, coeffs), (0.0, (0.0,))))
+    w = float(width)
+    # raw x^2(1-x^2)^3 peaks at x = 1/2 with value (1/4)(3/4)^3 = 27/256
+    a = float(amplitude) * 256.0 / 27.0
+    coeffs = (0.0, 0.0, a / w ** 2, 0.0, -3.0 * a / w ** 4, 0.0,
+              3.0 * a / w ** 6, 0.0, -a / w ** 8)
+    return PiecewisePolyProfile((w,), ((0.0, coeffs), (0.0, (0.0,))), "rampbump")
 
 
-class BarrierProfile(PiecewisePolyProfile):
+def BarrierProfile(epsilon: float) -> PiecewisePolyProfile:
     """Flat cap of height eps blended into the cone eps*r.
 
     u(r) = 1 on [0,1], 1 + 10t^4 - 15t^5 + 6t^6 with t = r-1 on [1,2],
@@ -326,52 +314,42 @@ class BarrierProfile(PiecewisePolyProfile):
     P(1) = 1, P'(1) = 1, P''(0) = P''(1) = 0, so the profile is C^2
     everywhere including both knots.
     """
-
-    kind = "barrier"
-
-    def __init__(self, epsilon: float):
-        if not 0.0 < epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, not {epsilon!r}")
-        e = float(epsilon)
-        blend = (e, 0.0, 0.0, 0.0, 10.0 * e, -15.0 * e, 6.0 * e)
-        super().__init__((1.0, 2.0),
-                         ((0.0, (e,)), (1.0, blend), (0.0, (0.0, e))))
-        self.epsilon = e
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, not {epsilon!r}")
+    e = float(epsilon)
+    blend = (e, 0.0, 0.0, 0.0, 10.0 * e, -15.0 * e, 6.0 * e)
+    return PiecewisePolyProfile((1.0, 2.0), ((0.0, (e,)), (1.0, blend), (0.0, (0.0, e))),
+                                "barrier")
 
 
-class SampledProfile(PiecewisePolyProfile):
+def SampledProfile(radii, values) -> PiecewisePolyProfile:
     """Monotone-cubic interpolant through (r, value) samples.
 
     The pieces are those of scipy's PCHIP interpolant, each anchored at its
     left node; beyond the last node the profile continues linearly with the
     terminal slope.  Chords and bends are the exact piecewise forms.
     """
-
-    kind = "sampled"
-
-    def __init__(self, radii, values):
-        r = np.asarray(radii, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if r.ndim != 1 or r.shape != v.shape or r.size < 2:
-            raise ValueError("need matching 1-d radius and value arrays, length >= 2")
-        if not np.all(np.diff(r) > 0):
-            raise ValueError("radii must be strictly increasing")
-        if r[0] != 0.0:
-            # evenness pins the slope at the axis
-            r = np.concatenate(([0.0], r))
-            v = np.concatenate(([v[0]], v))
-        interp = PchipInterpolator(r, v)
-        # scipy stores piece i highest power first, in powers of x - r[i]
-        cubics = list(zip(r[:-1], interp.c[::-1].T))
-        super().__init__(r[1:], cubics + [(r[-1], (v[-1], interp(r[-1], 1)))])
-        self.nodes = r
-        self.node_values = v
+    r = np.asarray(radii, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if r.ndim != 1 or r.shape != v.shape or r.size < 2:
+        raise ValueError("need matching 1-d radius and value arrays, length >= 2")
+    if not np.all(np.diff(r) > 0):
+        raise ValueError("radii must be strictly increasing")
+    if r[0] != 0.0:
+        # evenness pins the slope at the axis
+        r = np.concatenate(([0.0], r))
+        v = np.concatenate(([v[0]], v))
+    interp = PchipInterpolator(r, v)
+    # scipy stores piece i highest power first, in powers of x - r[i]
+    cubics = list(zip(r[:-1], interp.c[::-1].T))
+    return PiecewisePolyProfile(r[1:], cubics + [(r[-1], (v[-1], interp(r[-1], 1)))],
+                                "sampled")
 
 
 def DilatedGraphProfile(profile: RadialProfile, factor: float) -> RadialProfile:
     """The graph rescaling u_R(r) = u(R r) / R, a profile of the same family."""
-    if not factor > 0:
-        raise ValueError("dilation factor must be positive")
+    if not 0.0 < factor < math.inf:
+        raise ValueError(f"dilation factor must be positive and finite, not {factor!r}")
     return profile.dilated(float(factor))
 
 
@@ -483,7 +461,7 @@ def profile_zeros(profile: RadialProfile) -> np.ndarray:
     return np.unique(r[r < edges[which + 1]])
 
 
-def profile_from_csv(path) -> SampledProfile:
+def profile_from_csv(path) -> PiecewisePolyProfile:
     with open(path, "r", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != ["r", "value"]:
@@ -494,12 +472,13 @@ def profile_from_csv(path) -> SampledProfile:
 
 def profile_from_config(options: dict, prefix: str = "") -> RadialProfile:
     """Build a profile from flat config options (kind plus parameters, each
-    key read as ``prefix + key``); a parameter that is not finite is an
-    error naming its key."""
-    def num(key, default):
+    key read as ``prefix + key``); a parameter that is not finite, or a
+    barrier's epsilon that is not positive, is an error naming its key."""
+    def num(key, default, positive=False):
         value = parse_float(options, prefix + key, default)
-        if not math.isfinite(value):
-            raise ValueError(f"{prefix + key} must be finite, not {value!r}")
+        if not math.isfinite(value) or (positive and value <= 0.0):
+            need = "positive and finite" if positive else "finite"
+            raise ValueError(f"{prefix + key} must be {need}, not {value!r}")
         return value
 
     kind = options.get(prefix + "kind", "").strip().lower()
@@ -516,7 +495,7 @@ def profile_from_config(options: dict, prefix: str = "") -> RadialProfile:
     if kind == "rampbump":
         return RampBumpProfile(num("amplitude", 1.0), num("width", 1.0))
     if kind == "barrier":
-        return BarrierProfile(parse_float(options, prefix + "epsilon"))
+        return BarrierProfile(num("epsilon", None, positive=True))
     if kind == "csv":
         return profile_from_csv(options[prefix + "path"])
     raise ValueError(f"unknown profile kind {kind!r}")
@@ -540,8 +519,8 @@ def sublinearity_modulus(envelope: RadialProfile, delta: float) -> ModulusReport
     the exact maximum of phi(r) - delta*r, clamped below at a positive
     floor; phi must be positive for r > 0.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, not {delta!r}")
     radii, limit = profile_extremes(envelope)
     vals = profile_values(envelope, radii)
     bad = radii[np.where(radii > 0.0, vals <= 0.0, vals < 0.0)]

@@ -89,6 +89,30 @@ def test_sweep_entries_carry_their_rays_warnings(monkeypatch):
     assert [e.warnings for e in sweep.entries] == [("every-ray", "far-ray")] * 2
 
 
+@pytest.mark.parametrize("constants, blow_up, monotone", [
+    ((1.0, 2.0, 3.0), True, True),
+    ((1.0, 1.005, 3.0), False, True),  # a rise inside the error bars
+    ((1.0, 0.995, 3.0), False, False),
+    ((1.0, 2.0, 1.5), False, False),
+])
+def test_sweep_flags_read_each_step_of_the_trend(constants, blow_up, monotone, monkeypatch):
+    """Each cone constant is set per slope, with error bars of 0.01 on every
+    ray: the blow-up flag needs every step to rise beyond both bars, the
+    monotone flag only that no step falls."""
+    table = dict(zip((0.4, 0.2, 0.1), constants))
+
+    def cone(profile, radius, n, alpha, config=None):
+        eps = profile.first_derivative(1.0)
+        norm = radius * math.sqrt(1.0 + eps * eps)
+        return CurvatureResult(value=table[eps] / norm ** alpha, error_core=0.01 / norm ** alpha,
+                               error_midfield=0.0, error_tail=0.0)
+
+    monkeypatch.setattr(barrier_mod, "two_leaf_curvature", cone)
+    sweep = sweep_cone_constant([0.4, 0.2, 0.1], 1, 0.5)
+    assert [e.value for e in sweep.entries] == pytest.approx(constants, rel=1e-12)
+    assert (sweep.blow_up_trend, sweep.monotone) == (blow_up, monotone)
+
+
 def _no_cone_evaluation(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a cone constant was evaluated before the grid check")
@@ -206,7 +230,7 @@ def non_smooth_below(height):
     """two_leaf_curvature that raises the package's error on barriers lower
     than ``height``, as at a non-smooth point, and evaluates all else."""
     def curvature(profile, *args):
-        if isinstance(profile, BarrierProfile) and profile.epsilon < height:
+        if profile.kind == "barrier" and profile.value(0.0) < height:
             raise NonSmoothPointError("profile is not smooth here")
         return two_leaf_curvature(profile, *args)
     return curvature
@@ -268,7 +292,7 @@ def test_far_field_off_the_cone_is_noted(monkeypatch):
 
     def shifted(profile, radius, n, alpha, config=None):
         res = real(profile, radius, n, alpha, config)
-        if isinstance(profile, LinearProfile):
+        if profile.kind == "linear":
             return dataclasses.replace(res, value=res.value + 10.0 * res.total_error)
         return res
 

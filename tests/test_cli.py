@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
+import fracsurf.cli as cli_mod
 from fracsurf import verify_barrier
 from fracsurf.cli import main
 from fracsurf.config import parse_bool
@@ -400,6 +401,58 @@ def test_a_profile_parameter_that_is_not_finite_exits_1_naming_it(command, lines
     assert run_cli(command, cfg, out) == 1
     value = lines.rsplit(" = ", 1)[1]
     assert f"{key} must be finite, not {float(value)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _refuse_to_compute(monkeypatch, *names):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the run computed before its inputs were checked")
+
+    for name in names:
+        monkeypatch.setattr(cli_mod, name, unreachable)
+
+
+@pytest.mark.parametrize("scales, bad", [("1.0,inf", "inf"), ("1.0,1e308", "1e+308"),
+                                         ("1.0,0.0", "0.0"), ("1.0,nan", "nan"),
+                                         ("-1.0", "-1.0")])
+def test_perimeter_scale_that_is_not_positive_and_finite_exits_1_naming_it(
+        scales, bad, tmp_path, capsys, monkeypatch):
+    """Every entry, and the window it scales (2e308 for 1e308), is checked
+    before the first scale is sampled, and the error names the key."""
+    _refuse_to_compute(monkeypatch, "relative_perimeter")
+    cfg = tmp_path / "scales.ini"
+    cfg.write_text(SMALL_INI.replace("scales = 1.0,2.0", f"scales = {scales}"))
+    out = tmp_path / "scales"
+    assert run_cli("perimeter", cfg, out) == 1
+    assert (f"scales = {bad}: scale factor must be positive and finite, and so must "
+            "window * scale" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", ["nan", "-1", "0", "inf"])
+def test_ball_radius_that_is_not_positive_and_finite_exits_1_naming_it(
+        radius, tmp_path, capsys, monkeypatch):
+    _refuse_to_compute(monkeypatch, "direct_curvature")
+    cfg = tmp_path / "ball.ini"
+    cfg.write_text(f"[curvature]\ngeometry = ball\nmethod = direct\nradius = {radius}\n"
+                   "points = 0.5\n")
+    out = tmp_path / "ball"
+    assert run_cli("curvature", cfg, out) == 1
+    assert (f"radius must be positive and finite, not {float(radius)!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "-1", "0", "inf"])
+def test_barrier_envelope_epsilon_that_is_not_positive_and_finite_exits_1_naming_it(
+        epsilon, tmp_path, capsys, monkeypatch):
+    _refuse_to_compute(monkeypatch, "rescale_for_slide", "slide")
+    cfg = tmp_path / "slide.ini"
+    cfg.write_text(f"[slide]\nenvelope_kind = barrier\nenvelope_epsilon = {epsilon}\n")
+    out = tmp_path / "slide"
+    assert run_cli("slide", cfg, out) == 1
+    assert (f"envelope_epsilon must be positive and finite, not {float(epsilon)!r}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -840,6 +893,15 @@ def test_retired_geometry_names_exit_1(geometry, tmp_path, capsys):
     out = tmp_path / "retired"
     assert run_cli("curvature", cfg, out) == 1
     assert f"unknown geometry {geometry!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_method_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "method.ini"
+    cfg.write_text("[curvature]\nmethod = montecarlo\npoints = 1.0\n")
+    out = tmp_path / "method"
+    assert run_cli("curvature", cfg, out) == 1
+    assert "unknown method 'montecarlo'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from fracsurf import (Ball, BarrierProfile, Box, Complement, Cone,
-                      ConstantProfile, HalfSpace, LinearProfile, Scaled,
+from fracsurf import (Ball, BarrierProfile, Box, Complement, Cone, ConstantProfile,
+                      DilatedGraphProfile, HalfSpace, LinearProfile, Scaled,
                       SqrtProfile, Subgraph, TwoLeaf, profile_values)
 from fracsurf.geometry import row_norms
 
@@ -128,9 +128,17 @@ def test_scaled_graph_body_is_a_graph_body():
     radii = np.linspace(0.0, 4.0, 9)
     np.testing.assert_allclose(profile_values(got.profile, 2.0 * radii),
                                2.0 * profile_values(base.profile, radii), rtol=1e-15)
-    for bad in (0.0, -2.0, float("nan")):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"scale factor must be positive and finite, not {bad}"):
             Scaled(base, bad)
+        with pytest.raises(ValueError, match="dilation factor must be positive and finite"):
+            DilatedGraphProfile(base.profile, bad)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
+def test_ball_refuses_a_radius_that_is_not_positive_and_finite(radius):
+    with pytest.raises(ValueError, match=f"radius must be positive and finite, not {radius}"):
+        Ball(radius)
 
 
 def test_complement_negates():

@@ -82,6 +82,18 @@ def test_chord_across_knots():
                                                  rel=1e-10, abs=1e-13)
 
 
+@pytest.mark.parametrize("kind", ["constant", "linear", "sqrt", "bump", "barrier", "sampled",
+                                  "dilated1", "shifted-sqrt"])
+def test_steps_on_the_negative_side_fold_through_evenness(kind):
+    """Both ends at or below 0: the chord is odd and the bend even in (r, h),
+    bit for bit, down to a step of 1e-9 where the naive quotient of rounded
+    heights keeps few digits."""
+    prof = ARRAY_FAMILIES[kind]
+    for r, h in [(1.3, 1e-9), (1.3, -1e-9), (2.5, -1.2), (0.5, -0.5), (0.0, 0.7)]:
+        assert prof.chord(-r, -h) == -prof.chord(r, h)
+        assert prof.bend(-r, -h) == prof.bend(r, h)
+
+
 def test_barrier_height_envelope():
     """Plateau at the cusp height, cone far out, controlled in between."""
     eps = 0.15
@@ -192,15 +204,29 @@ def test_sampled_profile_interpolates_and_extrapolates():
                                             rel=1e-12)
 
 
+@pytest.mark.parametrize("radii, values, message", [
+    ([0.0, 1.0, 2.0], [1.0, 2.0], "matching"),
+    ([0.0], [1.0], "matching"),
+    ([[0.0, 1.0]], [[1.0, 2.0]], "matching"),
+    ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], "strictly increasing"),
+    ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0], "strictly increasing"),
+    ([0.0, math.nan, 2.0], [1.0, 2.0, 3.0], "strictly increasing"),
+])
+def test_sampled_profile_refuses_bad_samples(radii, values, message):
+    with pytest.raises(ValueError, match=message):
+        SampledProfile(radii, values)
+
+
 def test_sampled_pieces_match_pchip():
     """Values, slopes and curvatures against scipy's PchipInterpolator
     called directly, within 4 ulps of the sizes of its power-sum terms."""
     r = np.linspace(0.0, 4.0, 17)
-    prof = SampledProfile(r, 1.0 + np.sqrt(1.0 + r ** 2))
-    f = PchipInterpolator(prof.nodes, prof.node_values)
-    x = np.concatenate([np.random.default_rng(24).uniform(0.0, 4.0, 400), prof.nodes[:-1]])
-    i = np.searchsorted(prof.nodes, x, side="right") - 1
-    t = x - prof.nodes[i]
+    v = 1.0 + np.sqrt(1.0 + r ** 2)
+    prof = SampledProfile(r, v)
+    f = PchipInterpolator(r, v)
+    x = np.concatenate([np.random.default_rng(24).uniform(0.0, 4.0, 400), r[:-1]])
+    i = np.searchsorted(r, x, side="right") - 1
+    t = x - r[i]
     coeffs = np.abs(f.c[::-1, i])  # rows in ascending powers
     got = (profile_values(prof, x), profile_slopes(prof, x),
            [prof.second_derivative(float(y)) for y in x])
@@ -570,7 +596,7 @@ def test_csv_round_trip(tmp_path):
         assert back.value(r) == pytest.approx(prof.value(r), rel=1e-6)
     # float reprs read back bit for bit
     path.write_text(csv_text(SqrtProfile(1.0), radii))
-    assert profile_from_csv(path).node_values.tolist() == np.sqrt(radii).tolist()
+    assert profile_values(profile_from_csv(path), radii).tolist() == np.sqrt(radii).tolist()
 
 
 def test_csv_rejects_wrong_header(tmp_path):
@@ -592,6 +618,39 @@ def test_profile_from_config():
     assert barrier.value(0.5) == 0.1
     with pytest.raises(ValueError):
         profile_from_config({"kind": "dodecahedron"})
+
+
+@pytest.mark.parametrize("kind, params, shape", [
+    ("constant", {"level": "0.4"}, ConstantProfile(0.4)),
+    ("linear", {"slope": "0.2"}, LinearProfile(0.2)),
+    ("bump", {"amplitude": "0.5", "width": "3.0"}, BumpProfile(0.5, 3.0)),
+    ("rampbump", {"amplitude": "0.4", "width": "2.0"}, RampBumpProfile(0.4, 2.0)),
+    ("rampbump", {}, RampBumpProfile()),
+    ("barrier", {"epsilon": "0.1"}, BarrierProfile(0.1)),
+])
+def test_named_shapes_from_config_are_labelled_piecewise_polynomials(kind, params, shape):
+    """Each named shape is a piecewise polynomial that carries its kind; the
+    config builds the same pieces from prefixed keys."""
+    got = profile_from_config({"cand_kind": kind} | {"cand_" + k: v for k, v in params.items()},
+                              "cand_")
+    assert type(shape) is type(got) is PiecewisePolyProfile
+    assert shape.kind == got.kind == kind
+    assert (got.knots, got.pieces) == (shape.knots, shape.pieces)
+    # a rescaled shape is a plain piecewise polynomial
+    assert got.shifted(0.1).kind == got.dilated(2.0).kind == "piecewise"
+
+
+def test_csv_profile_is_a_sampled_piecewise_polynomial(tmp_path):
+    path = tmp_path / "prof.csv"
+    path.write_text(csv_text(SqrtProfile(1.0), np.linspace(0.0, 6.0, 13)))
+    got = profile_from_config({"kind": "csv", "path": str(path)})
+    assert type(got) is PiecewisePolyProfile and got.kind == "sampled"
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.nan])
+def test_modulus_refuses_a_slack_that_is_not_positive(delta):
+    with pytest.raises(ValueError, match="delta must be positive"):
+        sublinearity_modulus(ConstantProfile(1.0), delta)
 
 
 def test_modulus_constant_envelope():
