@@ -16,9 +16,8 @@ from .curvature import (CurvatureResult, QuadratureConfig, angular_rule,
                         graph_curvature, subgraph_curvature,
                         two_leaf_curvature)
 from .errors import (DisjointnessError, FracsurfError, HomogeneityViolationError,
-                     InitialInclusionError, InvalidEnvelopeError, InvalidEpsilonError,
-                     InvalidExponentError, InvalidPointError, NonSmoothPointError,
-                     NotSublinearError)
+                     InitialInclusionError, InvalidEnvelopeError, InvalidPointError,
+                     NonSmoothPointError, NotSublinearError)
 from .geometry import (Ball, Body, Box, Complement, Cone, HalfSpace, Scaled,
                        Subgraph, TwoLeaf)
 from .kernelfn import SliceIntegral
@@ -58,8 +57,6 @@ __all__ = [
     "HomogeneityViolationError",
     "InitialInclusionError",
     "InvalidEnvelopeError",
-    "InvalidEpsilonError",
-    "InvalidExponentError",
     "InvalidPointError",
     "LinearProfile",
     "ModulusReport",

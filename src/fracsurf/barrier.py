@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import derived_seed
 from .curvature import QuadratureConfig, two_leaf_curvature
-from .errors import FracsurfError, HomogeneityViolationError
+from .errors import FracsurfError, HomogeneityViolationError, positive_finite
 from .geometry import Cone
 from .oracle import direct_curvature
 from .profiles import BarrierProfile, LinearProfile
@@ -101,8 +101,7 @@ def sweep_cone_constant(epsilons, n: int, alpha: float,
         raise ValueError("sweep grid must hold two or more slopes, strictly decreasing "
                          "in epsilon")
     for e in epsilons:
-        if not 0.0 < float(e) < math.inf:
-            raise ValueError(f"epsilons must be positive and finite, not {e!r}")
+        positive_finite("epsilons", e)
 
     def quadrature(epsilon):
         cone = LinearProfile(epsilon)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidEpsilonError, InvalidExponentError
+from .errors import positive_finite
 from .profiles import (RadialProfile, SampledProfile, profile_extremes, profile_slopes,
                        profile_values, sublinearity_modulus)
 
@@ -40,11 +40,8 @@ def flatness_certificate(profile: RadialProfile, envelope: RadialProfile,
     """
     eps = float(epsilon)
     if not 0.0 < eps < 0.25:
-        raise InvalidEpsilonError(
-            f"flatness tolerance must lie in (0, 1/4), got {eps}")
-    R = float(R)
-    if not 0.0 < R < np.inf:
-        raise ValueError(f"rescaling radius R must be positive and finite, not {R!r}")
+        raise ValueError(f"flatness tolerance must lie in (0, 1/4), got {eps}")
+    R = positive_finite("rescaling radius R", float(R))
     # raw u(R r)/R, no vertical translation: a nonzero apex height must
     # count against flatness (it decays like u(0)/R under the rescaling);
     # its extremes on [0, 1] sit at the profile's extremes on [0, R]
@@ -82,10 +79,8 @@ def holder_rescaling_check(profile: RadialProfile, R: float,
     pure interpolation error.
     """
     if not 0.0 < beta < 1.0:
-        raise InvalidExponentError(f"Holder exponent must lie in (0, 1), got {beta}")
-    R = float(R)
-    if not 0.0 < R < np.inf:
-        raise ValueError(f"Holder rescaling radius R must be positive and finite, not {R!r}")
+        raise ValueError(f"Holder exponent must lie in (0, 1), got {beta}")
+    R = positive_finite("Holder rescaling radius R", float(R))
     radii = (0.25 * R) * (np.arange(60) + 1.0) / 60
     lhs = _seminorm(radii, profile_slopes(profile, radii), beta)
 

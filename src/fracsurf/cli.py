@@ -27,7 +27,7 @@ from . import config as cfgmod
 from .barrier import sweep_cone_constant, verify_barrier
 from .blowdown import flatness_certificate, holder_rescaling_check
 from .curvature import QuadratureConfig, graph_curvature
-from .errors import FracsurfError
+from .errors import FracsurfError, positive_finite
 from .geometry import Ball, Box, Scaled, Subgraph, TwoLeaf
 from .oracle import direct_curvature, relative_perimeter
 from .profiles import profile_from_config
@@ -206,9 +206,7 @@ def cmd_perimeter(sections, n, alpha, seed):
     sec = sections["perimeter"]
     profile = profile_from_config(sec)
     body = TwoLeaf(profile)
-    w = cfgmod.parse_float(sec, "window")
-    if not 0.0 < w < math.inf:
-        raise ValueError(f"window must be positive and finite, not {w!r}")
+    w = positive_finite("window", cfgmod.parse_float(sec, "window"))
     samples = cfgmod.parse_int(sec, "samples")
     scales = cfgmod.parse_floats(sec, "scales")
     if not scales:

@@ -2,8 +2,11 @@
 
 One that reaches the command line makes it exit 1, as any bad input does;
 exit 2 comes only from a verdict, when the computation ran but its outcome
-is negative or not conclusive.
+is negative or not conclusive.  An input out of range is a ``ValueError``,
+refused by one of the two checks at the end.
 """
+
+import math
 
 
 class FracsurfError(Exception):
@@ -38,9 +41,16 @@ class HomogeneityViolationError(FracsurfError):
     """Cone curvature samples do not scale like a homogeneous function."""
 
 
-class InvalidEpsilonError(FracsurfError):
-    """Flatness tolerance outside the admissible open interval."""
+def positive_finite(name: str, value) -> float:
+    """``float(value)``, refusing a value that is not positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, not {value!r}")
+    return float(value)
 
 
-class InvalidExponentError(FracsurfError):
-    """Holder exponent outside (0, 1)."""
+def check_order(n: int, alpha: float) -> None:
+    """Refuse a graph dimension n < 1 or an order alpha outside (0, 1)."""
+    if n < 1:
+        raise ValueError(f"ambient graph dimension must be >= 1, not {n!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"order must lie strictly inside (0, 1), not {alpha!r}")

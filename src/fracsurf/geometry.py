@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import positive_finite
 from .profiles import ConstantProfile, LinearProfile, RadialProfile, profile_values
 
 
@@ -105,8 +106,7 @@ class Ball(Body):
     radius: float
 
     def __post_init__(self):
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError(f"radius must be positive and finite, not {self.radius!r}")
+        positive_finite("radius", self.radius)
 
     def contains(self, points):
         p = np.asarray(points, dtype=float)
@@ -141,9 +141,7 @@ class Intersection(Body):
 
 def Scaled(body: Body, factor: float) -> Body:
     """factor * body: x is a member iff x / factor is a member of body."""
-    if not 0.0 < factor < math.inf:
-        raise ValueError(f"scale factor must be positive and finite, not {factor!r}")
-    return body.scaled(float(factor))
+    return body.scaled(positive_finite("scale factor", factor))
 
 
 @dataclass(frozen=True)

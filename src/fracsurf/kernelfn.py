@@ -49,6 +49,8 @@ import functools
 import numpy as np
 from scipy import special
 
+from .errors import check_order
+
 # Gauss nodes behind each fitting reference.  At the fitting nodes K's sums
 # match mpmath to 2.2e-16; G's to 1.3e-15 up to n = 4 and 3.3e-15 at n = 8,
 # the rounding of sinc raised to the power m
@@ -146,10 +148,7 @@ class SliceIntegral:
     """
 
     def __init__(self, n: int, alpha: float):
-        if n < 1:
-            raise ValueError("ambient graph dimension must be >= 1")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("order must lie strictly inside (0, 1)")
+        check_order(n, alpha)
         self.n = int(n)
         self.alpha = float(alpha)
         self.power = 0.5 * (n + 1 + alpha)

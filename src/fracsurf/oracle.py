@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import CurvatureResult
-from .errors import DisjointnessError, InvalidPointError
+from .errors import DisjointnessError, InvalidPointError, check_order
 from .geometry import Body, Box, row_norms
 
 _SHELL_RATIO = math.sqrt(2.0)
@@ -42,13 +42,6 @@ def _sphere_area(n: int) -> float:
     # surface measure of S^n inside R^(n+1)
     d = n + 1
     return 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
-
-
-def _check_order(n: int, alpha: float) -> None:
-    if n < 1:
-        raise ValueError(f"ambient graph dimension must be >= 1, not {n!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"order must lie strictly inside (0, 1), not {alpha!r}")
 
 
 def _unit_directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -107,7 +100,7 @@ def direct_curvature(body: Body, point, n: int, alpha: float,
     analytic bound for the region beyond the outer radius goes to
     error_tail.
     """
-    _check_order(n, alpha)
+    check_order(n, alpha)
     if oracle_samples < 1:
         raise ValueError(f"oracle_samples must be >= 1, not {oracle_samples!r}")
     point = np.asarray(point, dtype=float)
@@ -186,7 +179,7 @@ def _pair_estimate(box: Box, n: int, alpha: float, samples: int, seed: int,
     tied to the box diameter so rescaled inputs rescale the estimate exactly.
     Offsets outside the cut annulus are left out of the estimate.
     """
-    _check_order(n, alpha)
+    check_order(n, alpha)
     d = n + 1
     if box.dim != d:
         raise ValueError(f"window must live in R^{d}")

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .config import parse_float
-from .errors import InvalidEnvelopeError, NotSublinearError
+from .errors import InvalidEnvelopeError, NotSublinearError, positive_finite
 
 
 def _poly_divided(coeffs, a, b):
@@ -314,9 +314,7 @@ def BarrierProfile(epsilon: float) -> PiecewisePolyProfile:
     P(1) = 1, P'(1) = 1, P''(0) = P''(1) = 0, so the profile is C^2
     everywhere including both knots.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, not {epsilon!r}")
-    e = float(epsilon)
+    e = positive_finite("epsilon", epsilon)
     blend = (e, 0.0, 0.0, 0.0, 10.0 * e, -15.0 * e, 6.0 * e)
     return PiecewisePolyProfile((1.0, 2.0), ((0.0, (e,)), (1.0, blend), (0.0, (0.0, e))),
                                 "barrier")
@@ -348,9 +346,7 @@ def SampledProfile(radii, values) -> PiecewisePolyProfile:
 
 def DilatedGraphProfile(profile: RadialProfile, factor: float) -> RadialProfile:
     """The graph rescaling u_R(r) = u(R r) / R, a profile of the same family."""
-    if not 0.0 < factor < math.inf:
-        raise ValueError(f"dilation factor must be positive and finite, not {factor!r}")
-    return profile.dilated(float(factor))
+    return profile.dilated(positive_finite("dilation factor", factor))
 
 
 def profile_values(profile: RadialProfile, radii) -> np.ndarray:
@@ -476,9 +472,10 @@ def profile_from_config(options: dict, prefix: str = "") -> RadialProfile:
     barrier's epsilon that is not positive, is an error naming its key."""
     def num(key, default, positive=False):
         value = parse_float(options, prefix + key, default)
-        if not math.isfinite(value) or (positive and value <= 0.0):
-            need = "positive and finite" if positive else "finite"
-            raise ValueError(f"{prefix + key} must be {need}, not {value!r}")
+        if positive:
+            return positive_finite(prefix + key, value)
+        if not math.isfinite(value):
+            raise ValueError(f"{prefix + key} must be finite, not {value!r}")
         return value
 
     kind = options.get(prefix + "kind", "").strip().lower()
@@ -519,8 +516,7 @@ def sublinearity_modulus(envelope: RadialProfile, delta: float) -> ModulusReport
     the exact maximum of phi(r) - delta*r, clamped below at a positive
     floor; phi must be positive for r > 0.
     """
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, not {delta!r}")
+    positive_finite("delta", delta)
     radii, limit = profile_extremes(envelope)
     vals = profile_values(envelope, radii)
     bad = radii[np.where(radii > 0.0, vals <= 0.0, vals < 0.0)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import CurvatureResult, QuadratureConfig, two_leaf_curvature
-from .errors import InitialInclusionError
+from .errors import InitialInclusionError, positive_finite
 from .profiles import (BarrierProfile, RadialProfile, profile_extremes,
                        profile_values, sublinearity_modulus)
 
@@ -43,8 +43,7 @@ def rescale_for_slide(envelope: RadialProfile, eps0: float) -> RescalePlan:
     envelope bound phi(t) <= C + (eps0/8) t into exactly the target line.
     A non-sublinear envelope has no such factor and is rejected.
     """
-    if not 0.0 < eps0 < np.inf:
-        raise ValueError(f"eps0 must be positive and finite, not {eps0!r}")
+    positive_finite("eps0", eps0)
     report = sublinearity_modulus(envelope, eps0 / 8.0)
     return RescalePlan(lam=eps0 / (8.0 * report.constant), eps0=float(eps0),
                        modulus_constant=report.constant,
@@ -73,11 +72,8 @@ def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: floa
     r -> inf; a limit above every finite ratio is an escape to infinity.
     Below ``SLIDE_FLOOR`` the barrier counts as flat.
     """
-    if not lam > 0.0:
-        raise ValueError("shrink factor must be positive")
-    if not 0.0 < eps0 < np.inf:
-        raise ValueError("starting barrier height eps0 must be positive and finite, "
-                         f"not {eps0!r}")
+    positive_finite("shrink factor", lam)
+    positive_finite("starting barrier height eps0", eps0)
     rescaled = candidate.dilated(1.0 / lam)
     unit = BarrierProfile(1.0)
     radii, limit = profile_extremes(rescaled, over=unit)
