@@ -3,9 +3,10 @@
 Six subcommands: curvature, barrier-verify, cone-sweep, slide, blowdown,
 perimeter.  Each handler reads every key of its section and returns its
 computation as a call without arguments, which gives the exit status and
-the files.  ``main`` refuses a key the user set that nothing read before it
-makes that call, so a misspelling costs no computation, then writes the
-files together with ``resolved.ini``, the record of every key the run read.
+the files.  ``main`` refuses an n or alpha out of range, and a key the user
+set that nothing read, before it makes that call, so a misspelling costs no
+computation, then writes the files together with ``resolved.ini``, the
+record of every key the run read.
 Any error leaves no output directory.  Reruns with the same inputs are
 byte-identical.  Exit status: 0 when the run completed with a positive or
 neutral outcome, 2 when the outcome is inconclusive or the mechanism under
@@ -27,7 +28,7 @@ from . import config as cfgmod
 from .barrier import sweep_cone_constant, verify_barrier
 from .blowdown import flatness_certificate, holder_rescaling_check
 from .curvature import QuadratureConfig, graph_curvature
-from .errors import FracsurfError, positive_finite
+from .errors import FracsurfError, check_order, positive_finite
 from .geometry import Ball, Box, Scaled, Subgraph, TwoLeaf
 from .oracle import direct_curvature, relative_perimeter
 from .profiles import profile_from_config
@@ -211,16 +212,20 @@ def cmd_perimeter(sections, n, alpha, seed):
     scales = cfgmod.parse_floats(sec, "scales")
     if not scales:
         raise ValueError("scales must list at least one scale")
+    bodies = []
     for scale in scales:
         if not 0.0 < scale < math.inf or not math.isfinite(w * scale):
             raise ValueError(f"scales = {scale!r}: scale factor must be positive and finite, "
                              "and so must window * scale")
+        try:
+            bodies.append(Scaled(body, scale))
+        except ValueError as exc:
+            raise ValueError(f"scales = {scale!r}: {exc}") from None
 
     def run():
         lines = ["scale,value,err"]
         rows = []
-        for scale in scales:
-            scaled = Scaled(body, scale)
+        for scale, scaled in zip(scales, bodies):
             window = Box((-w * scale,) * (n + 1), (w * scale,) * (n + 1))
             res = relative_perimeter(scaled, window, n, alpha, samples=samples,
                                      seed=cfgmod.derived_seed(seed, "perimeter", scale))
@@ -265,9 +270,9 @@ def main(argv=None) -> int:
         # values nor bytes, so they stay out of the resolved config and its hash
         run.pop("threads", None)
         out = run.pop("out", None)
-        compute = _HANDLERS[run["command"]](sections, cfgmod.parse_int(run, "n"),
-                                            cfgmod.parse_float(run, "alpha"),
-                                            cfgmod.parse_int(run, "seed"))
+        n, alpha = cfgmod.parse_int(run, "n"), cfgmod.parse_float(run, "alpha")
+        check_order(n, alpha)
+        compute = _HANDLERS[run["command"]](sections, n, alpha, cfgmod.parse_int(run, "seed"))
         unread = cfgmod.unread(sections)
         if unread:
             raise ValueError(f"{args.command} does not read the key {unread[0]!r}")

@@ -2,8 +2,8 @@
 
 One that reaches the command line makes it exit 1, as any bad input does;
 exit 2 comes only from a verdict, when the computation ran but its outcome
-is negative or not conclusive.  An input out of range is a ``ValueError``,
-refused by one of the two checks at the end.
+is negative or not conclusive.  An input out of range is a ``ValueError``;
+the two checks at the end refuse the common ranges in one wording each.
 """
 
 import math

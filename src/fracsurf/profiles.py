@@ -57,6 +57,24 @@ def _poly_divided(coeffs, a, b):
     return chord, bend
 
 
+def _dilation(profile, factor, build):
+    """``build(f)``, the rescaled graph v(f r) / f of ``profile``, refused when
+    a knot or anchor becomes infinite or a normal coefficient leaves the
+    normal range: a zero or subnormal one would silently change the graph."""
+    f = positive_finite("dilation factor", factor)
+    try:
+        out = build(f)
+    except OverflowError:  # a power of f beyond the float range
+        out = None
+    tiny = np.finfo(float).tiny
+    normal = lambda coef: (np.abs(coef) >= tiny) & (np.abs(coef) < math.inf)
+    if out is None or (normal(profile._coef) & ~normal(out._coef)).any() \
+            or not np.isfinite(np.append(out._knot_arr, out._anchors)).all():
+        raise ValueError("dilation factor must keep every knot and coefficient in "
+                         f"floating-point range, not {factor!r}")
+    return out
+
+
 class RadialProfile:
     """Base class: an even height profile r >= 0 -> height.
 
@@ -218,12 +236,12 @@ class PiecewisePolyProfile(RadialProfile):
 
     def dilated(self, factor: float) -> "PiecewisePolyProfile":
         # v(f r) / f: in the piece-local t = r - a / f the t^k coefficient
-        # gains f^(k - 1); a power-of-two factor rescales exactly
-        f = float(factor)
-        return PiecewisePolyProfile(
+        # gains f^(k - 1); a power-of-two factor rescales exactly, and a zero
+        # coefficient stays zero without its power
+        return _dilation(self, factor, lambda f: PiecewisePolyProfile(
             [k / f for k in self.knots],
-            [(a / f, tuple(c * f ** (k - 1) for k, c in enumerate(cs)))
-             for a, cs in self.pieces])
+            [(a / f, tuple(c and c * f ** (k - 1) for k, c in enumerate(cs)))
+             for a, cs in self.pieces]))
 
 
 class SqrtProfile(RadialProfile):
@@ -268,8 +286,8 @@ class SqrtProfile(RadialProfile):
         return SqrtProfile(self.scale, self.offset - height)
 
     def dilated(self, factor: float) -> "SqrtProfile":
-        f = float(factor)
-        return SqrtProfile(self.scale / math.sqrt(f), self.offset / f)
+        return _dilation(self, factor,
+                         lambda f: SqrtProfile(self.scale / math.sqrt(f), self.offset / f))
 
 
 def ConstantProfile(level: float) -> PiecewisePolyProfile:
@@ -287,7 +305,7 @@ def BumpProfile(amplitude: float = 1.0, width: float = 1.0) -> PiecewisePolyProf
     C^2 across the support edge (triple zero) and even in r.
     """
     a = float(amplitude)
-    w = float(width)
+    w = positive_finite("width", width)
     coeffs = (a, 0.0, -3.0 * a / w ** 2, 0.0, 3.0 * a / w ** 4, 0.0, -a / w ** 6)
     return PiecewisePolyProfile((w,), ((0.0, coeffs), (0.0, (0.0,))), "bump")
 
@@ -298,7 +316,7 @@ def RampBumpProfile(amplitude: float = 1.0, width: float = 1.0) -> PiecewisePoly
     The scaling is chosen so the peak height equals ``amplitude`` exactly;
     the profile vanishes to second order at 0 and third order at width.
     """
-    w = float(width)
+    w = positive_finite("width", width)
     # raw x^2(1-x^2)^3 peaks at x = 1/2 with value (1/4)(3/4)^3 = 27/256
     a = float(amplitude) * 256.0 / 27.0
     coeffs = (0.0, 0.0, a / w ** 2, 0.0, -3.0 * a / w ** 4, 0.0,
@@ -469,7 +487,8 @@ def profile_from_csv(path) -> PiecewisePolyProfile:
 def profile_from_config(options: dict, prefix: str = "") -> RadialProfile:
     """Build a profile from flat config options (kind plus parameters, each
     key read as ``prefix + key``); a parameter that is not finite, or a
-    barrier's epsilon that is not positive, is an error naming its key."""
+    barrier's epsilon or a bump's width that is not positive, is an error
+    naming its key."""
     def num(key, default, positive=False):
         value = parse_float(options, prefix + key, default)
         if positive:
@@ -488,9 +507,9 @@ def profile_from_config(options: dict, prefix: str = "") -> RadialProfile:
     if kind == "sqrt":
         return SqrtProfile(num("scale", 1.0))
     if kind == "bump":
-        return BumpProfile(num("amplitude", 1.0), num("width", 1.0))
+        return BumpProfile(num("amplitude", 1.0), num("width", 1.0, positive=True))
     if kind == "rampbump":
-        return RampBumpProfile(num("amplitude", 1.0), num("width", 1.0))
+        return RampBumpProfile(num("amplitude", 1.0), num("width", 1.0, positive=True))
     if kind == "barrier":
         return BarrierProfile(num("epsilon", None, positive=True))
     if kind == "csv":

@@ -429,6 +429,41 @@ def test_perimeter_scale_that_is_not_positive_and_finite_exits_1_naming_it(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scales, bad, factor", [("1e-300", "1e-300", "9.999999999999999e+299"),
+                                                 ("1.0,1e80", "1e+80", "1e-80")])
+def test_perimeter_scale_the_dilation_cannot_represent_exits_1_naming_it(
+        scales, bad, factor, tmp_path, capsys, monkeypatch):
+    """1e-300 overflowed the barrier's coefficients into a raw OverflowError;
+    1e80 underflowed its blend and exited 0 on the wrong body."""
+    _refuse_to_compute(monkeypatch, "relative_perimeter")
+    cfg = tmp_path / "scales.ini"
+    cfg.write_text(f"[perimeter]\nkind = barrier\nepsilon = 0.2\nscales = {scales}\n")
+    out = tmp_path / "scales"
+    assert run_cli("perimeter", cfg, out) == 1
+    assert (f"scales = {bad}: dilation factor must keep every knot and coefficient in "
+            f"floating-point range, not {factor}" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command, lines, key", [
+    ("curvature", "geometry = subgraph\nkind = bump", "width"),
+    ("slide", "candidate_kind = rampbump", "candidate_width"),
+])
+def test_bump_width_that_is_not_positive_and_finite_exits_1_naming_it(
+        command, lines, key, width, tmp_path, capsys, monkeypatch):
+    """Width 0 died with a raw ZeroDivisionError, and -1 exited 0 on a
+    profile that is 0 everywhere."""
+    _refuse_to_compute(monkeypatch, "graph_curvature", "rescale_for_slide", "slide")
+    cfg = tmp_path / "width.ini"
+    cfg.write_text(f"[{command}]\n{lines}\n{key} = {width}\n")
+    out = tmp_path / "width"
+    assert run_cli(command, cfg, out) == 1
+    assert (f"{key} must be positive and finite, not {float(width)!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("radius", ["nan", "-1", "0", "inf"])
 def test_ball_radius_that_is_not_positive_and_finite_exits_1_naming_it(
         radius, tmp_path, capsys, monkeypatch):
@@ -949,6 +984,27 @@ def test_oracle_commands_reject_an_order_or_dimension_out_of_range(command, line
                                                                   tmp_path, capsys):
     cfg = tmp_path / "order.ini"
     cfg.write_text(f"[run]\n{line}\n\n{ORACLE_SECTIONS[command]}")
+    out = tmp_path / "order"
+    assert run_cli(command, cfg, out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+@pytest.mark.parametrize("line, message", [
+    ("alpha = 1.5", "order must lie strictly inside (0, 1), not 1.5"),
+    ("alpha = nan", "order must lie strictly inside (0, 1), not nan"),
+    ("n = 0", "ambient graph dimension must be >= 1, not 0"),
+])
+def test_every_command_rejects_an_order_or_dimension_before_it_computes(
+        command, line, message, tmp_path, capsys, monkeypatch):
+    """blowdown and slide with alpha = 1.5 exited 0 and recorded it, and
+    barrier-verify and cone-sweep failed only once they computed."""
+    _refuse_to_compute(monkeypatch, "graph_curvature", "direct_curvature", "verify_barrier",
+                       "sweep_cone_constant", "rescale_for_slide", "slide",
+                       "flatness_certificate", "holder_rescaling_check", "relative_perimeter")
+    cfg = tmp_path / "order.ini"
+    cfg.write_text(f"[run]\n{line}\n")
     out = tmp_path / "order"
     assert run_cli(command, cfg, out) == 1
     assert message in capsys.readouterr().err

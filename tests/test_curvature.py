@@ -82,6 +82,40 @@ def test_sublinear_graph_flattens_into_a_slab_and_outgrows_every_cone(n, tol):
     assert abs(1.0 - ratios[-1][0]) <= tol
 
 
+CATENOID_NODES = np.geomspace(1.0, 1e12, 41)
+# a catenoid end, v(r) = arccosh r, sampled from its neck at r = 1 out to
+# 1e12; inside the neck the body is empty, and the two samples there turn
+# the neck's vertical tangent into a finite slope, a compact change
+CATENOID_END = SampledProfile(np.concatenate(([0.0, 0.5], CATENOID_NODES)),
+                              np.concatenate(([-1.0, -0.5], np.arccosh(CATENOID_NODES))))
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_catenoid_end_grows_too_slowly_to_be_stationary(n, alpha):
+    """The paper's title claim in numbers: an end growing like log r looks
+    ever more like the slab of its height, so H stays positive and r^alpha H
+    grows without bound, each step by more than the combined errors, where a
+    stationary set would need H = 0.  From r = 1e3 on H is within 1e-3 of
+    the slab (nearer the neck it is not a slab: 3 % off at n = 2, r = 10).
+    At alpha = 0.2 the tail bound misses its target at every point, so
+    there only the combined errors are allowed."""
+    scaled = []
+    for r in (10.0, 1e2, 1e3, 1e4, 1e5):
+        res = two_leaf_curvature(CATENOID_END, r, n, alpha)
+        slab = two_leaf_curvature(ConstantProfile(CATENOID_END.value(r)), r, n, alpha)
+        if alpha == 0.2:
+            assert "tail-above-target" in res.warnings
+        else:
+            assert res.warnings == () and slab.warnings == ()
+        tol = 0.0 if alpha == 0.2 else 1e-3 * slab.value
+        if r >= 1e3:
+            assert abs(res.value - slab.value) <= tol + res.total_error + slab.total_error
+        scaled.append((r ** alpha * res.value, r ** alpha * res.total_error))
+    for (a, err_a), (b, err_b) in zip(scaled, scaled[1:]):
+        assert b - a > err_a + err_b
+
+
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("h", [1e-8, 1e-10, 1e-12])

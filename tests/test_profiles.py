@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -176,6 +177,39 @@ def test_dilated_profile_is_scaling():
                                                     rel=rel, abs=0.0)
     with pytest.raises(ValueError):
         DilatedGraphProfile(BarrierProfile(0.2), 0.0)
+
+
+@pytest.mark.parametrize("profile, factor", [
+    (BarrierProfile(0.2), 1e-80),  # the blend's t^5 and t^6 coefficients underflow
+    (BarrierProfile(0.2), 1e300),  # f^5 overflows
+    (BumpProfile(1.0, 2.0), 1e-160),  # the t^4 and t^6 coefficients underflow
+    (PiecewisePolyProfile((1e300,), ((0.0, (1.0,)), (0.0, (2.0,)))), 1e-10),  # the knot
+    (PiecewisePolyProfile((), ((1e300, (1.0, 1.0)),)), 1e-10),  # the anchor overflows
+    (ConstantProfile(0.3), 1e-309),  # the level overflows
+    (SqrtProfile(1.0, 1.0), 1e-310),  # the offset overflows
+    (SqrtProfile(1e-300), 1e20),  # the scale underflows
+])
+def test_dilation_refuses_a_factor_it_cannot_represent(profile, factor):
+    """Before, 1e-80 gave the barrier 2.3125e79 at r = 1.5e80 for 2.5e79,
+    and 1e300 raised a raw OverflowError."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"dilation factor must keep every knot and coefficient in floating-point range, "
+            f"not {factor!r}")):
+        profile.dilated(factor)
+
+
+def test_dilation_keeps_what_it_can_represent():
+    """A zero coefficient stays zero however far its power overflows, and a
+    factor short of the underflow keeps the barrier's values."""
+    assert LinearProfile(0.1).dilated(1e-310).pieces == [(0.0, (0.0, 0.1))]
+    assert BarrierProfile(0.2).dilated(1e-40).value(1.5e40) == pytest.approx(2.5e39, rel=1e-15)
+
+
+@pytest.mark.parametrize("shape", [BumpProfile, RampBumpProfile])
+@pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+def test_bump_width_that_is_not_positive_and_finite_is_refused(shape, width):
+    with pytest.raises(ValueError, match=f"width must be positive and finite, not {width!r}"):
+        shape(1.0, width)
 
 
 def test_vertical_shift_passthrough():
