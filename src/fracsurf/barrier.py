@@ -88,8 +88,7 @@ class ConeSweepReport:
     monotone: bool
 
 
-def sweep_cone_constant(epsilons, n: int, alpha: float,
-                        config: QuadratureConfig = QuadratureConfig()) -> ConeSweepReport:
+def sweep_cone_constant(epsilons, n: int, alpha: float) -> ConeSweepReport:
     """Quadrature cone constants across an opening-slope grid, largest slope first.
 
     The blow-up flag is set when the constant strictly increases as the
@@ -105,8 +104,7 @@ def sweep_cone_constant(epsilons, n: int, alpha: float,
 
     def quadrature(epsilon):
         cone = LinearProfile(epsilon)
-        return _cone_report(epsilon, alpha,
-                            lambda r, m: two_leaf_curvature(cone, r, n, alpha, config))
+        return _cone_report(epsilon, alpha, lambda r, m: two_leaf_curvature(cone, r, n, alpha))
     reports = [quadrature(float(e)) for e in epsilons]
     blow_up = True
     monotone = True

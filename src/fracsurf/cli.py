@@ -246,24 +246,30 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error through ``main``'s one error path, exit 1."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", help="INI file with [run] and per-command sections")
     common.add_argument("--out", help="output directory (default runs/<command>)")
     common.add_argument("--seed", type=int, help="base seed for all sampling")
     common.add_argument("--threads", type=int,
                         help="accepted for old scripts; runs are single-threaded")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracsurf",
         description="curvature, barrier, sliding, and rescaling diagnostics "
                     "for fractional-perimeter geometry")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
         sub.add_parser(name, parents=[common])
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         sections = cfgmod.resolve(args.command, args.config, {"seed": args.seed})
         run = sections["run"]
         # destination directory and the ignored worker count change neither

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, special
 
-from .errors import NonSmoothPointError
+from .errors import NonSmoothPointError, positive_finite
 from .kernelfn import SliceIntegral
 from .profiles import RadialProfile, profile_values
 
@@ -71,6 +71,10 @@ _SLOPE_PROBE = np.concatenate([np.linspace(1e-6, 50.0, 2001),
                                10.0 ** np.arange(2, 9)])
 
 TAIL_SHARE = 2.5e-4
+# absolute error floor the tail bound must reach when the value is near zero
+TARGET_TOLERANCE = 1e-6
+# Gauss-Jacobi node count for n >= 2 (even; n = 1 uses the exact two-direction rule)
+ANGULAR_ORDER = 48
 ESCALATION_CAP_RADIUS = 1e12
 
 # Gauss-Kronrod 21/10 on [-1, 1] (QUADPACK's qk21): the Kronrod nodes from the
@@ -103,38 +107,25 @@ class QuadratureConfig:
     pv_inner_radius: largest pivot between the stabilized core and the
         midfield; a two-leaf point pivots at half its height below it.
     truncation_radius: initial outer radius R; escalates tenfold as needed.
-    target_tolerance: absolute error floor the tail bound must reach when
-        the value itself is near zero.
     max_subdivisions: panel budget per quadrature call (QUADPACK's
         subintervals, or at n >= 2 the Gauss-Kronrod panels of each angular
         node in one band), also the cap on the number of tail decades.
         Breakpoints and panel edges count against it (at n >= 2 a node's
         edges may take half of it, leaving room to bisect): a band, or at
         n >= 2 a node, whose edges do not fit starts whole.
-    angular_order: Gauss-Jacobi node count for n >= 2 (even; n = 1 uses the
-        exact two-direction rule).
     """
 
     pv_inner_radius: float = 0.1
     truncation_radius: float = 1e3
-    target_tolerance: float = 1e-6
     max_subdivisions: int = 200
-    angular_order: int = 48
 
     def __post_init__(self):
-        if not self.pv_inner_radius > 0:
-            raise ValueError("pv_inner_radius must be positive")
-        if not math.isfinite(self.truncation_radius):
-            raise ValueError(f"truncation_radius must be finite, not {self.truncation_radius!r}")
+        positive_finite("pv_inner_radius", self.pv_inner_radius)
+        positive_finite("truncation_radius", self.truncation_radius)
         if not self.pv_inner_radius < self.truncation_radius:
             raise ValueError("pv_inner_radius must stay below truncation_radius")
-        if not 0.0 < self.target_tolerance < math.inf:
-            raise ValueError("target_tolerance must be finite and positive, "
-                             f"not {self.target_tolerance!r}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.angular_order % 2 or self.angular_order < 2:
-            raise ValueError("angular_order must be even and >= 2")
 
 
 @dataclass(frozen=True)
@@ -151,6 +142,16 @@ class CurvatureResult:
         return self.error_core + self.error_midfield + self.error_tail
 
 
+def sphere_area(k: int, n: int) -> float:
+    """|S^k|, the surface measure of the unit sphere in R^(k+1), for graph
+    dimension n; refused, naming n, where Gamma((k + 1) / 2) overflows."""
+    try:
+        return 2.0 * math.pi ** (0.5 * (k + 1)) / math.gamma(0.5 * (k + 1))
+    except OverflowError:
+        raise ValueError(f"n = {n} is too large: the area of the unit sphere S^{k} is "
+                         "beyond floating-point range") from None
+
+
 @functools.cache
 def angular_rule(n: int, order: int):
     """Nodes (cosines) and weights integrating over offset directions.
@@ -165,8 +166,7 @@ def angular_rule(n: int, order: int):
     else:
         expo = 0.5 * (n - 3)
         nodes, weights = special.roots_jacobi(order, expo, expo)
-        sphere = 2.0 * math.pi ** (0.5 * (n - 1)) / math.gamma(0.5 * (n - 1))
-        weights = sphere * weights
+        weights = sphere_area(n - 2, n) * weights
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -272,7 +272,7 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
             f"two-leaf body needs positive height at r = {s}, got {vs}")
 
     F = SliceIntegral(n, alpha)
-    cj, wang = angular_rule(n, config.angular_order)
+    cj, wang = angular_rule(n, ANGULAR_ORDER)
     ang_mass = float(np.sum(wang))
     dvs = profile.first_derivative(s)
     delta = min(config.pv_inner_radius, 0.5 * vs) if two_leaf else config.pv_inner_radius
@@ -402,7 +402,7 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
     while True:
         tail = tail_coeff * outer ** (-alpha)
         value = 2.0 * (core_val + mid_val)
-        goal = max(config.target_tolerance, TAIL_SHARE * abs(value))
+        goal = max(TARGET_TOLERANCE, TAIL_SHARE * abs(value))
         if tail <= goal:
             break
         if outer >= ESCALATION_CAP_RADIUS or decades >= config.max_subdivisions:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureResult
+from .curvature import CurvatureResult, sphere_area
 from .errors import DisjointnessError, InvalidPointError, check_order
 from .geometry import Body, Box, row_norms
 
@@ -36,12 +36,6 @@ _SHELL_RATIO = math.sqrt(2.0)
 _OUTER_RADIUS = 1e5
 # rows of pair samples built at a time
 _BLOCK = 32768
-
-
-def _sphere_area(n: int) -> float:
-    # surface measure of S^n inside R^(n+1)
-    d = n + 1
-    return 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
 
 
 def _unit_directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -105,6 +99,10 @@ def direct_curvature(body: Body, point, n: int, alpha: float,
         raise ValueError(f"oracle_samples must be >= 1, not {oracle_samples!r}")
     point = np.asarray(point, dtype=float)
     d = n + 1
+    # the outer shell's volume grows like 1e5^d, past the float range beyond n = 60
+    if d * math.log(_OUTER_RADIUS) >= math.log(np.finfo(float).max):
+        raise ValueError(f"n = {n} is too large for the direct estimate: its shells out to "
+                         f"radius {_OUTER_RADIUS:g} have volumes beyond floating-point range")
     if point.shape != (d,):
         raise InvalidPointError(f"expected a point in R^{d}, got shape {point.shape}")
     _check_on_boundary(body, point)
@@ -120,7 +118,7 @@ def direct_curvature(body: Body, point, n: int, alpha: float,
     total = 0.0
     var_sum = 0.0
     shell_means = []
-    sphere = _sphere_area(n)
+    sphere = sphere_area(n, n)
     for j in range(n_shells):
         a, b = float(edges[j]), float(edges[j + 1])
         rng = np.random.default_rng(streams[j])
@@ -186,11 +184,16 @@ def _pair_estimate(box: Box, n: int, alpha: float, samples: int, seed: int,
     if samples < 2:
         # the error is a sample standard deviation: one pair has none
         raise ValueError(f"samples must be >= 2, not {samples!r}")
+    with np.errstate(over="ignore"):
+        volume = box.volume
+    if not np.finfo(float).tiny <= volume < math.inf:
+        raise ValueError(f"n = {n} and this window give a sampled box in R^{d} of volume "
+                         f"{volume!r}, beyond floating-point range")
     rng_x, rng_d = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     near = 1e-4 * box.diameter
     far = 4.0 * box.diameter
     # kernel mass of the offset annulus, exact: |S^n| (near^-a - far^-a)/a
-    mass = _sphere_area(n) * (near ** (-alpha) - far ** (-alpha)) / alpha
+    mass = sphere_area(n, n) * (near ** (-alpha) - far ** (-alpha)) / alpha
     # inverse CDF of rho^(-1-alpha) restricted to [near, far], from uniforms
     # formed in place: a - u c is a + u (-c) bit for bit
     rho = rng_d.random(samples)
@@ -201,7 +204,7 @@ def _pair_estimate(box: Box, n: int, alpha: float, samples: int, seed: int,
     for _, step in _offset_blocks(rng_d, rho, d):
         xs = box.sample(rng_x, step.shape[0])
         hits += int(np.count_nonzero(indicator(xs, xs + step)))
-    scale = alpha * (1.0 - alpha) * box.volume * mass
+    scale = alpha * (1.0 - alpha) * volume * mass
     mean = hits / samples
     value = scale * mean
     # three standard errors, same one-sided reading as everywhere else; the

@@ -57,21 +57,22 @@ def _poly_divided(coeffs, a, b):
     return chord, bend
 
 
-def _dilation(profile, factor, build):
-    """``build(f)``, the rescaled graph v(f r) / f of ``profile``, refused when
-    a knot or anchor becomes infinite or a normal coefficient leaves the
-    normal range: a zero or subnormal one would silently change the graph."""
-    f = positive_finite("dilation factor", factor)
+def _rescaled(name, value, unit, build):
+    """``build(value)``, the shape ``unit`` that ``build(1.0)`` gives, rescaled;
+    refused when a knot or anchor becomes infinite or a normal coefficient
+    of ``unit`` leaves the normal range: a zero or subnormal one would
+    silently change the graph."""
+    x = positive_finite(name, value)
     try:
-        out = build(f)
-    except OverflowError:  # a power of f beyond the float range
+        out = build(x)
+    except (OverflowError, ZeroDivisionError):  # a power of x overflows or underflows to 0
         out = None
     tiny = np.finfo(float).tiny
     normal = lambda coef: (np.abs(coef) >= tiny) & (np.abs(coef) < math.inf)
-    if out is None or (normal(profile._coef) & ~normal(out._coef)).any() \
+    if out is None or (normal(unit._coef) & ~normal(out._coef)).any() \
             or not np.isfinite(np.append(out._knot_arr, out._anchors)).all():
-        raise ValueError("dilation factor must keep every knot and coefficient in "
-                         f"floating-point range, not {factor!r}")
+        raise ValueError(f"{name} must keep every knot and coefficient in "
+                         f"floating-point range, not {value!r}")
     return out
 
 
@@ -238,7 +239,7 @@ class PiecewisePolyProfile(RadialProfile):
         # v(f r) / f: in the piece-local t = r - a / f the t^k coefficient
         # gains f^(k - 1); a power-of-two factor rescales exactly, and a zero
         # coefficient stays zero without its power
-        return _dilation(self, factor, lambda f: PiecewisePolyProfile(
+        return _rescaled("dilation factor", factor, self, lambda f: PiecewisePolyProfile(
             [k / f for k in self.knots],
             [(a / f, tuple(c and c * f ** (k - 1) for k, c in enumerate(cs)))
              for a, cs in self.pieces]))
@@ -286,7 +287,7 @@ class SqrtProfile(RadialProfile):
         return SqrtProfile(self.scale, self.offset - height)
 
     def dilated(self, factor: float) -> "SqrtProfile":
-        return _dilation(self, factor,
+        return _rescaled("dilation factor", factor, self,
                          lambda f: SqrtProfile(self.scale / math.sqrt(f), self.offset / f))
 
 
@@ -305,9 +306,11 @@ def BumpProfile(amplitude: float = 1.0, width: float = 1.0) -> PiecewisePolyProf
     C^2 across the support edge (triple zero) and even in r.
     """
     a = float(amplitude)
-    w = positive_finite("width", width)
-    coeffs = (a, 0.0, -3.0 * a / w ** 2, 0.0, 3.0 * a / w ** 4, 0.0, -a / w ** 6)
-    return PiecewisePolyProfile((w,), ((0.0, coeffs), (0.0, (0.0,))), "bump")
+
+    def build(w):
+        coeffs = (a, 0.0, -3.0 * a / w ** 2, 0.0, 3.0 * a / w ** 4, 0.0, -a / w ** 6)
+        return PiecewisePolyProfile((w,), ((0.0, coeffs), (0.0, (0.0,))), "bump")
+    return _rescaled("width", width, build(1.0), build)
 
 
 def RampBumpProfile(amplitude: float = 1.0, width: float = 1.0) -> PiecewisePolyProfile:
@@ -316,12 +319,14 @@ def RampBumpProfile(amplitude: float = 1.0, width: float = 1.0) -> PiecewisePoly
     The scaling is chosen so the peak height equals ``amplitude`` exactly;
     the profile vanishes to second order at 0 and third order at width.
     """
-    w = positive_finite("width", width)
     # raw x^2(1-x^2)^3 peaks at x = 1/2 with value (1/4)(3/4)^3 = 27/256
     a = float(amplitude) * 256.0 / 27.0
-    coeffs = (0.0, 0.0, a / w ** 2, 0.0, -3.0 * a / w ** 4, 0.0,
-              3.0 * a / w ** 6, 0.0, -a / w ** 8)
-    return PiecewisePolyProfile((w,), ((0.0, coeffs), (0.0, (0.0,))), "rampbump")
+
+    def build(w):
+        coeffs = (0.0, 0.0, a / w ** 2, 0.0, -3.0 * a / w ** 4, 0.0,
+                  3.0 * a / w ** 6, 0.0, -a / w ** 8)
+        return PiecewisePolyProfile((w,), ((0.0, coeffs), (0.0, (0.0,))), "rampbump")
+    return _rescaled("width", width, build(1.0), build)
 
 
 def BarrierProfile(epsilon: float) -> PiecewisePolyProfile:
@@ -364,7 +369,7 @@ def SampledProfile(radii, values) -> PiecewisePolyProfile:
 
 def DilatedGraphProfile(profile: RadialProfile, factor: float) -> RadialProfile:
     """The graph rescaling u_R(r) = u(R r) / R, a profile of the same family."""
-    return profile.dilated(positive_finite("dilation factor", factor))
+    return profile.dilated(factor)
 
 
 def profile_values(profile: RadialProfile, radii) -> np.ndarray:
@@ -506,10 +511,12 @@ def profile_from_config(options: dict, prefix: str = "") -> RadialProfile:
         return PiecewisePolyProfile((), ((0.0, (num("offset", 1.0), num("slope", 1.0))),))
     if kind == "sqrt":
         return SqrtProfile(num("scale", 1.0))
-    if kind == "bump":
-        return BumpProfile(num("amplitude", 1.0), num("width", 1.0, positive=True))
-    if kind == "rampbump":
-        return RampBumpProfile(num("amplitude", 1.0), num("width", 1.0, positive=True))
+    if kind in ("bump", "rampbump"):
+        amplitude, width = num("amplitude", 1.0), num("width", 1.0, positive=True)
+        try:
+            return (BumpProfile if kind == "bump" else RampBumpProfile)(amplitude, width)
+        except ValueError as exc:
+            raise ValueError(f"{prefix}width = {width!r}: {exc}") from None
     if kind == "barrier":
         return BarrierProfile(num("epsilon", None, positive=True))
     if kind == "csv":

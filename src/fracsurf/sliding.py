@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureResult, QuadratureConfig, two_leaf_curvature
+from .curvature import CurvatureResult, two_leaf_curvature
 from .errors import InitialInclusionError, positive_finite
 from .profiles import (BarrierProfile, RadialProfile, profile_extremes,
                        profile_values, sublinearity_modulus)
@@ -61,8 +61,7 @@ class SlideOutcome:
     curvature: CurvatureResult | None = None  # the barrier's, at the touch point
 
 
-def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: float,
-          config: QuadratureConfig = QuadratureConfig()) -> SlideOutcome:
+def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: float) -> SlideOutcome:
     """Lower the barrier height onto the rescaled candidate.
 
     The rescaled candidate c(r) = lam * candidate(r / lam) lies strictly
@@ -103,7 +102,7 @@ def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: floa
     return SlideOutcome(
         lam=lam, eps_star=eps_star, floor=SLIDE_FLOOR, verdict=VERDICT_TOUCH,
         touch_point=(touch_radius,) + (0.0,) * (n - 1) + (rescaled.value(touch_radius),),
-        curvature=two_leaf_curvature(BarrierProfile(eps_star), touch_radius, n, alpha, config),
+        curvature=two_leaf_curvature(BarrierProfile(eps_star), touch_radius, n, alpha),
         interpretation=(
             "the barrier cannot shrink past this height without contacting the "
             "candidate; at the contact radius the barrier curvature is strictly "

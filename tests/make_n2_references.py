@@ -20,7 +20,7 @@ cover.  Each point takes a few seconds.  Run from the repository root:
 import numpy as np
 from scipy import integrate
 
-from fracsurf import BarrierProfile, QuadratureConfig, angular_rule, curvature, two_leaf_curvature
+from fracsurf import BarrierProfile, angular_rule, curvature, two_leaf_curvature
 from fracsurf.profiles import profile_zeros
 
 TOL = dict(epsabs=1e-15, epsrel=1e-15)
@@ -42,7 +42,7 @@ POINTS = [("neck", NECK, 3.0, 2, 0.5), ("neck", NECK, 2.0, 2, 0.5),
 def kinks(profile, s, n):
     """log rho where some angular node's offset radius meets a knot or a
     zero crossing: |x' + rho theta| = k solved for rho > 0."""
-    cj, _ = angular_rule(n, QuadratureConfig().angular_order)
+    cj, _ = angular_rule(n, curvature.ANGULAR_ORDER)
     k = np.concatenate((profile.knots, profile_zeros(profile)))[:, None]
     disc = k * k - s * s * (1.0 - cj * cj)
     real = disc >= 0.0

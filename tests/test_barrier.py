@@ -79,8 +79,8 @@ def test_sweep_entries_are_the_quadrature_rays(n):
 def test_sweep_entries_carry_their_rays_warnings(monkeypatch):
     real = barrier_mod.two_leaf_curvature
 
-    def warn_far(profile, radius, n, alpha, config=None):
-        res = real(profile, radius, n, alpha, config)
+    def warn_far(profile, radius, n, alpha):
+        res = real(profile, radius, n, alpha)
         extra = ("far-ray",) if radius > 4.0 else ()
         return dataclasses.replace(res, warnings=res.warnings + extra + ("every-ray",))
 

@@ -174,6 +174,60 @@ max_subdivisions = 2
     assert record["outer_radius"] == 1000.0
 
 
+@pytest.mark.parametrize("command, lines, key, value", [
+    ("curvature", "geometry = subgraph\nkind = rampbump\nwidth = 1e-40\npoints = 5e-41",
+     "width", "1e-40"),
+    ("slide", "candidate_kind = bump\ncandidate_width = 1e60", "candidate_width", "1e+60"),
+])
+def test_bump_width_it_cannot_represent_exits_1(command, lines, key, value, tmp_path, capsys):
+    """The ramp bump of width 1e-40 wrote 5e-41,-inf,nan,nan and exited 0."""
+    cfg = tmp_path / "width.ini"
+    cfg.write_text(f"[{command}]\n{lines}\n")
+    out = tmp_path / "width"
+    assert run_cli(command, cfg, out) == 1
+    assert (f"{key} = {value}: width must keep every knot and coefficient in floating-point "
+            f"range, not {value}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, lines, largest", [
+    ("curvature", "method = direct\noracle_samples = 1000\npoints = 0.5", 60),
+    ("curvature", "method = formula\npoints = 0.5", 344),
+    ("perimeter", "samples = 2000\nscales = 1.0", 174),
+])
+def test_a_dimension_beyond_the_float_range_exits_1(command, lines, largest, tmp_path, capsys):
+    """One dimension more raised a raw OverflowError in the direct estimate
+    and in the formula's angular rule, and made the perimeter write nan."""
+    for n in (largest, largest + 1):
+        cfg = tmp_path / f"n{n}.ini"
+        cfg.write_text(f"[run]\nn = {n}\n\n[{command}]\n{lines}\n")
+        out = tmp_path / f"n{n}"
+        if n == largest:
+            assert run_cli(command, cfg, out) == 0
+            assert "nan" not in next(out.glob("*.csv")).read_text()
+        else:
+            assert run_cli(command, cfg, out) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: n = {n} ") and "floating-point range" in err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["curvature", "--bogus"], [], ["curvature", "--seed", "x"]])
+def test_command_line_errors_exit_1(argv, tmp_path, monkeypatch, capsys):
+    """They exited 2, the verdict's status, through a SystemExit from argparse."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fracsurf")
+
+
 def test_retired_slide_r_max_exits_1(tmp_path, capsys):
     cfg = tmp_path / "rmax.ini"
     cfg.write_text("""\
@@ -371,9 +425,7 @@ def test_curvature_points_that_are_not_finite_exit_1(method, points, bad, tmp_pa
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("truncation_radius", "inf", "truncation_radius must be finite, not inf"),
-    ("target_tolerance", "nan", "target_tolerance must be finite and positive, not nan"),
-    ("target_tolerance", "-1", "target_tolerance must be finite and positive, not -1.0"),
+    ("truncation_radius", "inf", "truncation_radius must be positive and finite, not inf"),
 ])
 def test_quadrature_keys_that_are_not_finite_and_positive_exit_1(key, value, message,
                                                                   tmp_path, capsys):
@@ -816,7 +868,6 @@ def test_misspelled_boolean_exits_1_and_writes_nothing(command, key, word, tmp_p
 
 @pytest.mark.parametrize("command, section, key, value", [
     ("curvature", "curvature", "max_subdivisions", "2.5"),
-    ("curvature", "curvature", "angular_order", "48.9"),
     ("curvature", "curvature", "oracle_samples", "20000.5"),
     ("barrier-verify", "barrier-verify", "samples", "64.5"),
     ("perimeter", "perimeter", "samples", "100000.5"),

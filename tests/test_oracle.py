@@ -174,6 +174,32 @@ def test_relative_perimeter_is_pinned_bit_for_bit():
         'near_cut=0.0009464101615137756, far_cut=37.85640646055102)')
 
 
+def test_direct_estimate_refuses_a_dimension_beyond_the_float_range():
+    """The outer shell's volume grows like 1e5^(n + 1), which raised a raw
+    OverflowError at n = 61."""
+    slab = TwoLeaf(ConstantProfile(0.3))
+    res = direct_curvature(slab, [0.5] + [0.0] * 59 + [0.3], 60, 0.5, oracle_samples=1000)
+    assert math.isfinite(res.value) and math.isfinite(res.total_error)
+    with pytest.raises(ValueError, match="n = 61 is too large for the direct estimate"):
+        direct_curvature(slab, [0.5] + [0.0] * 60 + [0.3], 61, 0.5, oracle_samples=1000)
+
+
+@pytest.mark.parametrize("n, half_width", [(174, 2.0), (342, 0.1)])
+def test_pair_estimate_refuses_a_dimension_beyond_the_float_range(n, half_width):
+    """One dimension more overflows the padded box's volume, which gave nan
+    at n = 175, or the sphere area's Gamma factor, a raw OverflowError at
+    n = 343; the dimension below still estimates."""
+    slab = TwoLeaf(ConstantProfile(0.3))
+    for d, ok in ((n + 1, True), (n + 2, False)):
+        window = Box((-half_width,) * d, (half_width,) * d)
+        if ok:
+            res = relative_perimeter(slab, window, d - 1, 0.5, samples=2000)
+            assert math.isfinite(res.value) and math.isfinite(res.error)
+        else:
+            with pytest.raises(ValueError, match=f"n = {d - 1} .*floating-point range"):
+                relative_perimeter(slab, window, d - 1, 0.5, samples=2000)
+
+
 @pytest.mark.parametrize("samples", [-1, 0, 1])
 def test_pair_estimates_need_two_samples(samples):
     window = Box((-2.0, -2.0), (2.0, 2.0))

@@ -212,6 +212,34 @@ def test_bump_width_that_is_not_positive_and_finite_is_refused(shape, width):
         shape(1.0, width)
 
 
+@pytest.mark.parametrize("shape, width", [
+    (BumpProfile, 1e-60),  # w^6 underflows to 0: a raw ZeroDivisionError before
+    (BumpProfile, 1e60),  # w^6 overflows: a raw OverflowError before
+    (RampBumpProfile, 1e-40),  # a / w^8 is inf: the value at 5e-41 read -inf for 1.0
+    (RampBumpProfile, 1e-60),
+    (RampBumpProfile, 1e60),
+])
+def test_bump_width_it_cannot_represent_is_refused(shape, width):
+    with pytest.raises(ValueError, match=re.escape(
+            "width must keep every knot and coefficient in floating-point range, "
+            f"not {width!r}")):
+        shape(1.0, width)
+
+
+def test_bump_keeps_the_widths_it_can_represent():
+    """Every coefficient is c * a / w ** k, as written; a narrow width keeps
+    the shape, and a zero amplitude stays zero where a nonzero one overflows."""
+    a, w = 0.7, 3.0
+    assert BumpProfile(a, w).pieces[0][1] == (
+        a, 0.0, -3.0 * a / w ** 2, 0.0, 3.0 * a / w ** 4, 0.0, -a / w ** 6)
+    r = a * 256.0 / 27.0
+    assert RampBumpProfile(a, w).pieces[0][1] == (
+        0.0, 0.0, r / w ** 2, 0.0, -3.0 * r / w ** 4, 0.0, 3.0 * r / w ** 6, 0.0, -r / w ** 8)
+    assert BumpProfile(1.0, 1e-40).value(5e-41) == pytest.approx(0.421875, rel=1e-15)
+    assert RampBumpProfile(1.0, 1e-30).value(5e-31) == 1.0000000000000004
+    assert RampBumpProfile(0.0, 1e-40).value(5e-41) == 0.0
+
+
 def test_vertical_shift_passthrough():
     """v - 0.4, of the input's own family: values drop by the shift, and
     slopes, chords and bends stay bit for bit."""
