@@ -29,8 +29,8 @@ from .profiles import (BarrierProfile, BumpProfile, ConstantProfile,
                        SampledProfile, SqrtProfile, profile_from_config,
                        profile_from_csv, profile_values, sublinearity_modulus)
 from .sliding import (RescalePlan, SlideOutcome, VERDICT_CONFIRMED,
-                      VERDICT_TOUCH, VERDICT_UNBOUNDED, rescale_for_slide,
-                      slide)
+                      VERDICT_TOUCH, VERDICT_UNBOUNDED, VERDICT_UNCERTIFIED,
+                      rescale_for_slide, slide)
 
 __version__ = "0.1.0"
 
@@ -77,6 +77,7 @@ __all__ = [
     "VERDICT_CONFIRMED",
     "VERDICT_TOUCH",
     "VERDICT_UNBOUNDED",
+    "VERDICT_UNCERTIFIED",
     "angular_rule",
     "cone_constant",
     "derived_seed",

@@ -32,7 +32,7 @@ from .errors import FracsurfError, check_order, positive_finite
 from .geometry import Ball, Box, Scaled, Subgraph, TwoLeaf
 from .oracle import direct_curvature, relative_perimeter
 from .profiles import profile_from_config
-from .sliding import (VERDICT_UNBOUNDED, rescale_for_slide, slide)
+from .sliding import (VERDICT_UNBOUNDED, VERDICT_UNCERTIFIED, rescale_for_slide, slide)
 
 
 def _quadrature_from(section: dict) -> QuadratureConfig:
@@ -171,7 +171,8 @@ def cmd_slide(sections, n, alpha, seed):
             "verdict": outcome.verdict,
             "interpretation": outcome.interpretation,
         }
-        return 2 if outcome.verdict == VERDICT_UNBOUNDED else 0, {"outcome.json": _json(payload)}
+        inconclusive = outcome.verdict in (VERDICT_UNBOUNDED, VERDICT_UNCERTIFIED)
+        return 2 if inconclusive else 0, {"outcome.json": _json(payload)}
     return run
 
 

@@ -26,8 +26,10 @@ rho = 2 v(s), so the core ends below the height, however thin the body.
     amplified by rho^-1; the mirror part, gap / rho under the same weight
     rho^-a, vanishes like rho^(n-1).  At n = 1 the graph part gets weighted
     quadrature carrying the rho^-a singularity exactly and the mirror part
-    plain adaptive quadrature; at n >= 2 their sum goes on the node panels
-    below, in x = rho^(1-a), where rho^-a drho = dx / (1 - a).
+    plain adaptive quadrature, up to the core's first bend (below); from
+    there to delta their sum, weight included, takes breakpoints at the
+    other bends.  At n >= 2 their sum goes on the node panels below, in
+    x = rho^(1-a), where rho^-a drho = dx / (1 - a).
   * midfield (delta, R): log-substituted adaptive quadrature of the plain
     integrand.
   * tail beyond R: bounded in closed form.  While the bound exceeds a small
@@ -42,13 +44,13 @@ axis, the knots and the zero crossings of v (two-leaf only: the slice height
 is max(v, 0)), which each profile solves once, on first use (``zeros``), as
 ``angular_rule`` solves each node set once per (n, order).  At n = 1
 QUADPACK integrates A with the rho of both nodes inside each band as
-breakpoints.  At n >= 2 each node's term is integrated
-in u = log rho (the core in x) on its own panels, split at its own bends,
-by adaptive Gauss-Kronrod 21/10 that refines the panels of all nodes from
-one pool and evaluates every new panel at once.  Edges count against the
-panel budget, which at n >= 2 is per node; there a node's edges take at
-most half of it, leaving the rest to bisect.  A band, or at n >= 2 a node,
-whose edges do not fit starts whole.
+breakpoints, the core beyond its first bend included.  At n >= 2 each
+node's term is integrated in u = log rho (the core in x) on its own panels,
+split at its own bends, by adaptive Gauss-Kronrod 21/10 that refines the
+panels of all nodes from one pool and evaluates every new panel at once.
+Edges count against the panel budget, which at n >= 2 is per node; there a
+node's edges take at most half of it, leaving the rest to bisect.  A band,
+the n = 1 core, or at n >= 2 a node, whose edges do not fit starts whole.
 """
 
 from __future__ import annotations
@@ -111,8 +113,9 @@ class QuadratureConfig:
         subintervals, or at n >= 2 the Gauss-Kronrod panels of each angular
         node in one band), also the cap on the number of tail decades.
         Breakpoints and panel edges count against it (at n >= 2 a node's
-        edges may take half of it, leaving room to bisect): a band, or at
-        n >= 2 a node, whose edges do not fit starts whole.
+        edges may take half of it, leaving room to bisect): a band, the
+        n = 1 core, or at n >= 2 a node, whose edges do not fit starts
+        whole.
     """
 
     pv_inner_radius: float = 0.1
@@ -379,13 +382,27 @@ def graph_curvature(profile: RadialProfile, radius: float, n: int, alpha: float,
 
     warnings = []
     if n == 1:
-        core_val, core_err = _quad(lambda rho: np.sum(core_graph(rho)), 0.0, delta,
+        # the weighted rule takes no breakpoints, so it stops at the core's
+        # first bend, and the breakpoint rule takes the rest at the others,
+        # under the same budget rule as log_band
+        inner = np.unique(bend_rho[bend_rho < delta])
+        split = 0 < len(inner) < limit
+        edge = inner[0] if split else delta
+        core_val, core_err = _quad(lambda rho: np.sum(core_graph(rho)), 0.0, edge,
                                    warnings, weight="alg", wvar=(-alpha, 0.0), **quad_kw)
         if two_leaf:
             m_val, m_err = _quad(lambda rho: np.sum(core_mirror(rho)) * rho ** -alpha,
-                                 0.0, delta, warnings, **quad_kw)
+                                 0.0, edge, warnings, **quad_kw)
             core_val += m_val
             core_err += m_err
+        if split:
+            def rest(rho):
+                mirror = np.sum(core_mirror(rho)) if two_leaf else 0.0
+                return (np.sum(core_graph(rho)) + mirror) * rho ** -alpha
+            rest_val, rest_err = _quad(rest, edge, delta, warnings,
+                                       points=inner[1:].tolist(), **quad_kw)
+            core_val += rest_val
+            core_err += rest_err
     else:
         # both core terms on the node panels in x = rho^(1 - a): rho^-a drho = dx / (1 - a)
         e = 1.0 / (1.0 - alpha)

@@ -208,8 +208,11 @@ def _pair_estimate(box: Box, n: int, alpha: float, samples: int, seed: int,
     mean = hits / samples
     value = scale * mean
     # three standard errors, same one-sided reading as everywhere else; the
-    # sample variance of k ones among N draws is (k / N) (N - k) / (N - 1)
-    err = 3.0 * scale * math.sqrt(mean * (samples - hits) / (samples - 1)) / math.sqrt(samples)
+    # sample variance of k ones among N draws is (k / N) (N - k) / (N - 1),
+    # with k held in [1, N - 1] so that no hit (or no miss) still reports
+    # the error of one, 3 scale / N, rather than 0
+    k = min(max(hits, 1), samples - 1)
+    err = 3.0 * scale * math.sqrt(k / samples * (samples - k) / (samples - 1)) / math.sqrt(samples)
     return EnergyResult(value=value, error=err, near_cut=near, far_cut=far)
 
 

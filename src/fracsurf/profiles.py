@@ -59,18 +59,19 @@ def _poly_divided(coeffs, a, b):
 
 def _rescaled(name, value, unit, build):
     """``build(value)``, the shape ``unit`` that ``build(1.0)`` gives, rescaled;
-    refused when a knot or anchor becomes infinite or a normal coefficient
-    of ``unit`` leaves the normal range: a zero or subnormal one would
-    silently change the graph."""
+    refused when a knot, anchor or coefficient becomes infinite (the
+    piecewise constructor refuses it) or a normal coefficient of ``unit``
+    leaves the normal range: a zero or subnormal one would silently change
+    the graph."""
     x = positive_finite(name, value)
     try:
         out = build(x)
-    except (OverflowError, ZeroDivisionError):  # a power of x overflows or underflows to 0
+    # a power of x overflows or underflows to 0, or a piece is not finite
+    except (OverflowError, ZeroDivisionError, ValueError):
         out = None
     tiny = np.finfo(float).tiny
     normal = lambda coef: (np.abs(coef) >= tiny) & (np.abs(coef) < math.inf)
-    if out is None or (normal(unit._coef) & ~normal(out._coef)).any() \
-            or not np.isfinite(np.append(out._knot_arr, out._anchors)).all():
+    if out is None or (normal(unit._coef) & ~normal(out._coef)).any():
         raise ValueError(f"{name} must keep every knot and coefficient in "
                          f"floating-point range, not {value!r}")
     return out
@@ -167,6 +168,9 @@ class PiecewisePolyProfile(RadialProfile):
         degree = max(len(cs) for _, cs in self.pieces)
         coef = np.array([[cs[k] if k < len(cs) else 0.0 for _, cs in self.pieces]
                          for k in range(degree)])
+        if not np.isfinite(np.concatenate((self._knot_arr, self._anchors, coef.ravel()))).all():
+            raise ValueError(f"{kind} profile needs every knot, anchor and coefficient "
+                             "finite")
         k = np.arange(degree)[:, None]
         zero = np.zeros((1, len(self.pieces)))
         self._coef = tuple(coef)
@@ -516,7 +520,8 @@ def profile_from_config(options: dict, prefix: str = "") -> RadialProfile:
         try:
             return (BumpProfile if kind == "bump" else RampBumpProfile)(amplitude, width)
         except ValueError as exc:
-            raise ValueError(f"{prefix}width = {width!r}: {exc}") from None
+            raise ValueError(f"{prefix}amplitude = {amplitude!r}, {prefix}width = {width!r}: "
+                             f"{exc}") from None
     if kind == "barrier":
         return BarrierProfile(num("epsilon", None, positive=True))
     if kind == "csv":

@@ -6,8 +6,9 @@ That height is the exact supremum of candidate over unit barrier, read at
 the radii where the ratio can peak.  Either the candidate stays inside all
 the way to the floor (the rigidity mechanism closes), or a first contact
 appears at a bounded radius (where the barrier's positive curvature
-certifies the obstruction), or the ratio only reaches its supremum as
-r -> inf (the candidate was not actually sublinear).
+certifies the obstruction, if its value clears its error with no quadrature
+warning; otherwise the touch is uncertified), or the ratio only reaches its
+supremum as r -> inf (the candidate was not actually sublinear).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ SLIDE_FLOOR = 1e-4
 
 VERDICT_CONFIRMED = "RIGIDITY_MECHANISM_CONFIRMED"
 VERDICT_TOUCH = "TOUCH_FOUND"
+VERDICT_UNCERTIFIED = "TOUCH_UNCERTIFIED"
 VERDICT_UNBOUNDED = "UNBOUNDED_TOUCH_SEQUENCE"
 
 
@@ -99,13 +101,24 @@ def slide(candidate: RadialProfile, lam: float, eps0: float, n: int, alpha: floa
                 "grows too fast for the sliding mechanism, no bounded first contact exists"))
 
     touch_radius = float(radii[idx])
+    res = two_leaf_curvature(BarrierProfile(eps_star), touch_radius, n, alpha)
+    contact = "the barrier cannot shrink past this height without contacting the candidate"
+    failed = []
+    # written so that a nan curvature is not certified
+    if not res.value - res.total_error > 0.0:
+        failed.append(f"the barrier curvature there, {res.value!r} +- {res.total_error!r}, "
+                      "is not certified positive")
+    if res.warnings:
+        failed.append(f"its quadrature warned {', '.join(res.warnings)}")
     return SlideOutcome(
-        lam=lam, eps_star=eps_star, floor=SLIDE_FLOOR, verdict=VERDICT_TOUCH,
+        lam=lam, eps_star=eps_star, floor=SLIDE_FLOOR,
+        verdict=VERDICT_UNCERTIFIED if failed else VERDICT_TOUCH,
         touch_point=(touch_radius,) + (0.0,) * (n - 1) + (rescaled.value(touch_radius),),
-        curvature=two_leaf_curvature(BarrierProfile(eps_star), touch_radius, n, alpha),
+        curvature=res,
         interpretation=(
-            "the barrier cannot shrink past this height without contacting the "
-            "candidate; at the contact radius the barrier curvature is strictly "
+            f"{contact}, but {' and '.join(failed)}, so the contact does not rule out "
+            "stationarity at this scale" if failed else
+            f"{contact}; at the contact radius the barrier curvature is strictly "
             "positive, and a genuinely stationary candidate touched from outside "
             "would force it nonpositive there, so the contact rules out stationarity "
             "at this scale"))

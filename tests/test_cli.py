@@ -190,6 +190,21 @@ def test_bump_width_it_cannot_represent_exits_1(command, lines, key, value, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, amplitude", [("bump", "1e308"), ("rampbump", "1e307")])
+def test_bump_amplitude_whose_coefficients_overflow_exits_1(kind, amplitude, tmp_path,
+                                                            capsys):
+    """BumpProfile(1e308, 1.0) and RampBumpProfile(1e307, 1.0) evaluated to
+    nan at r = 0.5."""
+    cfg = tmp_path / "amplitude.ini"
+    cfg.write_text(f"[curvature]\ngeometry = subgraph\nkind = {kind}\n"
+                   f"amplitude = {amplitude}\npoints = 0.5\n")
+    out = tmp_path / "amplitude"
+    assert run_cli("curvature", cfg, out) == 1
+    assert (f"amplitude = {float(amplitude)!r}, width = 1.0: {kind} profile needs every "
+            "knot, anchor and coefficient finite") in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, lines, largest", [
     ("curvature", "method = direct\noracle_samples = 1000\npoints = 0.5", 60),
     ("curvature", "method = formula\npoints = 0.5", 344),
@@ -568,6 +583,32 @@ def test_slide_touch_outcome_schema(small_config, tmp_path):
     assert payload["lambda"] == pytest.approx(0.00625)
     assert payload["eps_star"] == pytest.approx(0.000625, rel=1e-6)
     assert payload["H_at_touch"] > 0.0
+
+
+def test_slide_touch_on_a_negative_barrier_exits_2(tmp_path):
+    """It exited 0 with TOUCH_FOUND at H = -7.666 +- 7.7e-4, and its
+    interpretation claimed a strictly positive barrier curvature."""
+    cfg = tmp_path / "negative.ini"
+    cfg.write_text("""\
+[run]
+n = 1
+alpha = 0.5
+
+[slide]
+eps0 = 3.0
+envelope_kind = constant
+envelope_level = 4.0
+candidate_kind = rampbump
+candidate_amplitude = 10.0
+candidate_width = 27.0
+""")
+    out = tmp_path / "negative"
+    assert run_cli("slide", cfg, out) == 2
+    payload = json.loads((out / "outcome.json").read_text())
+    assert payload["verdict"] == "TOUCH_UNCERTIFIED"
+    assert payload["H_at_touch"] + payload["err"] < 0.0
+    assert "strictly positive" not in payload["interpretation"]
+    assert "is not certified positive" in payload["interpretation"]
 
 
 def test_slide_escape_exits_2(tmp_path):

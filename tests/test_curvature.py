@@ -572,6 +572,34 @@ def test_n2_radial_error_covers_the_knotted_twin(n, ref):
     assert abs(res.value - ref) <= res.error_core + res.error_midfield
 
 
+_KNOTTED_R = np.linspace(0.0, 4.0, 81)
+_KNOTTED = SampledProfile(_KNOTTED_R, 1.0 + _KNOTTED_R ** 2 / 8.0)
+
+
+# references from tests/make_n1_references.py: every QUADPACK call of the
+# point re-done by quad_vec at tolerance 1e-15, split at every bend.
+# (profile, radius, alpha, reference)
+N1_BENDS_IN_CORE = {
+    "knotted-1.0001": (_KNOTTED, 1.0001, 0.5, -0.62191523798791),
+    "knotted-0.97": (_KNOTTED, 0.97, 0.2, 0.20986072290725882),
+    "knotted-2.02": (_KNOTTED, 2.02, 0.8, -1.9009856287251283),
+    "barrier-0.99": (_BASE, 0.99, 0.5, 12.302430380831685),
+    "barrier-2.01": (_BASE, 2.01, 0.5, 9.673060567980379),
+}
+
+
+@pytest.mark.parametrize("profile,r,alpha,ref", N1_BENDS_IN_CORE.values(),
+                         ids=N1_BENDS_IN_CORE.keys())
+def test_n1_radial_error_covers_bends_inside_the_core(profile, r, alpha, ref):
+    """Bends of the offset radius lie inside the core (0, delta).  With the
+    core's weighted rule run whole over them, the three knotted points were
+    4.5e-11, 1.5e-11 and 2.3e-11 off, 24, 7 and 7 times their core plus
+    midfield errors."""
+    res = two_leaf_curvature(profile, r, 1, alpha)
+    assert "quadrature-above-target" not in res.warnings
+    assert abs(res.value - ref) <= res.error_core + res.error_midfield
+
+
 @pytest.mark.parametrize("r,n,alpha,ref", [
     (0.5793650965138123, 2, 0.2, 42.21933478809285),
     (0.5, 3, 0.8, 18.400563003162077),
@@ -693,9 +721,15 @@ def test_zero_step_beside_a_knot_crossing_step():
     crosses the knot at 0.05.  The zero step takes half the curvature, with
     no 0 / 0 in the crossing branch; the value is pinned."""
     r = np.linspace(0.0, 4.0, 81)
-    res = two_leaf_curvature(SampledProfile(r, 1.0 + r ** 2 / 8.0), 0.025, 1, 0.5)
+    profile = SampledProfile(r, 1.0 + r ** 2 / 8.0)
+    zero_steps = []
+    # only rho = 2s gives the c = -1 node a step of exactly 0
+    profile._bends = lambda s, h: zero_steps.append(0.0 in h) or \
+        PiecewisePolyProfile._bends(profile, s, h)
+    res = two_leaf_curvature(profile, 0.025, 1, 0.5)
+    assert any(zero_steps)
     assert repr(res) == (
-        "CurvatureResult(value=-0.5147538836058839, error_core=1.2569620639960316e-12, "
+        "CurvatureResult(value=-0.5147538836057814, error_core=5.782227213322758e-15, "
         "error_midfield=1.7442083930201706e-13, error_tail=6.796990480876434e-05, "
         "outer_radius=100000000000.0, warnings=())")
 
@@ -743,7 +777,7 @@ def test_escalation_stops_where_the_bound_meets_its_goal(profile, r, n, alpha, b
 # the 2401-node sampled candidate of test_sliding.py at r = 60.025, alpha = 0.5:
 # every zero crossing of its pieces is solved in one batch; (n, result)
 RUNAWAY_POINTS = {
-    1: "CurvatureResult(value=10.361297433560607, error_core=9.976173885871189e-15, "
+    1: "CurvatureResult(value=10.361297433560607, error_core=3.7592817459682616e-15, "
        "error_midfield=9.377924704289972e-12, error_tail=0.0009832067692772813, "
        "outer_radius=100000000.0, warnings=())",
     2: "CurvatureResult(value=18.059493961355113, error_core=4.1001971539674877e-16, "

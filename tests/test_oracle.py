@@ -210,6 +210,17 @@ def test_pair_estimates_need_two_samples(samples):
     assert relative_perimeter(HalfSpace(0.0), window, 1, 0.5, samples=2).error >= 0.0
 
 
+def test_a_perimeter_with_no_hits_reports_the_error_of_one():
+    """The ball lies outside the padded window, so no pair crosses; the
+    error read exactly 0, as perimeter at n = 174 wrote 1.0,0.0,0.0."""
+    window = Box((10.0, 10.0), (11.0, 11.0))
+    res = relative_perimeter(Ball(0.5), window, 1, 0.5, samples=2000)
+    assert res.value == 0.0
+    volume = (1.0 + math.sqrt(2.0)) ** 2  # the window padded by half its diameter
+    scale = 0.25 * volume * 2.0 * math.pi * (res.near_cut ** -0.5 - res.far_cut ** -0.5) / 0.5
+    assert res.error == pytest.approx(3.0 * scale / 2000, rel=1e-12)
+
+
 # each shell holds about 2800 pairs; repr results of the whole-shell sampler,
 # from tests/make_oracle_references.py
 _BLOCK_SAMPLES = 300_000

@@ -226,6 +226,27 @@ def test_bump_width_it_cannot_represent_is_refused(shape, width):
         shape(1.0, width)
 
 
+@pytest.mark.parametrize("shape, amplitude", [(BumpProfile, 1e308), (RampBumpProfile, 1e307)])
+def test_bump_amplitude_whose_coefficients_overflow_is_refused(shape, amplitude):
+    """The coefficients became +-inf, and the value at r = 0.5 read nan."""
+    with pytest.raises(ValueError, match=f"{shape(1.0).kind} profile needs every knot, "
+                                         "anchor and coefficient finite"):
+        shape(amplitude, 1.0)
+
+
+@pytest.mark.parametrize("knots, pieces", [
+    ((math.inf,), ((0.0, (1.0,)), (0.0, (2.0,)))),
+    ((math.nan,), ((0.0, (1.0,)), (0.0, (2.0,)))),
+    ((), ((math.inf, (1.0, 1.0)),)),
+    ((), ((0.0, (1.0, -math.inf)),)),
+    ((), ((0.0, (math.nan,)),)),
+])
+def test_piecewise_profile_refuses_what_is_not_finite(knots, pieces):
+    with pytest.raises(ValueError, match="piecewise profile needs every knot, anchor and "
+                                         "coefficient finite"):
+        PiecewisePolyProfile(knots, pieces)
+
+
 def test_bump_keeps_the_widths_it_can_represent():
     """Every coefficient is c * a / w ** k, as written; a narrow width keeps
     the shape, and a zero amplitude stays zero where a nonzero one overflows."""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
@@ -6,6 +8,7 @@ from fracsurf import (ConstantProfile, InitialInclusionError, InvalidEnvelopeErr
                       LinearProfile, NotSublinearError, PiecewisePolyProfile,
                       RampBumpProfile, SampledProfile, SqrtProfile,
                       rescale_for_slide, slide)
+from fracsurf import sliding
 from fracsurf.sliding import SLIDE_FLOOR
 
 CONSTANT_ENV = ConstantProfile(1.0)
@@ -118,6 +121,30 @@ def test_bump_touches_exactly_at_its_peak():
     assert out.eps_star == pytest.approx(0.01, rel=1e-12)
     assert out.touch_point[0] == pytest.approx(0.165, rel=1e-12)
     assert out.touch_point[1] == pytest.approx(0.01, rel=1e-12)
+
+
+def test_touch_on_a_negative_barrier_is_uncertified():
+    """eps* = 0.92 lies above the barrier's positive range (eps0 near 0.43
+    at n = 1, alpha = 0.5): this touch read TOUCH_FOUND with H = -7.69 +-
+    7.6e-4 and claimed a strictly positive barrier curvature."""
+    out = slide(RampBumpProfile(0.9, 2.7), 1.0, 2.0, 1, 0.5)
+    assert out.verdict == "TOUCH_UNCERTIFIED"
+    assert out.touch_point[0] == pytest.approx(1.239, abs=1e-3)
+    assert out.curvature.value + out.curvature.total_error < 0.0
+    assert "strictly positive" not in out.interpretation
+    assert (f"the barrier curvature there, {out.curvature.value!r} +- "
+            f"{out.curvature.total_error!r}, is not certified positive") in out.interpretation
+
+
+def test_touch_whose_curvature_warns_is_uncertified(monkeypatch):
+    plain = sliding.two_leaf_curvature
+    monkeypatch.setattr(sliding, "two_leaf_curvature", lambda *args: dataclasses.replace(
+        plain(*args), warnings=("quadrature-failed",)))
+    out = slide(ConstantProfile(0.01), 1.0, 0.05, 1, 0.5)
+    assert out.curvature.value - out.curvature.total_error > 0.0
+    assert out.verdict == "TOUCH_UNCERTIFIED"
+    assert "its quadrature warned quadrature-failed" in out.interpretation
+    assert "not certified positive" not in out.interpretation
 
 
 def test_eps_star_never_exceeds_half_the_start():
