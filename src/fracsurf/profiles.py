@@ -8,11 +8,11 @@ first and second divided differences of a profile taken with an *exact* step:
 
 Forming these naively from rounded endpoint values loses all significant
 digits once h is small against r, and the principal-value integrand amplifies
-that noise by h^(-1).  Piecewise-polynomial profiles therefore evaluate both
-quantities through expanded product sums that never subtract nearly equal
-numbers; the square-root profile has its own closed forms.  Sampled profiles
-are piecewise polynomials too: the pieces of their monotone cubic
-interpolant.
+that noise by h^(-1).  Every profile is one family, polynomial pieces in
+x = r or, for the square root's cusp, in x = sqrt(r); both quantities come
+from expanded product sums in x that never subtract nearly equal numbers,
+divided at root 2 by those of r = x^2.  Sampled profiles are piecewise
+polynomials too: the pieces of their monotone cubic interpolant.
 
 Every radial function in the package is a profile: candidate sets, their
 growth envelopes, barriers, straight cones and half-spaces.  Exact extremes
@@ -80,11 +80,12 @@ def _rescaled(name, value, unit, build):
 class RadialProfile:
     """Base class: an even height profile r >= 0 -> height.
 
-    Two families: ``PiecewisePolyProfile`` and ``SqrtProfile``.  The named
-    shapes (constant, linear, bump, ramp bump, barrier, sampled) are functions
-    returning a piecewise polynomial whose ``kind`` names the shape.
+    One family, ``PiecewisePolyProfile``: polynomial pieces in x = r or in
+    x = sqrt(r).  The named shapes (constant, linear, square root, bump,
+    ramp bump, barrier, sampled) are functions returning one, whose
+    ``kind`` names the shape.
 
-    Each family implements three one-sided array accessors: ``_values``
+    The family implements three one-sided array accessors: ``_values``
     and ``_slopes`` for r >= 0, and ``_divided(r, h)``, the pair (chord,
     bend) for r >= 0, r + h >= 0, which at h = 0 is its limit (v', v''/2).
     They take arrays of one shape, or plain floats, and run the same numpy
@@ -94,13 +95,6 @@ class RadialProfile:
     evenness and call them; ``profile_values`` and ``profile_slopes`` are
     the array entry points.  The curvature core steps only from r >= 0 to
     r + h >= 0 and calls ``_bends`` directly.
-
-    Each family is closed under ``shifted(h)``, the graph lowered by h, and
-    ``dilated(f)``, the rescaled graph v(f r) / f.  Each is also, piece by
-    piece, a polynomial in x = r ** (1 / root): ``pieces`` lists (anchor,
-    coeffs), the coefficients of t^0, t^1, ... in t = x - anchor, and piece
-    i covers [knots[i-1], knots[i]).  As arrays: ``_knot_arr``, ``_anchors``
-    and ``_coef``, whose row k holds every piece's t^k coefficient.
     """
 
     @functools.cached_property
@@ -146,19 +140,32 @@ class RadialProfile:
 class PiecewisePolyProfile(RadialProfile):
     """Profile assembled from polynomial pieces on [0, inf).
 
-    ``pieces`` is a list of (anchor, coeffs); piece i covers
-    [knots[i-1], knots[i]) with knots[-1] implicitly 0 and the final piece
-    unbounded.  Chords and bends inside one piece use the exact product-sum
-    forms; a step across knots sums each piece's exact chord over its share
-    of the step, weighted by that share's length.
+    Piece i is a polynomial P in x = r ** (1 / root), ``root`` 1 or 2, and
+    covers the radii [knots[i-1], knots[i]) with knots[-1] implicitly 0 and
+    the final piece unbounded.  ``pieces`` lists (anchor, coeffs), the
+    coefficients of t^0, t^1, ... in t = x - anchor; as arrays, ``_knot_arr``,
+    ``_anchors`` and ``_coef``, whose row k holds every piece's t^k
+    coefficient.  ``kind`` names the shape; by default, as for a rescaled
+    one, it is "piecewise" at root 1 and "sqrt" at root 2.
+
+    Chords and bends inside one piece use the exact product-sum forms in x;
+    at root 2 they are divided by those of g(x) = x^2, g[x0, x1] = x0 + x1
+    and g[x0, x0] = 2 x0.  A step across knots sums each piece's exact chord
+    over its share of the step, weighted by that share's length.  At the
+    cusp of a root-2 profile, r = 0, the slope P'(x) / (2x) and the bends
+    are infinite (for a positive P'(0)), without a floating-point warning.
+    The family is closed under ``shifted(h)``, the graph lowered by h, and
+    ``dilated(f)``, the rescaled graph v(f r) / f; both keep the root.
     """
 
-    root = 1
-
     def __init__(self, knots: Sequence[float], pieces: Sequence[tuple],
-                 kind: str = "piecewise"):
+                 kind: str | None = None, root: int = 1):
         assert len(pieces) == len(knots) + 1
-        self.kind = kind
+        if root not in (1, 2):
+            raise ValueError(f"a profile's pieces are polynomials in r or sqrt(r): "
+                             f"root must be 1 or 2, not {root!r}")
+        self.root = int(root)
+        self.kind = ("piecewise", "sqrt")[self.root - 1] if kind is None else kind
         self.knots = tuple(float(k) for k in knots)
         self.pieces = [(float(a), tuple(float(c) for c in cs)) for a, cs in pieces]
         # padded with zeros to the highest degree; the slope rows k c_k keep
@@ -169,16 +176,17 @@ class PiecewisePolyProfile(RadialProfile):
         coef = np.array([[cs[k] if k < len(cs) else 0.0 for _, cs in self.pieces]
                          for k in range(degree)])
         if not np.isfinite(np.concatenate((self._knot_arr, self._anchors, coef.ravel()))).all():
-            raise ValueError(f"{kind} profile needs every knot, anchor and coefficient "
+            raise ValueError(f"{self.kind} profile needs every knot, anchor and coefficient "
                              "finite")
         k = np.arange(degree)[:, None]
         zero = np.zeros((1, len(self.pieces)))
         self._coef = tuple(coef)
         self._slope_coef = tuple((k * coef)[1:] if degree > 1 else zero)
 
-    def _horner(self, rows, r):
-        # one gathered coefficient row per step, so temporaries stay the size
-        # of r; leading zero rows leave a piece's value exact.  Without knots
+    def _horner(self, rows, r, x):
+        # the piece holding the radius r, in its own x; one gathered
+        # coefficient row per step, so temporaries stay the size of r;
+        # leading zero rows leave a piece's value exact.  Without knots
         # every radius is in piece 0, and searchsorted would only say so
         if self._knot_arr.size:
             idx = self._knot_arr.searchsorted(r, side="right")
@@ -186,17 +194,21 @@ class PiecewisePolyProfile(RadialProfile):
             idx = np.zeros(np.shape(r), dtype=np.intp)
         acc = rows[-1][idx]
         if len(rows) > 1:
-            t = r - self._anchors[idx]
+            t = x - self._anchors[idx]
             for row in rows[-2::-1]:
                 acc *= t
                 acc += row[idx]
         return acc
 
     def _values(self, r):
-        return self._horner(self._coef, r)
+        return self._horner(self._coef, r, r if self.root == 1 else np.sqrt(r))
 
     def _slopes(self, r):
-        return self._horner(self._slope_coef, r)
+        if self.root == 1:
+            return self._horner(self._slope_coef, r, r)
+        x = np.sqrt(r)
+        with np.errstate(divide="ignore"):
+            return self._horner(self._slope_coef, r, x) / (2.0 * x)
 
     def _divided(self, r, h):
         # a step that ends on a knot stays in the closed piece through its
@@ -206,8 +218,16 @@ class PiecewisePolyProfile(RadialProfile):
         hi = np.maximum(r, b)
         knots = self._knot_arr
         idx = knots.searchsorted(0.5 * (lo + hi), side="right")
-        a = r - self._anchors[idx]
-        chord, bend = _poly_divided((row[idx] for row in self._coef[1:]), a, a + h)
+        rows = (row[idx] for row in self._coef[1:])
+        if self.root == 1:
+            a = r - self._anchors[idx]
+            chord, bend = _poly_divided(rows, a, a + h)
+        else:
+            x0, x1 = np.sqrt(r), np.sqrt(b)
+            g = x0 + x1
+            p, q = _poly_divided(rows, x0 - self._anchors[idx], x1 - self._anchors[idx])
+            with np.errstate(divide="ignore"):
+                chord, bend = p / g, (g * q - p) / (2.0 * x0 * g ** 2)
         crossing = knots.searchsorted(hi, side="left") > knots.searchsorted(lo, side="right")
         if crossing.any():
             # only the pieces that some crossing step reaches; shares are
@@ -222,8 +242,16 @@ class PiecewisePolyProfile(RadialProfile):
                 anchor, cs = self.pieces[i]
                 u0 = np.clip(edges[i] - r, lo, hi)
                 u1 = np.clip(edges[i + 1] - r, lo, hi)
-                t = r - anchor
-                total = total + _poly_divided(cs[1:], t + u0, t + u1)[0] * (u1 - u0)
+                if self.root == 1:
+                    t = r - anchor
+                    total = total + _poly_divided(cs[1:], t + u0, t + u1)[0] * (u1 - u0)
+                    continue
+                xa, xb = np.sqrt(r + u0), np.sqrt(r + u1)
+                # an empty share at the axis, where no step crosses a knot,
+                # is 0 / 0 or inf * 0; np.where drops it below
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    total = total + (_poly_divided(cs[1:], xa - anchor, xb - anchor)[0]
+                                     / (xa + xb) * (u1 - u0))
             # a zero step crosses no knot; dividing it by 1 keeps it finite
             step = np.where(crossing, h, 1.0)
             across = total / np.abs(step)
@@ -237,66 +265,27 @@ class PiecewisePolyProfile(RadialProfile):
 
     def shifted(self, height: float) -> "PiecewisePolyProfile":
         return PiecewisePolyProfile(self.knots, [(a, (cs[0] - height,) + cs[1:])
-                                                 for a, cs in self.pieces])
+                                                 for a, cs in self.pieces], root=self.root)
 
     def dilated(self, factor: float) -> "PiecewisePolyProfile":
-        # v(f r) / f: in the piece-local t = r - a / f the t^k coefficient
-        # gains f^(k - 1); a power-of-two factor rescales exactly, and a zero
-        # coefficient stays zero without its power
+        # v(f r) / f: knots are divided by f and anchors by f^(1 / root), and
+        # the t^k coefficient gains f^(k / root - 1); a power-of-two factor
+        # (of four at root 2) rescales exactly, and a zero coefficient stays
+        # zero without its power
+        root = self.root
         return _rescaled("dilation factor", factor, self, lambda f: PiecewisePolyProfile(
             [k / f for k in self.knots],
-            [(a / f, tuple(c and c * f ** (k - 1) for k, c in enumerate(cs)))
-             for a, cs in self.pieces]))
-
-
-class SqrtProfile(RadialProfile):
-    """v(r) = scale * sqrt(r) + offset; chord and bend have exact algebraic
-    forms, in which the offset cancels.
-
-    At the cusp r = 0 the slope is inf and the curvature and bends -inf
-    (for a positive scale), without a floating-point warning.
-    """
-
-    kind = "sqrt"
-    root = 2
-    knots = ()
-    _knot_arr = np.empty(0)
-
-    def __init__(self, scale: float = 1.0, offset: float = 0.0):
-        self.scale = float(scale)
-        self.offset = float(offset)
-        self.pieces = [(0.0, (self.offset, self.scale))]
-        self._anchors = np.zeros(1)
-        self._coef = (np.array([self.offset]), np.array([self.scale]))
-
-    def _values(self, r):
-        return self.scale * np.sqrt(r) + self.offset
-
-    def _slopes(self, r):
-        with np.errstate(divide="ignore"):
-            return 0.5 * self.scale / np.sqrt(r)
-
-    def _divided(self, r, h):
-        # (sqrt(r+h) - sqrt(r))/h = 1/(sqrt(r) + sqrt(r+h)); at the cusp
-        # with h = 0 the sum is 0 and both quotients are infinite
-        sa = np.sqrt(r)
-        total = sa + np.sqrt(r + h)
-        with np.errstate(divide="ignore"):
-            return self.scale / total, -self.scale / (2.0 * sa * total ** 2)
-
-    def smooth_at(self, r):
-        return r != 0.0
-
-    def shifted(self, height: float) -> "SqrtProfile":
-        return SqrtProfile(self.scale, self.offset - height)
-
-    def dilated(self, factor: float) -> "SqrtProfile":
-        return _rescaled("dilation factor", factor, self,
-                         lambda f: SqrtProfile(self.scale / math.sqrt(f), self.offset / f))
+            [(a / f ** (1 / root), tuple(c and c * f ** (k / root - 1) for k, c in enumerate(cs)))
+             for a, cs in self.pieces], root=root))
 
 
 def ConstantProfile(level: float) -> PiecewisePolyProfile:
     return PiecewisePolyProfile((), ((0.0, (float(level),)),), "constant")
+
+
+def SqrtProfile(scale: float = 1.0, offset: float = 0.0) -> PiecewisePolyProfile:
+    """v(r) = scale * sqrt(r) + offset, one piece in sqrt(r) with a cusp at 0."""
+    return PiecewisePolyProfile((), ((0.0, (float(offset), float(scale))),), "sqrt", root=2)
 
 
 def LinearProfile(gradient: float) -> PiecewisePolyProfile:
@@ -372,12 +361,12 @@ def SampledProfile(radii, values) -> PiecewisePolyProfile:
 
 
 def DilatedGraphProfile(profile: RadialProfile, factor: float) -> RadialProfile:
-    """The graph rescaling u_R(r) = u(R r) / R, a profile of the same family."""
+    """The graph rescaling u_R(r) = u(R r) / R, a profile with the same root."""
     return profile.dilated(factor)
 
 
 def profile_values(profile: RadialProfile, radii) -> np.ndarray:
-    """Profile heights on an array of radii, each family on its own array path.
+    """Profile heights on an array of radii, on the profile's array path.
 
     Membership tests and the curvature quadrature both classify large point
     batches through this one entry point.

@@ -82,6 +82,24 @@ def test_sublinear_graph_flattens_into_a_slab_and_outgrows_every_cone(n, tol):
     assert abs(1.0 - ratios[-1][0]) <= tol
 
 
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("n", [1, 2])
+def test_square_root_growth_sets_the_exponent_of_its_curvature(n, alpha):
+    """The paper's dichotomy as one exponent: far out the graph y = sqrt(r)
+    is the slab of half-width sqrt(r), whose H is a constant times
+    r^(-alpha/2), so r^alpha H rises by alpha/2 per decade, where a cone
+    would keep it constant.  Each rise is larger than the two points'
+    scaled errors; only at alpha = 0.2 may the tail bound miss its target."""
+    scaled = []
+    for r in (1e4, 1e5, 1e6):
+        res = two_leaf_curvature(SqrtProfile(1.0), r, n, alpha)
+        assert set(res.warnings) <= ({"tail-above-target"} if alpha < 0.5 else set())
+        scaled.append((r ** alpha * res.value, r ** alpha * res.total_error))
+    for (a, err_a), (b, err_b) in zip(scaled, scaled[1:]):
+        assert abs(math.log10(b / a) - alpha / 2) <= 0.01
+        assert b - a > err_a + err_b
+
+
 CATENOID_NODES = np.geomspace(1.0, 1e12, 41)
 # a catenoid end, v(r) = arccosh r, sampled from its neck at r = 1 out to
 # 1e12; inside the neck the body is empty, and the two samples there turn
@@ -690,22 +708,18 @@ def test_n2_edges_leave_room_to_bisect(limit):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_core_steps_stay_on_one_side_of_the_axis(monkeypatch, n):
-    """The core asks each family's bends only for steps from s >= 0 to the
+    """The core asks the profile's bends only for steps from s >= 0 to the
     offset radius t >= 0, at the apex, at a knot, on the neck, and at
     n = 1 on the square root."""
     calls = []
+    bends = PiecewisePolyProfile._bends
 
-    def one_sided(cls):
-        bends = cls._bends
+    def checked(self, r, h):
+        assert np.all(r >= 0.0) and np.all(r + h >= 0.0)
+        calls.append(1)
+        return bends(self, r, h)
 
-        def checked(self, r, h):
-            assert np.all(r >= 0.0) and np.all(r + h >= 0.0)
-            calls.append(1)
-            return bends(self, r, h)
-        monkeypatch.setattr(cls, "_bends", checked)
-
-    one_sided(PiecewisePolyProfile)
-    one_sided(SqrtProfile)
+    monkeypatch.setattr(PiecewisePolyProfile, "_bends", checked)
     points = [(BarrierProfile(0.2), 0.0), (BarrierProfile(0.2), 1.0), (_NECK, 1.5)]
     if n == 1:
         points.append((SqrtProfile(1.0), 4.0))

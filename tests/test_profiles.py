@@ -158,14 +158,13 @@ STEPS = [(0.5, 0.3), (1.3, -0.2), (4.0, 1e-3), (0.9, 1.6)]
 
 
 def test_dilated_profile_is_scaling():
-    """u(f r) / f, of the input's own family: values, slopes, chords and
-    bends transported through the dilation.  Dilating by a power of two
-    rescales every coefficient exactly; f = 3 rounds them, and so does
-    dilating by 4 and then by 2.5, which composes to f = 10."""
+    """u(f r) / f, with the input's root: values, slopes, chords and bends
+    transported through the dilation.  Dilating by a power of two (of four
+    at root 2) rescales every coefficient exactly; f = 3 rounds them, and
+    so does dilating by 4 and then by 2.5, which composes to f = 10."""
     for base, f in itertools.product(ARRAY_FAMILIES.values(), (0.5, 3.0, 10.0)):
         prof = base.dilated(4.0).dilated(2.5) if f == 10.0 else DilatedGraphProfile(base, f)
-        assert type(prof) in (PiecewisePolyProfile, SqrtProfile)
-        assert isinstance(base, type(prof))
+        assert type(prof) is PiecewisePolyProfile and prof.root == base.root
         rel = 1e-14 if f == 0.5 else 1e-13
         for r, h in STEPS:
             assert prof.value(r) == pytest.approx(base.value(f * r) / f, rel=rel, abs=0.0)
@@ -234,17 +233,28 @@ def test_bump_amplitude_whose_coefficients_overflow_is_refused(shape, amplitude)
         shape(amplitude, 1.0)
 
 
-@pytest.mark.parametrize("knots, pieces", [
-    ((math.inf,), ((0.0, (1.0,)), (0.0, (2.0,)))),
-    ((math.nan,), ((0.0, (1.0,)), (0.0, (2.0,)))),
-    ((), ((math.inf, (1.0, 1.0)),)),
-    ((), ((0.0, (1.0, -math.inf)),)),
-    ((), ((0.0, (math.nan,)),)),
+@pytest.mark.parametrize("make, kind", [
+    (lambda: PiecewisePolyProfile((math.inf,), ((0.0, (1.0,)), (0.0, (2.0,)))), "piecewise"),
+    (lambda: PiecewisePolyProfile((math.nan,), ((0.0, (1.0,)), (0.0, (2.0,)))), "piecewise"),
+    (lambda: PiecewisePolyProfile((), ((math.inf, (1.0, 1.0)),)), "piecewise"),
+    (lambda: PiecewisePolyProfile((), ((0.0, (1.0, -math.inf)),)), "piecewise"),
+    (lambda: PiecewisePolyProfile((), ((0.0, (math.nan,)),)), "piecewise"),
+    # the square root read inf and nan at r = 4 before, without an error
+    (lambda: SqrtProfile(math.inf), "sqrt"),
+    (lambda: SqrtProfile(1.0, math.nan), "sqrt"),
 ])
-def test_piecewise_profile_refuses_what_is_not_finite(knots, pieces):
-    with pytest.raises(ValueError, match="piecewise profile needs every knot, anchor and "
+def test_piecewise_profile_refuses_what_is_not_finite(make, kind):
+    with pytest.raises(ValueError, match=f"{kind} profile needs every knot, anchor and "
                                          "coefficient finite"):
-        PiecewisePolyProfile(knots, pieces)
+        make()
+
+
+@pytest.mark.parametrize("root", [0, 3, 4, 1.5, -2])
+def test_piecewise_profile_refuses_a_root_other_than_1_or_2(root):
+    """Extremes expand a piece in r in sqrt(r), and nothing else: a root of
+    3 or more would need the lcm of two roots."""
+    with pytest.raises(ValueError, match=re.escape(f"root must be 1 or 2, not {root!r}")):
+        PiecewisePolyProfile((), ((0.0, (1.0, 1.0)),), root=root)
 
 
 def test_bump_keeps_the_widths_it_can_represent():
@@ -262,11 +272,11 @@ def test_bump_keeps_the_widths_it_can_represent():
 
 
 def test_vertical_shift_passthrough():
-    """v - 0.4, of the input's own family: values drop by the shift, and
+    """v - 0.4, with the input's root: values drop by the shift, and
     slopes, chords and bends stay bit for bit."""
     for base in ARRAY_FAMILIES.values():
         prof = base.shifted(0.4)
-        assert isinstance(base, type(prof))
+        assert type(prof) is PiecewisePolyProfile and prof.root == base.root
         for r, h in STEPS:
             assert prof.value(r) == pytest.approx(base.value(r) - 0.4, rel=1e-15, abs=1e-15)
             assert prof.first_derivative(r) == base.first_derivative(r)
@@ -469,11 +479,10 @@ class PiecewiseReference:
 
 
 class SqrtReference:
-    """The closed forms, with math.sqrt."""
+    """The closed forms of scale * sqrt(r) + offset, with math.sqrt."""
 
     def __init__(self, profile):
-        self.scale = profile.scale
-        self.offset = profile.offset
+        self.offset, self.scale = profile.pieces[0][1]
 
     def point(self, r):
         s = self.scale
@@ -490,7 +499,7 @@ class SqrtReference:
 
 
 def reference_for(profile):
-    if isinstance(profile, SqrtProfile):
+    if profile.root == 2:
         return SqrtReference(profile)
     return PiecewiseReference(profile)
 
@@ -627,6 +636,87 @@ def test_sqrt_cusp_is_infinite_without_a_warning():
             assert profile.bend(0.0, 0.0) == -math.inf
             assert profile._divided(np.zeros(2), np.zeros(2))[0].tolist() == [math.inf] * 2
             assert profile._bends(np.zeros(2), np.zeros(2)).tolist() == [-math.inf] * 2
+
+
+# two pieces in x = sqrt(r) that meet with their slopes at the knot r =
+# 1.5625, x = 1.25; the radii are squares of dyadic rationals, so their
+# square roots, and every reference below, are exact rationals
+ROOT2 = PiecewisePolyProfile((1.5625,), [(0.0, (0.5, 1.0, 0.25)),
+                                         (1.25, (2.140625, 1.625, -0.125))], root=2)
+ROOT2_RADII = (0.25, 0.5625, 2.25, 4.0)
+
+
+def root2_point(r):
+    """x = sqrt(r), (value, size) and (slope, size) at r: the slope is
+    P'(x) / (2x)."""
+    x = Fraction(math.sqrt(r))
+    assert x * x == r
+    anchor, coeffs = exact_piece(ROOT2, r)
+    t = x - Fraction(anchor)
+    (v, v_size), (d, d_size) = exact_poly(coeffs, t), exact_poly(coeffs, t, 1)
+    return x, (v, v_size), (d / (2 * x), d_size / (2 * x))
+
+
+def root2_step(r, b):
+    """Chord and bend from r to b by their definitions, each with the size of
+    the product sums in x they are formed from, divided as the chord and bend
+    of g(x) = x^2 divide them; a zero step gives (v', v''/2)."""
+    x0, (v0, _), (slope, slope_size) = root2_point(r)
+    x1, (v1, _), _ = root2_point(b)
+    h = Fraction(b) - Fraction(r)
+    if h == 0:
+        anchor, coeffs = exact_piece(ROOT2, r)
+        t = x0 - Fraction(anchor)
+        (d1, s1), (d2, s2) = exact_poly(coeffs, t, 1), exact_poly(coeffs, t, 2)
+        return (slope, slope_size), ((x0 * d2 - d1) / (8 * x0 ** 3),
+                                     (x0 * s2 + s1) / (8 * x0 ** 3))
+    chord = (v1 - v0) / h
+    bend = (chord - slope) / h
+    lo, hi = sorted((Fraction(r), Fraction(b)))
+    ends = [lo] + [Fraction(k) for k in ROOT2.knots if lo < k < hi] + [hi]
+    if len(ends) == 2:
+        anchor, coeffs = exact_piece(ROOT2, float((lo + hi) / 2))
+        a, g = Fraction(anchor), x0 + x1
+        (cx, cx_size), (bx, bx_size) = exact_divided([Fraction(c) for c in coeffs],
+                                                     x0 - a, x1 - a)
+        # chord = P[x0, x1] / g[x0, x1], and the bend through g[x0, x0] = 2 x0
+        assert chord == cx / g and bend == (g * bx - cx) / (2 * x0 * g ** 2)
+        return (chord, cx_size / g), (bend, (g * bx_size + cx_size) / (2 * x0 * g ** 2))
+    size = Fraction(0)
+    for e0, e1 in zip(ends, ends[1:]):
+        anchor, coeffs = exact_piece(ROOT2, float((e0 + e1) / 2))
+        xa, xb = (Fraction(math.sqrt(e)) for e in (e0, e1))
+        (_, share_size), _ = exact_divided([Fraction(c) for c in coeffs],
+                                           xa - Fraction(anchor), xb - Fraction(anchor))
+        size += share_size / (xa + xb) * (e1 - e0) / abs(h)
+    return (chord, size), (bend, (size + slope_size) / abs(h))
+
+
+def test_knotted_root_two_profile_matches_exact_references():
+    """Values, slopes, chords and bends of pieces in sqrt(r), within one
+    piece, across the knot and at zero steps, against rational arithmetic
+    within the ulp bounds of the root-1 references; the array and the scalar
+    accessors agree, and rescaling keeps the root."""
+    radii = np.array(ROOT2_RADII)
+    points = [root2_point(r)[1:] for r in ROOT2_RADII]
+    for got, column in zip((profile_values(ROOT2, radii), profile_slopes(ROOT2, radii)),
+                           zip(*points)):
+        ref, size = as_floats(column)
+        assert_within_ulps(got, ref, size=size)
+    r, b = (np.array(pair) for pair in zip(*itertools.product(ROOT2_RADII, repeat=2)))
+    steps = [root2_step(x, y) for x, y in zip(r, b)]
+    assert any(any(x < k < y or y < k < x for k in ROOT2.knots) for x, y in zip(r, b))
+    for got, scalar, column in zip(ROOT2._divided(r, b - r), (ROOT2.chord, ROOT2.bend),
+                                   zip(*steps)):
+        ref, size = as_floats(column)
+        assert_within_ulps(got, ref, size=size)
+        assert_within_ulps([scalar(float(x), float(y - x)) for x, y in zip(r, b)], ref,
+                           size=size)
+    for prof, f, lower in ((ROOT2.shifted(0.25), 1.0, 0.25), (ROOT2.dilated(4.0), 4.0, 0.0)):
+        assert type(prof) is PiecewisePolyProfile and (prof.root, prof.kind) == (2, "sqrt")
+        # both are exact here: dilating by 4 halves x and quarters r
+        assert (profile_values(prof, radii / f).tolist()
+                == (profile_values(ROOT2, radii) / f - lower).tolist())
 
 
 def test_profile_values_matches_scalar_loop():
